@@ -50,7 +50,7 @@ PEAK_HOOK = ("import atexit, os; atexit.register(lambda: os.write(3, "
              "open('/proc/self/status', 'rb').read()))")
 ENTRY = (PEAK_HOOK + "; import sys; from ellipcert.cli import main; "
          "sys.argv[0] = 'ellipcert'; main()")
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
 
 END_TO_END = {
     "setup_s": "s",
