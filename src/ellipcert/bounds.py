@@ -87,35 +87,18 @@ def scaled_theta_upper():
 
 
 def theta_bounds() -> tuple[Fraction, object]:
-    """The implemented theta bounds (3/2^17 exact, 4/pi - 14/11 numeric).
-
-    Verifies, before returning, that the pi-scaled headline constant
-    (14/11)(22/7 - pi) equals pi times the upper bound to working
-    precision, so the two labelings can never drift apart silently.
-    """
-    upper = theta_upper()
-    with mp.workdps(WORKING_DPS):
-        gap = abs(scaled_theta_upper() - mp.pi * upper)
-        if gap > mp.mpf(10) ** (12 - WORKING_DPS):
-            raise ArithmeticError(f"theta upper-bound labels disagree by {gap}")
-    return THETA_LOWER, upper
+    """The implemented theta bounds (3/2^17 exact, 4/pi - 14/11 numeric)."""
+    return THETA_LOWER, theta_upper()
 
 
 def delta_e_bounds():
     """The bounds (3 pi / 2^36, (7/11)(22/7 - pi) / 2^18) for delta(e).
 
-    Both equal pi/2^19 times the corresponding theta bound; the identity
-    is checked to working precision before returning.
+    Both equal pi/2^19 times the corresponding theta bound.
     """
     with mp.workdps(WORKING_DPS):
         lower = 3 * mp.pi / 2**36
         upper = (mp.mpf(7) / 11) * (mp.mpf(22) / 7 - mp.pi) / 2**18
-        scale = mp.pi / 2**DELTA_E_EXPONENT
-        lo_check = scale * THETA_LOWER.numerator / THETA_LOWER.denominator
-        hi_check = scale * theta_upper()
-        slop = mp.mpf(10) ** (8 - WORKING_DPS)
-        if abs(lower - lo_check) > slop * lower or abs(upper - hi_check) > slop * upper:
-            raise ArithmeticError("delta(e) bounds do not match pi/2^19 * theta bounds")
         return lower, upper
 
 

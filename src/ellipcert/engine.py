@@ -19,17 +19,19 @@ argument.  Two tail bounds are available for B(x) = sum B_n x^n:
 
 The engine always uses the smaller of the two, which makes the x = 1
 endpoint (where the series converges like 1/n^3) work without a separate
-code path.
+code path.  Each bound has one owner: ``_tail_bound`` certifies it in mpf
+for both eval_B and discrepancy, and ``_tail_estimate`` is its float
+counterpart that plans term counts, default tolerances and early refusals.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 from mpmath import mp
 
 from .series_kernel import b_coeffs_upto, delta_coeffs_upto
@@ -211,29 +213,39 @@ def eval_A(x):
         return 1 + 3 * xm / (10 + mp.sqrt(4 - 3 * xm))
 
 
-def _slow_tail_bound(n: int):
-    # sum_{k > n} B_k x^k <= sum_{k > n} B_k <= 1/(8 pi (n - 1/2)^2), n >= 2
-    return 1 / (8 * mp.pi * mp.mpf(n - 0.5) ** 2)
+def _tail_estimate(xf: float, n: int) -> float:
+    """Float estimate of the tail of B(x) after N = n terms, for 0 <= x <= 1.
 
-
-def _tail_clearly_unreachable(xf: float, tol: float, max_terms: int) -> bool:
-    """Cheap float screen: True only when no N <= max_terms can reach 2*tol.
-
-    The float bounds here slightly undercut the rigorous ones, so a True
-    answer (both bounds above 2*tol at the budget) proves the rigorous
-    loop could not have closed at tol; a False answer defers to the loop.
+    The smaller of the slow-convergence bound and the geometric bound with
+    B_(n+1) ~ 1/(4 pi (n+1)^3), which slightly undercuts the true
+    coefficient.  It plans term counts and refusals only; ``_tail_bound``
+    certifies.
     """
-    slow = 1.0 / (8.0 * math.pi * (max_terms - 0.5) ** 2)
-    if slow <= 2.0 * tol:
-        return False
+    slow = 1.0 / (8.0 * math.pi * (n - 0.5) ** 2)
     if xf >= 1.0:
-        return True
+        return slow
     if xf == 0.0:
-        return False  # the series terminates immediately
-    # geometric bound at the budget: B_(N+1) x^(N+1) / (1-x)
-    n = max_terms
+        return 0.0  # the series terminates immediately
     log_geo = (n + 1) * math.log(xf) - math.log(4.0 * math.pi * (n + 1) ** 3) - math.log1p(-xf)
-    return log_geo > math.log(2.0 * tol)
+    return min(slow, math.exp(log_geo))
+
+
+def _tail_bound(n: int, next_term, one_minus):
+    """Rigorous mpf bound on the tail after N = n terms, and its regime.
+
+    ``next_term`` bounds the first omitted term B_(n+1) x^(n+1) and is read
+    only when ``one_minus`` = 1 - x is positive.  Returns (None, None)
+    when neither bound applies (x = 1 and n < 2).
+    """
+    tail, regime = None, None
+    if one_minus > 0:
+        tail, regime = next_term / one_minus, GEOMETRIC_TAIL
+    if n >= 2:
+        # sum_{k > n} B_k x^k <= sum_{k > n} B_k <= 1/(8 pi (n - 1/2)^2)
+        slow = 1 / (8 * mp.pi * mp.mpf(n - 0.5) ** 2)
+        if tail is None or slow < tail:
+            tail, regime = slow, SLOW_TAIL
+    return tail, regime
 
 
 def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
@@ -251,10 +263,10 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
     if tol <= 0:
         raise ValueError("tol must be positive")
     xf = float(x)
-    if 0.0 <= xf <= 1.0 and _tail_clearly_unreachable(xf, tol, max_terms):
+    if 0.0 <= xf <= 1.0 and _tail_estimate(xf, max_terms) > 2.0 * tol:
         raise ToleranceFloorError(
             f"tol={tol} not certifiable within {max_terms} terms at x={xf} "
-            f"(achievable floor here is about {1.0 / (8.0 * math.pi * (max_terms - 0.5) ** 2):.3g})"
+            f"(achievable floor here is about {_tail_estimate(1.0, max_terms):.3g})"
         )
     dps = _dps_for_tol(tol)
     with mp.workdps(dps):
@@ -271,16 +283,7 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
             s += term
             nxt = term * (mp.mpf(2 * n - 1) / (2 * n + 2)) ** 2 * xm
             if n < 64 or n % 16 == 0 or n == max_terms:
-                tail = None
-                regime = None
-                if one_minus > 0:
-                    tail = nxt / one_minus
-                    regime = GEOMETRIC_TAIL
-                if n >= 2:
-                    slow = _slow_tail_bound(n)
-                    if tail is None or slow < tail:
-                        tail = slow
-                        regime = SLOW_TAIL
+                tail, regime = _tail_bound(n, nxt, one_minus)
                 if tail is not None:
                     # fp_err covers the summation; the term recurrence's own
                     # accumulated rounding (~5n*u relative on nxt) is orders
@@ -294,16 +297,27 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
                         )
             term = nxt
             n += 1
-        floor = _slow_tail_bound(max_terms)
+        floor, _ = _tail_bound(max_terms, None, 0)  # the x = 1 bound
         raise ToleranceFloorError(
             f"tol={tol} not certifiable within {max_terms} terms at x={mp.nstr(xm, 10)} "
             f"(achievable floor here is about {mp.nstr(floor, 5)})"
         )
 
 
-# fixed-order Gauss-Legendre rule used on every adaptive panel
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_GL_PAIRS = list(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
+# fixed-order 15-point Gauss-Legendre rule used on every adaptive panel:
+# (node, weight) pairs for nodes >= 0, equal bit for bit to
+# numpy.polynomial.legendre.leggauss(15), mirrored below
+_GL_HALF = [
+    (0.0, 0.2025782419255613),
+    (0.20119409399743451, 0.1984314853271116),
+    (0.3941513470775634, 0.1861610000155622),
+    (0.5709721726085388, 0.16626920581699398),
+    (0.7244177313601701, 0.13957067792615444),
+    (0.8482065834104272, 0.10715922046717141),
+    (0.9372733924007058, 0.0703660474881084),
+    (0.9879925180204854, 0.030753241996117203),
+]
+_GL_PAIRS = [(-t, w) for t, w in reversed(_GL_HALF[1:])] + _GL_HALF
 
 
 def _gauss_panel(f, a: float, b: float) -> float:
@@ -393,58 +407,40 @@ def perimeter_ramanujan(ellipse: Ellipse):
 
 
 class _MpfCoefficientCache:
-    """Per-precision mpf images of the exact delta_n and B_n tables."""
+    """Per-precision mpf images of the exact delta_n table."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._store: dict[int, tuple[list, list]] = {}
+        self._store: dict[int, list] = {}
 
-    def get(self, dps: int, n_max: int):
+    def get(self, dps: int, n_max: int) -> list:
         with self._lock:
-            deltas, bs = self._store.get(dps, ([], []))
+            deltas = self._store.setdefault(dps, [])
             if len(deltas) <= n_max:
-                exact_d = delta_coeffs_upto(n_max + 1)
-                exact_b = b_coeffs_upto(n_max + 1)
+                exact = delta_coeffs_upto(n_max)
                 with mp.workdps(dps):
-                    for n in range(len(deltas), n_max + 2):
-                        d = exact_d[n]
-                        deltas.append(mp.mpf(d.numerator) / d.denominator)
-                        bb = exact_b[n]
-                        bs.append(mp.mpf(bb.numerator) / bb.denominator)
-                self._store[dps] = (deltas, bs)
-            return deltas, bs
+                    deltas.extend(_as_mpf(d) for d in exact[len(deltas):])
+            return deltas
 
 
 _MPF_COEFFS = _MpfCoefficientCache()
 
 
 def _estimate_delta_terms(xf: float, tol: float, max_terms: int) -> int | None:
-    """Smallest N whose tail bound (float estimate) is within tol/2."""
-    log_x = math.log(xf) if xf < 1.0 else 0.0
-    for n in range(6, max_terms + 1):
-        # pi rounded down so the float estimate overstates the true bound
-        slow = 1.0 / (8.0 * 3.141592 * (n - 0.5) ** 2)
-        best = slow
-        if xf < 1.0:
-            # B_(n+1) x^(n+1) / (1-x), with B_(n+1) ~ 1/(4 pi (n+1)^3)
-            log_geo = (n + 1) * log_x - math.log(4.0 * math.pi * (n + 1) ** 3) - math.log1p(-xf)
-            if log_geo < math.log(best):
-                best = math.exp(log_geo)
-        if best <= 0.5 * tol:
-            return n
-    return None
+    """Smallest N >= 6 whose float tail estimate is within tol/2, or None.
+
+    The estimate strictly decreases in N, so bisection finds the first N a
+    linear scan would.
+    """
+    ns = range(6, max_terms + 1)
+    i = bisect_left(ns, True, key=lambda n: _tail_estimate(xf, n) <= 0.5 * tol)
+    return ns[i] if i < len(ns) else None
 
 
 def _default_delta_tol(xf: float, max_terms: int) -> float:
     """Width target tracking Delta's own magnitude, floored by the budget."""
     est = 2.288818359375e-5 * xf**5  # delta_5 x^5, a lower bound for Delta
-    floor = 1.0 / (8.0 * math.pi * (max_terms - 0.5) ** 2)
-    if xf < 1.0:
-        lg = (max_terms + 1) * math.log(xf) - math.log(
-            4.0 * math.pi * (max_terms + 1) ** 3
-        ) - math.log1p(-xf)
-        floor = min(floor, math.exp(lg))
-    return max(est * 1e-9, 3.0 * floor)
+    return max(est * 1e-9, 3.0 * _tail_estimate(xf, max_terms))
 
 
 def discrepancy(x, tol: float | None = None, max_terms: int = 6000) -> Enclosure:
@@ -472,7 +468,7 @@ def discrepancy(x, tol: float | None = None, max_terms: int = 6000) -> Enclosure
             f"tol={tol} not certifiable within {max_terms} difference terms at x={xf}"
         )
     dps = _dps_for_tol(tol)
-    deltas, bs = _MPF_COEFFS.get(dps, n_terms + 1)
+    deltas = _MPF_COEFFS.get(dps, n_terms)
     with mp.workdps(dps):
         xm = _as_mpf(x)
         if not 0 < xm <= 1:
@@ -483,14 +479,11 @@ def discrepancy(x, tol: float | None = None, max_terms: int = 6000) -> Enclosure
         for n in range(5, n_terms + 1):
             s += deltas[n] * xp
             xp *= xm
-        # xp is now x^(n_terms+1)
-        tail = _slow_tail_bound(n_terms)
-        regime = SLOW_TAIL
+        # xp is now x^(n_terms+1); delta_n < B_n bounds the tail termwise
+        next_term = None
         if xm < 1:
-            geo = bs[n_terms + 1] * xp / (1 - xm)
-            if geo < tail:
-                tail = geo
-                regime = GEOMETRIC_TAIL
+            next_term = _as_mpf(b_coeffs_upto(n_terms + 1)[n_terms + 1]) * xp
+        tail, regime = _tail_bound(n_terms, next_term, 1 - xm)
         fp_err = 8 * (n_terms + 4) * u * (s + est)
         hi = s + tail * (1 + 16 * u) + fp_err
         lo = s - fp_err

@@ -51,6 +51,17 @@ def test_delta_e_bounds_share_normalization():
         assert abs(ratio_delta - ratio_theta) < mp.mpf("1e-12")
 
 
+def test_delta_e_bounds_equal_scaled_theta_bounds():
+    # 3 pi/2^36 = (pi/2^19)(3/2^17) and (7/11)(22/7 - pi)/2^18 = (pi/2^19)(4/pi - 14/11)
+    lo, up = delta_e_bounds()
+    th_lo, th_up = theta_bounds()
+    with mp.workdps(50):
+        scale = mp.pi / 2**19
+        slop = mp.mpf("1e-42")
+        assert abs(lo - scale * th_lo.numerator / th_lo.denominator) <= slop * lo
+        assert abs(up - scale * th_up) <= slop * up
+
+
 def test_error_report_circle_is_all_zero():
     rep = error_report(Ellipse(1, 1))
     assert rep.epsilon_enclosure.lo == 0 and rep.epsilon_enclosure.hi == 0

@@ -1,8 +1,14 @@
-"""CLI contract tests, run in-process through cli_main."""
+"""CLI contract tests, run in-process through cli_main, plus one
+``python -m ellipcert`` run in a subprocess."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
+import ellipcert
 from ellipcert.cli import cli_main
 
 CERT_KEYS = {
@@ -172,3 +178,16 @@ def test_malformed_flags(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(["--help"], capsys)[0] == 0
+
+
+def test_python_m_ellipcert_runs_the_cli_once():
+    src = str(Path(ellipcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellipcert", "coeffs", "--n", "3"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("n,A,B,delta\n")
+    assert proc.stdout.count("n,A,B,delta") == 1
+    assert proc.stderr == ""

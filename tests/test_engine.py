@@ -6,13 +6,19 @@ package's own series and adaptive-Gauss routes are checked against it.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 from scipy.integrate import quad
 
+import ellipcert
+from ellipcert import engine
 from ellipcert import (
     Ellipse,
     Enclosure,
@@ -391,3 +397,37 @@ def test_enclosure_rejects_non_finite_values():
     enc = eval_B(0.5)
     with pytest.raises(ValueError):
         enc.contains(mp.inf)
+
+
+# ------------------------------------------------- planner and dependencies
+
+
+def test_estimate_delta_terms_matches_linear_scan():
+    xs = [1e-6, 0.01, 0.3, 0.5, 0.9, 0.99, 1.0] + [1 - 10.0**-k for k in range(3, 13)]
+    for max_terms in (500, 6000):
+        for x in xs:
+            for tol in (1e-6, 1e-9, 1e-12, 1e-15, 1e-20, 1e-30):
+                got = engine._estimate_delta_terms(x, tol, max_terms)
+                if engine._tail_estimate(x, max_terms) > 0.5 * tol:
+                    assert got is None, (x, tol, max_terms)
+                    continue
+                scan = next(n for n in range(6, max_terms + 1)
+                            if engine._tail_estimate(x, n) <= 0.5 * tol)
+                assert got == scan, (x, tol, max_terms)
+
+
+def test_import_leaves_numpy_out():
+    src = str(Path(ellipcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ellipcert.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_gauss_legendre_pairs_equal_numpy_leggauss():
+    np = pytest.importorskip("numpy")
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    assert engine._GL_PAIRS == list(zip(nodes.tolist(), weights.tolist()))
