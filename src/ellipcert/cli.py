@@ -34,7 +34,7 @@ from .engine import (
     theta_of_lambda,
 )
 from .lemma import verify_fundamental_lemma
-from .series_kernel import a_coeffs_upto, b_coeffs_upto, delta_coeffs_upto
+from .series_kernel import a_coeffs_upto, b_coeffs_upto, delta_coeffs_upto, rational_str
 
 __all__ = ["cli_main", "main"]
 
@@ -44,10 +44,6 @@ def _fmt(v, digits: int = 20) -> str:
         if isinstance(v, Fraction):
             v = mp.mpf(v.numerator) / v.denominator
         return mp.nstr(mp.mpf(v), digits)
-
-
-def _rat(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _enc_str(enc) -> str:
@@ -114,14 +110,15 @@ def _cmd_coeffs(args) -> int:
     d = delta_coeffs_upto(n)
     if args.format == "json":
         rows = [
-            {"n": i, "A": _rat(a[i]), "B": _rat(b[i]), "delta": _rat(d[i])}
+            {"n": i, "A": rational_str(a[i]), "B": rational_str(b[i]),
+             "delta": rational_str(d[i])}
             for i in range(n + 1)
         ]
         print(json.dumps({"rows": rows}, indent=2))
     else:
         print("n,A,B,delta")
         for i in range(n + 1):
-            print(f"{i},{_rat(a[i])},{_rat(b[i])},{_rat(d[i])}")
+            print(f"{i},{rational_str(a[i])},{rational_str(b[i])},{rational_str(d[i])}")
     return 0
 
 
@@ -159,7 +156,7 @@ def _cmd_bounds(args) -> int:
     de_lo, de_up = delta_e_bounds()
     with mp.workdps(WORKING_DPS):
         identity_gap = abs(pi_up - mp.pi * up)
-    print(f"theta lower (exact)   = {_rat(lo)} = {_fmt(Fraction(lo))}")
+    print(f"theta lower (exact)   = {rational_str(lo)} = {_fmt(Fraction(lo))}")
     print(f"theta upper           = {_fmt(up)}   (4/pi - 14/11)")
     print(f"pi*theta upper        = {_fmt(pi_up)}   ((14/11)*(22/7 - pi))")
     print(f"identity gap          = {_fmt(identity_gap, 6)}")

@@ -266,7 +266,7 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
     if 0.0 <= xf <= 1.0 and _tail_estimate(xf, max_terms) > 2.0 * tol:
         raise ToleranceFloorError(
             f"tol={tol} not certifiable within {max_terms} terms at x={xf} "
-            f"(achievable floor here is about {_tail_estimate(1.0, max_terms):.3g})"
+            f"(achievable floor here is about {_tail_estimate(xf, max_terms):.3g})"
         )
     dps = _dps_for_tol(tol)
     with mp.workdps(dps):
@@ -297,7 +297,7 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
                         )
             term = nxt
             n += 1
-        floor, _ = _tail_bound(max_terms, None, 0)  # the x = 1 bound
+        floor, _ = _tail_bound(max_terms, term, one_minus)
         raise ToleranceFloorError(
             f"tol={tol} not certifiable within {max_terms} terms at x={mp.nstr(xm, 10)} "
             f"(achievable floor here is about {mp.nstr(floor, 5)})"

@@ -15,6 +15,9 @@ The one intentionally non-exact piece is `g_min_analysis`, which locates
 the real minimum of g at (7 + sqrt(41))/4 and corroborates the sign
 pattern of g' numerically; everything feeding the certificate booleans is
 decided by `Fraction` comparisons alone.
+
+A_n is read from the shared O(n) table, cross-checked against the explicit
+term sum and compared with B_n from the product formula: no shared recurrence.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from math import comb
 
 from mpmath import mp
 
-from .series_kernel import a_series_via_composition, a_coeff_explicit, a_term, b_coeff
+from .series_kernel import a_coeff_explicit, a_series_via_composition, a_term, b_coeff, rational_str
 
 __all__ = [
     "LemmaCertificate",
@@ -179,9 +182,6 @@ class LemmaCertificate:
         )
 
     def to_json_dict(self) -> dict:
-        def rat(q: Fraction) -> str:
-            return f"{q.numerator}/{q.denominator}"
-
         def real(v) -> str:
             with mp.workdps(_ANALYSIS_DPS):
                 return mp.nstr(v, 25)
@@ -190,11 +190,11 @@ class LemmaCertificate:
             "n_max": self.n_max,
             "equalities_ok": self.equalities_ok,
             "inequalities_ok": self.inequalities_ok,
-            "f7_value": rat(self.f7_value),
+            "f7_value": rational_str(self.f7_value),
             "f_monotone_range": list(self.f_monotone_range),
             "g_min_location": real(self.g_min_location),
             "g_min_value": real(self.g_min_value),
-            "claim1_worst_ratio": rat(self.claim1_worst_ratio),
+            "claim1_worst_ratio": rational_str(self.claim1_worst_ratio),
             "claim2_ok": self.claim2_ok,
             "paper_typos_noted": list(self.paper_typos_noted),
             "claim1_ok": self.claim1_ok,
@@ -231,9 +231,10 @@ def verify_fundamental_lemma(n_max: int) -> LemmaCertificate:
     0 < A_n < a_(n-1) and a_(n-1) < B_n for 7 <= n <= n_max; the exact
     equivalence (f(n) < 1) <=> (a_(n-1) < B_n) together with the identity
     f(n) = a_(n-1)/B_n; strict decrease of f via g(k) > 1; and agreement of
-    the two A_n routes for n <= min(50, n_max).  A_n comes from the
-    composition route and B_n from the defining product formula, so the
-    sweep compares the two definitions, not a shared recurrence.
+    the table A_n with the explicit term sum for n <= min(50, n_max).
+    A_n comes from the shared O(n) table, which expands the closed form,
+    and B_n from the defining product formula, so the sweep compares the
+    two definitions; they share no recurrence.
 
     Failures are recorded in the certificate, never raised.
     """
@@ -249,7 +250,10 @@ def verify_fundamental_lemma(n_max: int) -> LemmaCertificate:
         nonlocal first
         if first is None:
             first = {"check": check, "index": index}
-            first.update({k: str(v) for k, v in witness.items()})
+            first.update({
+                k: rational_str(v) if isinstance(v, Fraction) else str(v)
+                for k, v in witness.items()
+            })
 
     equalities_ok = True
     for n in range(1, 5):

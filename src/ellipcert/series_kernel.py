@@ -10,22 +10,24 @@ and Ramanujan's closed-form approximation is pi*(a+b)*A(x) with
     A(x) = 1 + 3x / (10 + sqrt(4 - 3x)).
 
 This module produces the Maclaurin coefficients A_n and B_n as exact
-rationals, by two independent routes for A_n:
+rationals.  Production has one O(n) table per quantity, grown on demand
+by `_CoefficientCache`: A_n by exact long division of the closed form's
+series, B_n by its term ratio.  Two independent checks stay beside it:
 
-  * `a_series_via_composition` expands the closed form with formal power
-    series algebra (binomial series for the square root, geometric series
-    for the reciprocal, Cauchy products), entirely in `Fraction`;
   * `a_coeff_explicit` sums the closed-form term expansion
     a_m = C(2m,m) 3^m / ((2m-1) 16^(m+1)) * (-1/32)^(n-1-m)   (m >= 1),
-    a_0 = (4/16) * (-1/32)^(n-1).
+    a_0 = (4/16) * (-1/32)^(n-1);
+  * `b_coeff` evaluates the defining product formula directly.
 
-The two routes agreeing exactly is the backbone of every downstream
-verification.  No floating point appears anywhere in this module.
+`PowerSeries` with `ps_mul`, `ps_binomial_sqrt` and `ps_geom_recip` is
+the formal series algebra the tests use as an oracle for the table.  No
+floating point appears anywhere in this module.
 """
 
 from __future__ import annotations
 
 import threading
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -48,6 +50,7 @@ __all__ = [
     "a_coeffs_upto",
     "b_coeffs_upto",
     "delta_coeffs_upto",
+    "rational_str",
 ]
 
 
@@ -140,24 +143,12 @@ def b_coeff(n: int) -> Fraction:
 def a_series_via_composition(order: int) -> PowerSeries:
     """Maclaurin expansion of A(x) = 1 + 3x/(10 + sqrt(4-3x)) to the given order.
 
-    Rationalizing gives A(x) = 1 + x * (10 - sqrt(4-3x)) / (32 + x); the
-    square root is 2*(1 - 3x/4)^(1/2), so every step stays in exact series
-    algebra: binomial series, geometric series, one Cauchy product, one
-    shift by x.
+    The coefficients are read from the shared table, which expands the
+    closed form exactly (see `_CoefficientCache`).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if order == 0:
-        return PowerSeries([Fraction(1)])
-    inner_order = order - 1
-    root = ps_binomial_sqrt(Fraction(3, 4), inner_order)
-    # 10 - sqrt(4 - 3x) = 10 - 2*(1 - 3x/4)^(1/2)
-    numer = PowerSeries(
-        [Fraction(10) - 2 * root.coeffs[0]] + [-2 * c for c in root.coeffs[1:]]
-    )
-    recip = ps_geom_recip(Fraction(32), inner_order)
-    inner = ps_mul(numer, recip)
-    return PowerSeries([Fraction(1)] + inner.coeffs)
+    return PowerSeries(a_coeffs_upto(order))
 
 
 def a_term(n: int, m: int) -> Fraction:
@@ -185,7 +176,7 @@ def a_coeff_explicit(n: int) -> Fraction:
     """Coefficient A_n by direct summation of the explicit terms.
 
     Rejects n = 0: the constant term is definitionally 1 and has no term
-    expansion.  Equals the composition-route coefficient for every n.
+    expansion.  Equals the table coefficient A_n for every n.
     """
     if n < 1:
         raise ValueError("n must be >= 1 (A_0 = 1 by definition)")
@@ -205,11 +196,12 @@ class _CoefficientCache:
     """Initialize-once grow-on-demand store for A_n, B_n, delta_n tables.
 
     B grows by the exact term ratio B_(n+1) = B_n * ((2n-1)/(2n+2))^2.
-    A grows by the recurrence A_(n+1) = t_n - A_n/32, where t_m is the
-    leading explicit term with the (-1/32) power stripped; the recurrence
-    is the explicit term sum telescoped, so it matches `a_coeff_explicit`
-    term for term.  Guarded by a lock so concurrent readers only ever see
-    fully built prefixes.
+    A grows by exact long division of the closed form: A(x) = 1 +
+    x u(x)/(32 + x) with u(x) = 10 - sqrt(4 - 3x), so A_1 = u_0/32 = 1/4
+    and A_(n+1) = t_n - A_n/32 with t_n = u_n/32.  The root's binomial
+    series gives t_1 = 3/128 and the term ratio t_m/t_(m-1) = 3(2m-3)/(8m):
+    one ratio step per row, so the table is O(n).  Guarded by a lock so
+    concurrent readers only ever see fully built prefixes.
     """
 
     def __init__(self):
@@ -217,20 +209,16 @@ class _CoefficientCache:
         self._a = [Fraction(1), Fraction(1, 4)]
         self._b = [Fraction(1), Fraction(1, 4)]
         self._delta = [Fraction(0), Fraction(0)]
-        self._t = Fraction(3, 128)  # t_1
-        self._t_index = 1
+        self._t = Fraction(3, 128)  # t_n for the highest built index n
 
     def grow(self, n_max: int) -> None:
         with self._lock:
             while len(self._a) <= n_max:
                 n = len(self._a) - 1  # highest index currently built
-                while self._t_index < n:
-                    self._t_index += 1
-                    m = self._t_index
-                    self._t *= Fraction(3 * (2 * m - 3), 8 * m)
                 self._a.append(self._t - self._a[n] / 32)
                 self._b.append(self._b[n] * Fraction(2 * n - 1, 2 * n + 2) ** 2)
                 self._delta.append(self._b[n + 1] - self._a[n + 1])
+                self._t *= Fraction(3 * (2 * n - 1), 8 * (n + 1))  # t_(n+1)
 
     def a_upto(self, n_max: int) -> list[Fraction]:
         self.grow(n_max)
@@ -267,3 +255,9 @@ def delta_coeffs_upto(n_max: int) -> list[Fraction]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     return _CACHE.delta_upto(n_max)
+
+
+def rational_str(q) -> str:
+    """"numerator/denominator", exact at any size: Decimal prints an int
+    without the interpreter's cap on int-to-str digits."""
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"

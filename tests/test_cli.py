@@ -191,3 +191,15 @@ def test_python_m_ellipcert_runs_the_cli_once():
     assert proc.stdout.startswith("n,A,B,delta\n")
     assert proc.stdout.count("n,A,B,delta") == 1
     assert proc.stderr == ""
+
+
+def test_coeffs_table_unaffected_by_the_int_digit_limit(capsys, int_digit_cap):
+    # denominators near n = 600 have about 722 digits, past the smallest
+    # cap Python allows on str(int)
+    reference = run(["coeffs", "--n", "600"], capsys)
+    with int_digit_cap():
+        capped = run(["coeffs", "--n", "600"], capsys)
+    assert capped == reference
+    rc, out, err = capped
+    assert rc == 0 and err == ""
+    assert len(out.splitlines()) == 602

@@ -186,6 +186,15 @@ def test_eval_B_domain_and_floor():
         eval_B(0.5, -1e-3)
 
 
+def test_eval_B_floor_message_names_the_floor_at_x():
+    # the geometric bound at x = 1/2 reaches far below the x = 1 floor
+    with pytest.raises(ToleranceFloorError) as info:
+        eval_B(0.5, 1e-300, max_terms=100)
+    floor = float(str(info.value).rsplit("about ", 1)[1].rstrip(")"))
+    assert 0 < floor < 1e-36
+    assert eval_B(0.5, 1e-36, max_terms=100).width <= 1e-36
+
+
 def test_eval_B_soundness_against_quadrature():
     for i in range(0, 21):
         x = round(0.05 * i, 2)

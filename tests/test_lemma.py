@@ -7,6 +7,7 @@ import pytest
 from mpmath import mp
 
 import ellipcert.lemma as lemma_mod
+import ellipcert.series_kernel as series_kernel
 from ellipcert import b_coeff, f_val, g_val, g_min_analysis, verify_fundamental_lemma
 
 
@@ -129,6 +130,37 @@ def test_corrupted_input_is_recorded_not_thrown(monkeypatch):
     doc = json.loads(cert.to_json())
     assert doc["all_ok"] is False
     assert doc["first_counterexample"]["index"] == 10
+
+
+def test_large_witness_is_recorded_under_the_int_digit_limit(monkeypatch, int_digit_cap):
+    # A_600 has a denominator of about 900 digits, past the 640-digit cap
+    # on str(int); the witness must still be recorded, not raised
+    def corrupt_b(n):
+        return F(0) if n == 600 else b_coeff(n)
+
+    monkeypatch.setattr(lemma_mod, "b_coeff", corrupt_b)
+    with int_digit_cap():
+        cert = verify_fundamental_lemma(600)
+        text = cert.to_json()
+    assert not cert.inequalities_ok
+    assert cert.first_counterexample["index"] == 600
+    assert cert.first_counterexample["b_n"] == "0/1"
+    num, den = cert.first_counterexample["a_n"].split("/")
+    assert len(den) > 640
+    assert F(int(num), int(den)) == series_kernel.a_coeffs_upto(600)[600]
+    assert json.loads(text)["first_counterexample"] == cert.first_counterexample
+
+
+def test_lemma_never_calls_the_cauchy_product(monkeypatch):
+    reference = verify_fundamental_lemma(60).to_json()
+
+    def refuse(*args):
+        raise AssertionError("ps_mul called")
+
+    monkeypatch.setattr(series_kernel, "ps_mul", refuse)
+    cert = verify_fundamental_lemma(60)
+    assert cert.all_ok()
+    assert cert.to_json() == reference
 
 
 def test_certificate_independent_of_ambient_precision():

@@ -2,8 +2,9 @@
 
 Frozen expected values were computed with independent integer arithmetic
 on the defining products (noted inline) before being asserted here; the
-two A_n routes cross-validate each other, and the B_n ratio recurrence
-cross-validates the direct product formula.
+A_n table is checked against the explicit term sum and against formal
+series algebra, and the B_n ratio recurrence cross-validates the direct
+product formula.
 """
 
 from fractions import Fraction as F
@@ -25,6 +26,7 @@ from ellipcert import (
     ps_geom_recip,
     ps_mul,
 )
+from ellipcert.series_kernel import _CoefficientCache, rational_str
 
 
 @pytest.mark.parametrize(
@@ -194,16 +196,34 @@ def test_dominance_of_leading_term():
         assert 0 < comp[n] < a_term(n, n - 1)
 
 
+def _composition_by_series_algebra(order):
+    """A(x) = 1 + x (10 - 2 (1 - 3x/4)^(1/2)) / (32 + x), expanded with
+    the O(n^2) Cauchy product: the series-algebra oracle for the table."""
+    root = ps_binomial_sqrt(F(3, 4), order - 1)
+    numer = PowerSeries([F(10) - 2 * root[0]] + [-2 * c for c in root.coeffs[1:]])
+    return [F(1)] + ps_mul(numer, ps_geom_recip(F(32), order - 1)).coeffs
+
+
 def test_caches_match_definitional_routes():
     n_max = 60
     a = a_coeffs_upto(n_max)
     b = b_coeffs_upto(n_max)
     d = delta_coeffs_upto(n_max)
-    comp = a_series_via_composition(n_max)
+    comp = _composition_by_series_algebra(n_max)
     for n in range(n_max + 1):
         assert a[n] == comp[n]
         assert b[n] == b_coeff(n)
         assert d[n] == b[n] - a[n]
+
+
+def test_cache_grown_in_uneven_steps_matches_one_step():
+    stepped, whole = _CoefficientCache(), _CoefficientCache()
+    for n in (3, 4, 10, 200):
+        stepped.grow(n)
+    whole.grow(200)
+    assert stepped.a_upto(200) == whole.a_upto(200)
+    assert stepped.b_upto(200) == whole.b_upto(200)
+    assert stepped.delta_upto(200) == whole.delta_upto(200)
 
 
 def test_determinism():
@@ -228,3 +248,11 @@ def test_cache_concurrent_growth_is_consistent():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(worker, range(64)))
     assert all(results)
+
+
+def test_rational_str_ignores_the_int_digit_limit(int_digit_cap):
+    big = F(-(10**700 + 1), 7)  # 10^700 + 1 is 5 mod 7: nothing cancels
+    with int_digit_cap():
+        assert rational_str(F(1)) == "1/1"
+        assert rational_str(F(-3, 4)) == "-3/4"
+        assert rational_str(big) == "-1" + "0" * 699 + "1/7"
