@@ -29,13 +29,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
-
 from .engine import (
     WORKING_DPS,
     Ellipse,
     Enclosure,
     EXACT_POINT,
+    _as_mpf,
+    _ctx,
     _scaled,
     discrepancy,
     perimeter,
@@ -72,8 +72,8 @@ _BOUND_FORM_NOTE = (
 
 def theta_upper():
     """The sharp upper bound 4/pi - 14/11 for theta, at working precision."""
-    with mp.workdps(WORKING_DPS):
-        return 4 / mp.pi - mp.mpf(14) / 11
+    ctx = _ctx(WORKING_DPS)
+    return 4 / ctx.pi - ctx.mpf(14) / 11
 
 
 def scaled_theta_upper():
@@ -82,8 +82,8 @@ def scaled_theta_upper():
     This is the pi*theta version of the upper constant; see the module
     docstring for why both labels exist.
     """
-    with mp.workdps(WORKING_DPS):
-        return (mp.mpf(14) / 11) * (mp.mpf(22) / 7 - mp.pi)
+    ctx = _ctx(WORKING_DPS)
+    return (ctx.mpf(14) / 11) * (ctx.mpf(22) / 7 - ctx.pi)
 
 
 def theta_bounds() -> tuple[Fraction, object]:
@@ -96,10 +96,10 @@ def delta_e_bounds():
 
     Both equal pi/2^19 times the corresponding theta bound.
     """
-    with mp.workdps(WORKING_DPS):
-        lower = 3 * mp.pi / 2**36
-        upper = (mp.mpf(7) / 11) * (mp.mpf(22) / 7 - mp.pi) / 2**18
-        return lower, upper
+    ctx = _ctx(WORKING_DPS)
+    lower = 3 * ctx.pi / 2**36
+    upper = (ctx.mpf(7) / 11) * (ctx.mpf(22) / 7 - ctx.pi) / 2**18
+    return lower, upper
 
 
 @dataclass
@@ -128,9 +128,10 @@ class ErrorReport:
     bound_form_note: str
 
     def to_json_dict(self) -> dict:
+        ctx = _ctx(WORKING_DPS)
+
         def real(v) -> str:
-            with mp.workdps(WORKING_DPS):
-                return mp.nstr(mp.mpf(v), 25)
+            return ctx.nstr(ctx.mpf(v), 25)
 
         def enc(e: Enclosure) -> dict:
             return {"lo": real(e.lo), "hi": real(e.hi), "regime": e.regime}
@@ -167,60 +168,55 @@ def error_report(ellipse: Ellipse, tol: float | None = None) -> ErrorReport:
     """
     p_enc = perimeter(ellipse, tol)
     p_r = perimeter_ramanujan(ellipse)
-    with mp.workdps(WORKING_DPS):
-        a, b, lam, ecc = ellipse.a, ellipse.b, ellipse.lam, ellipse.ecc
-        if lam == 0:
-            theta_point = mp.mpf(3) / 2**17  # dyadic: exactly representable
-            theta = Enclosure(theta_point, theta_point, EXACT_POINT)
-            delta_e = _scaled(theta, mp.pi / 2**DELTA_E_EXPONENT, EXACT_POINT)
-            zero = mp.mpf(0)
-            return ErrorReport(
-                a=a, b=b, lam=lam, ecc=ecc,
-                p_enclosure=p_enc, p_R=p_r,
-                epsilon_enclosure=Enclosure(zero, zero, EXACT_POINT),
-                lower_bound=zero, upper_bound=zero,
-                theta=theta, delta_e=delta_e,
-                ramanujan_estimate=zero,
-                bound_form_note=_BOUND_FORM_NOTE,
-            )
-
-        x = lam * lam
-    d_enc = discrepancy(x)
-    with mp.workdps(WORKING_DPS):
-        prefactor = mp.pi * (a + b)
+    ctx = _ctx(WORKING_DPS)
+    a, b, lam, ecc = (_as_mpf(v, ctx) for v in (ellipse.a, ellipse.b, ellipse.lam, ellipse.ecc))
+    if lam == 0:
+        zero, theta_point = ctx.mpf(0), _as_mpf(THETA_LOWER, ctx)  # dyadic: exact
+        eps = Enclosure(zero, zero, EXACT_POINT)
+        theta = Enclosure(theta_point, theta_point, EXACT_POINT)
+        lower = upper = ram = zero
+    else:
+        d_enc = discrepancy(lam * lam)
+        prefactor = ctx.pi * (a + b)
         eps = _scaled(d_enc, prefactor)
         lam10 = lam**10
         theta = _scaled(d_enc, 1 / lam10)
-        delta_e = _scaled(theta, mp.pi / 2**DELTA_E_EXPONENT)
-        lower = prefactor * (mp.mpf(3) / 2**17) * lam10
-        upper = prefactor * (4 / mp.pi - mp.mpf(14) / 11) * lam10
+        lower = prefactor * _as_mpf(THETA_LOWER, ctx) * lam10
+        upper = prefactor * theta_upper() * lam10
         ram = 3 * a * ecc**20 / 2**36
+    delta_e = _scaled(theta, ctx.pi / 2**DELTA_E_EXPONENT)
 
+    if lam != 0:
+        # mids and widths carry WORKING_DPS + 10 digits; ctx.convert takes
+        # them exactly, so each operation below rounds once
+        eps_mid, eps_width, p_mid, p_width = (
+            ctx.convert(v) for v in (eps.mid, eps.width, p_enc.mid, p_enc.width)
+        )
         # lam-form vs eccentricity-form of epsilon
         stretch = (2 * a / (a + b)) ** 19  # == (2/(1 + sqrt(1-e^2)))^19
-        e_form = a * delta_e.mid * stretch * ecc**20
-        slack = eps.width + abs(eps.mid) * mp.mpf(10) ** (20 - WORKING_DPS) + mp.mpf("1e-200")
-        if abs(e_form - eps.mid) > slack:
+        e_form = a * ctx.convert(delta_e.mid) * stretch * ecc**20
+        slack = eps_width + abs(eps_mid) * ctx.mpf(10) ** (20 - WORKING_DPS) + ctx.mpf("1e-200")
+        if abs(e_form - eps_mid) > slack:
             raise ArithmeticError(
-                f"epsilon parameterizations disagree: {e_form} vs {eps.mid}"
+                f"epsilon parameterizations disagree: {e_form} vs {eps_mid}"
             )
         # epsilon vs p - p_R
-        p_form = p_enc.mid - p_r
-        slack2 = (p_enc.width + eps.width) / 2 + abs(p_r) * mp.mpf(10) ** (20 - WORKING_DPS)
-        if abs(p_form - eps.mid) > slack2:
+        p_form = p_mid - p_r
+        slack2 = (p_width + eps_width) / 2 + abs(p_r) * ctx.mpf(10) ** (20 - WORKING_DPS)
+        if abs(p_form - eps_mid) > slack2:
             raise ArithmeticError(
-                f"epsilon enclosure inconsistent with p - p_R: {eps.mid} vs {p_form}"
+                f"epsilon enclosure inconsistent with p - p_R: {eps_mid} vs {p_form}"
             )
 
-        return ErrorReport(
-            a=a, b=b, lam=lam, ecc=ecc,
-            p_enclosure=p_enc, p_R=p_r,
-            epsilon_enclosure=eps,
-            lower_bound=lower, upper_bound=upper,
-            theta=theta, delta_e=delta_e,
-            ramanujan_estimate=ram,
-            bound_form_note=_BOUND_FORM_NOTE,
-        )
+    return ErrorReport(
+        a=a, b=b, lam=lam, ecc=ecc,
+        p_enclosure=p_enc, p_R=p_r,
+        epsilon_enclosure=eps,
+        lower_bound=lower, upper_bound=upper,
+        theta=theta, delta_e=delta_e,
+        ramanujan_estimate=ram,
+        bound_form_note=_BOUND_FORM_NOTE,
+    )
 
 
 def _verdict_between(mid, width, lower, upper, attained_upper: bool, margin: float):
@@ -230,8 +226,12 @@ def _verdict_between(mid, width, lower, upper, attained_upper: bool, margin: flo
     fail only when the whole enclosure clears the bound; anything in
     between is reported inconclusive rather than silently passed or
     failed.  When the upper endpoint is attained (lam = 1), the upper
-    comparison is a plain <= on the midpoint.
+    comparison is a plain <= on the midpoint.  The arithmetic runs at
+    WORKING_DPS; ``mid`` and ``width`` enter it exactly (``ctx.convert``),
+    so each difference and the guard round once.
     """
+    ctx = _ctx(WORKING_DPS)
+    mid, width = ctx.convert(mid), ctx.convert(width)
     guard = margin * width
     half = width / 2
     if lower - mid > half:  # enclosure entirely below the lower bound
@@ -258,38 +258,16 @@ def containment_check(report: ErrorReport, margin: float = 10.0) -> dict:
     "not-applicable") for each side of each quantity, plus an overall
     ``ok`` that is False only on a definite failure.
     """
-    with mp.workdps(WORKING_DPS):
-        if report.lam == 0:
-            return {
-                "epsilon_lower": "not-applicable",
-                "epsilon_upper": "not-applicable",
-                "theta_lower": "not-applicable",
-                "theta_upper": "not-applicable",
-                "ok": True,
-            }
+    keys = ("epsilon_lower", "epsilon_upper", "theta_lower", "theta_upper")
+    if report.lam == 0:
+        verdicts = dict.fromkeys(keys, "not-applicable")
+    else:
         attained = report.lam == 1
-        eps_low, eps_up = _verdict_between(
-            report.epsilon_enclosure.mid,
-            report.epsilon_enclosure.width,
-            report.lower_bound,
-            report.upper_bound,
-            attained,
-            margin,
-        )
-        th_lower = mp.mpf(THETA_LOWER.numerator) / THETA_LOWER.denominator
-        th_low, th_up = _verdict_between(
-            report.theta.mid,
-            report.theta.width,
-            th_lower,
-            theta_upper(),
-            attained,
-            margin,
-        )
-        verdicts = {
-            "epsilon_lower": eps_low,
-            "epsilon_upper": eps_up,
-            "theta_lower": th_low,
-            "theta_upper": th_up,
-        }
-        verdicts["ok"] = all(v != "fail" for v in verdicts.values())
-        return verdicts
+        eps, theta = report.epsilon_enclosure, report.theta
+        eps_v = _verdict_between(eps.mid, eps.width, report.lower_bound,
+                                 report.upper_bound, attained, margin)
+        theta_v = _verdict_between(theta.mid, theta.width, _as_mpf(THETA_LOWER, _ctx(WORKING_DPS)),
+                                   theta_upper(), attained, margin)
+        verdicts = dict(zip(keys, eps_v + theta_v))
+    verdicts["ok"] = all(v != "fail" for v in verdicts.values())
+    return verdicts

@@ -11,11 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-
-from mpmath import mp
 
 from .bounds import (
+    DELTA_E_EXPONENT,
     THETA_LOWER,
     _verdict_between,
     containment_check,
@@ -28,6 +26,9 @@ from .engine import (
     WORKING_DPS,
     Ellipse,
     QuadratureBudgetError,
+    _as_mpf,
+    _ctx,
+    _scaled,
     eval_B,
     ivory_integral,
     lambda_from_eccentricity,
@@ -40,10 +41,8 @@ __all__ = ["cli_main", "main"]
 
 
 def _fmt(v, digits: int = 20) -> str:
-    with mp.workdps(WORKING_DPS):
-        if isinstance(v, Fraction):
-            v = mp.mpf(v.numerator) / v.denominator
-        return mp.nstr(mp.mpf(v), digits)
+    ctx = _ctx(WORKING_DPS)
+    return ctx.nstr(_as_mpf(v, ctx), digits)
 
 
 def _enc_str(enc) -> str:
@@ -154,9 +153,9 @@ def _cmd_bounds(args) -> int:
     lo, up = THETA_LOWER, theta_upper()
     pi_up = scaled_theta_upper()
     de_lo, de_up = delta_e_bounds()
-    with mp.workdps(WORKING_DPS):
-        identity_gap = abs(pi_up - mp.pi * up)
-    print(f"theta lower (exact)   = {rational_str(lo)} = {_fmt(Fraction(lo))}")
+    ctx = _ctx(WORKING_DPS)
+    identity_gap = abs(pi_up - ctx.pi * up)
+    print(f"theta lower (exact)   = {rational_str(lo)} = {_fmt(lo)}")
     print(f"theta upper           = {_fmt(up)}   (4/pi - 14/11)")
     print(f"pi*theta upper        = {_fmt(pi_up)}   ((14/11)*(22/7 - pi))")
     print(f"identity gap          = {_fmt(identity_gap, 6)}")
@@ -168,23 +167,19 @@ def _cmd_bounds(args) -> int:
         lam = lambda_from_eccentricity(args.e)
     if lam is None:
         return 0
-    with mp.workdps(WORKING_DPS):
-        lam_m = mp.mpf(lam)
-        if not 0 <= lam_m <= 1:
-            raise ValueError("lambda must lie in [0, 1]")
-        if lam_m == 0:
-            print("lambda = 0: theta takes its limit value 3/2^17; nothing to check")
-            return 0
+    lam_m = _as_mpf(lam, ctx)
+    if not 0 <= lam_m <= 1:
+        raise ValueError("lambda must lie in [0, 1]")
+    if lam_m == 0:
+        print("lambda = 0: theta takes its limit value 3/2^17; nothing to check")
+        return 0
     enc = theta_of_lambda(lam_m)
-    with mp.workdps(WORKING_DPS):
-        lo_m = mp.mpf(lo.numerator) / lo.denominator
-        low_v, up_v = _verdict_between(
-            enc.mid, enc.width, lo_m, up, attained_upper=(lam_m == 1), margin=10.0
-        )
-        delta_lo = enc.lo * mp.pi / 2**19
-        delta_hi = enc.hi * mp.pi / 2**19
+    low_v, up_v = _verdict_between(
+        enc.mid, enc.width, _as_mpf(lo, ctx), up, attained_upper=(lam_m == 1), margin=10.0
+    )
+    delta = _scaled(enc, ctx.pi / 2**DELTA_E_EXPONENT)
     print(f"theta({_fmt(lam_m, 8)}) in {_enc_str(enc)}")
-    print(f"delta_e value in [{_fmt(delta_lo)}, {_fmt(delta_hi)}]")
+    print(f"delta_e value in [{_fmt(delta.lo)}, {_fmt(delta.hi)}]")
     print(f"containment: lower {low_v}, upper {up_v}")
     if low_v == "fail" or up_v == "fail":
         print("containment check FAILED", file=sys.stderr)
@@ -199,9 +194,9 @@ def _cmd_ivory_check(args) -> int:
     quad = ivory_integral(x, args.tol)
     series_tol = max(args.tol, 5e-9 if x > 0.999 else 1e-12)
     enc = eval_B(x, series_tol)
-    with mp.workdps(WORKING_DPS):
-        residual = mp.mpf(quad) - enc.mid
-        combined = mp.mpf(args.tol) + enc.width / 2
+    ctx = _ctx(WORKING_DPS)
+    residual = ctx.mpf(quad) - enc.mid
+    combined = ctx.mpf(args.tol) + ctx.mpf(enc.width) / 2
     print(f"quadrature = {quad!r}")
     print(f"series     in {_enc_str(enc)}")
     print(f"residual   = {_fmt(residual, 6)}   (combined tolerance {_fmt(combined, 6)})")

@@ -1,7 +1,14 @@
 """Certified evaluation of the perimeter series, plus the quadrature oracle.
 
 Everything numeric here runs in mpmath extended precision (50 significant
-digits by default, more when a tolerance demands it).  Enclosures are
+digits by default, more when a tolerance demands it) in private
+contexts: ``_ctx(dps)`` makes one ``mpmath.MPContext`` per precision and
+never changes it.  mpmath rounds an operation at the precision of its left
+operand's context, so each value enters a context before it is used:
+``ctx.mpf``/``_as_mpf`` round it to the context's precision, and
+``ctx.convert`` takes a wider value exactly.  The global ``mp`` context
+is never read or changed, so results do not depend on the caller's
+precision or on other threads.  Enclosures are
 produced the same way throughout: a partial sum of a positive-term series,
 a closed-form bound on the omitted tail, and an explicit forward-error
 term for the floating arithmetic itself, so
@@ -31,8 +38,9 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from mpmath import mp
+from mpmath import MPContext
 
 from .series_kernel import b_coeffs_upto, delta_coeffs_upto
 
@@ -70,11 +78,19 @@ class QuadratureBudgetError(RuntimeError):
     """Adaptive quadrature did not reach tolerance within its panel budget."""
 
 
-def _as_mpf(v):
-    """Convert to mpf at the current precision; Fractions round once, here."""
+@lru_cache(maxsize=None)  # float tolerances keep dps below 340: few contexts
+def _ctx(dps: int) -> MPContext:
+    """The private context working at ``dps`` digits; its precision never changes."""
+    ctx = MPContext()
+    ctx.dps = dps
+    return ctx
+
+
+def _as_mpf(v, ctx):
+    """``v`` as a value of ``ctx``, rounded to its precision (a Fraction as num / den)."""
     if isinstance(v, Fraction):
-        return mp.mpf(v.numerator) / v.denominator
-    return mp.mpf(v)
+        return ctx.mpf(v.numerator) / v.denominator
+    return ctx.mpf(v)
 
 
 def _exact_fraction(v) -> Fraction:
@@ -84,7 +100,7 @@ def _exact_fraction(v) -> Fraction:
     if isinstance(v, (int, float)):
         return Fraction(v)
     if not hasattr(v, "_mpf_"):
-        v = mp.mpf(v)
+        v = _ctx(WORKING_DPS + 10).mpf(v)
     sign, man, exp, _bc = v._mpf_
     if man == 0 and exp != 0:  # inf or nan
         raise ValueError(f"cannot take exact value of {v!r}")
@@ -93,7 +109,8 @@ def _exact_fraction(v) -> Fraction:
 
 
 def _dps_for_tol(tol: float) -> int:
-    need = -mp.log10(mp.mpf(tol)) if tol < 1 else mp.mpf(0)
+    ctx = _ctx(15)  # a fixed precision, so int() below never depends on the caller
+    need = -ctx.log10(ctx.mpf(tol)) if tol < 1 else 0
     return max(WORKING_DPS, int(need) + 16)
 
 
@@ -109,15 +126,14 @@ class Enclosure:
         if self.lo > self.hi:
             raise ValueError(f"empty enclosure: [{self.lo}, {self.hi}]")
 
+    # fsub and fadd take the endpoints exactly and round once, at WORKING_DPS + 10
     @property
     def width(self):
-        with mp.workdps(max(mp.dps, WORKING_DPS + 10)):
-            return self.hi - self.lo
+        return _ctx(WORKING_DPS + 10).fsub(self.hi, self.lo)
 
     @property
     def mid(self):
-        with mp.workdps(max(mp.dps, WORKING_DPS + 10)):
-            return (self.lo + self.hi) / 2
+        return _ctx(WORKING_DPS + 10).fadd(self.lo, self.hi) / 2
 
     def contains(self, value) -> bool:
         """Exact containment: endpoints and value compared as rationals."""
@@ -125,17 +141,18 @@ class Enclosure:
         return _exact_fraction(self.lo) <= v <= _exact_fraction(self.hi)
 
     def __repr__(self) -> str:
-        return f"Enclosure([{mp.nstr(self.lo, 20)}, {mp.nstr(self.hi, 20)}], regime={self.regime!r})"
+        nstr = _ctx(WORKING_DPS).nstr
+        return f"Enclosure([{nstr(self.lo, 20)}, {nstr(self.hi, 20)}], regime={self.regime!r})"
 
 
 def _scaled(enc: Enclosure, c, regime: str | None = None) -> Enclosure:
-    """Enclosure multiplied by a positive scalar, widened for the rounding."""
-    c = _as_mpf(c)
+    """Enclosure times a positive mpf ``c``, rounded and padded in c's context."""
     if c <= 0:
         raise ValueError("scale factor must be positive")
-    u = mp.mpf(10) ** (1 - mp.dps)
-    lo = enc.lo * c
-    hi = enc.hi * c
+    ctx = c.context
+    u = ctx.mpf(10) ** (1 - ctx.dps)
+    lo = c * enc.lo
+    hi = c * enc.hi
     pad = 8 * u * abs(hi)
     return Enclosure(lo - pad, hi + pad, regime if regime is not None else enc.regime)
 
@@ -151,53 +168,54 @@ class Ellipse:
     __slots__ = ("a", "b", "lam", "ecc", "swapped")
 
     def __init__(self, a, b):
-        with mp.workdps(WORKING_DPS):
-            am, bm = _as_mpf(a), _as_mpf(b)
-            if not (mp.isfinite(am) and mp.isfinite(bm)):
-                raise ValueError("semi-axes must be finite")
-            if am < 0 or bm < 0:
-                raise ValueError("semi-axes must be nonnegative")
-            swapped = bm > am
-            if swapped:
-                am, bm = bm, am
-            if am <= 0:
-                raise ValueError("the major semi-axis must be positive")
-            self.a = am
-            self.b = bm
-            self.swapped = swapped
-            self.lam = (am - bm) / (am + bm)
-            r = bm / am
-            self.ecc = mp.sqrt((1 - r) * (1 + r))
+        ctx = _ctx(WORKING_DPS)
+        am, bm = _as_mpf(a, ctx), _as_mpf(b, ctx)
+        if not (ctx.isfinite(am) and ctx.isfinite(bm)):
+            raise ValueError("semi-axes must be finite")
+        if am < 0 or bm < 0:
+            raise ValueError("semi-axes must be nonnegative")
+        swapped = bm > am
+        if swapped:
+            am, bm = bm, am
+        if am <= 0:
+            raise ValueError("the major semi-axis must be positive")
+        self.a = am
+        self.b = bm
+        self.swapped = swapped
+        self.lam = (am - bm) / (am + bm)
+        r = bm / am
+        self.ecc = ctx.sqrt((1 - r) * (1 + r))
 
     @classmethod
     def from_eccentricity(cls, a, e) -> "Ellipse":
-        with mp.workdps(WORKING_DPS):
-            em = _as_mpf(e)
-            if not 0 <= em <= 1:
-                raise ValueError("eccentricity must lie in [0, 1]")
-            am = _as_mpf(a)
-            return cls(am, am * mp.sqrt((1 - em) * (1 + em)))
+        ctx = _ctx(WORKING_DPS)
+        em = _as_mpf(e, ctx)
+        if not 0 <= em <= 1:
+            raise ValueError("eccentricity must lie in [0, 1]")
+        am = _as_mpf(a, ctx)
+        return cls(am, am * ctx.sqrt((1 - em) * (1 + em)))
 
     def __repr__(self) -> str:
-        return f"Ellipse(a={mp.nstr(self.a, 12)}, b={mp.nstr(self.b, 12)})"
+        nstr = _ctx(WORKING_DPS).nstr
+        return f"Ellipse(a={nstr(self.a, 12)}, b={nstr(self.b, 12)})"
 
 
 def lambda_from_eccentricity(e):
     """lam = e^2 / (1 + sqrt(1 - e^2))^2; stable for small e."""
-    with mp.workdps(WORKING_DPS):
-        em = _as_mpf(e)
-        if not 0 <= em <= 1:
-            raise ValueError("eccentricity must lie in [0, 1]")
-        return em**2 / (1 + mp.sqrt((1 - em) * (1 + em))) ** 2
+    ctx = _ctx(WORKING_DPS)
+    em = _as_mpf(e, ctx)
+    if not 0 <= em <= 1:
+        raise ValueError("eccentricity must lie in [0, 1]")
+    return em**2 / (1 + ctx.sqrt((1 - em) * (1 + em))) ** 2
 
 
 def eccentricity_from_lambda(lam):
     """Inverse map, from e^2 = 4 lam / (1 + lam)^2."""
-    with mp.workdps(WORKING_DPS):
-        lm = _as_mpf(lam)
-        if not 0 <= lm <= 1:
-            raise ValueError("lam must lie in [0, 1]")
-        return 2 * mp.sqrt(lm) / (1 + lm)
+    ctx = _ctx(WORKING_DPS)
+    lm = _as_mpf(lam, ctx)
+    if not 0 <= lm <= 1:
+        raise ValueError("lam must lie in [0, 1]")
+    return 2 * ctx.sqrt(lm) / (1 + lm)
 
 
 def eval_A(x):
@@ -206,11 +224,11 @@ def eval_A(x):
     The radicand 4 - 3x stays >= 1 on the domain, so the evaluation is a
     few well-conditioned operations; the result is correct to a few ulp.
     """
-    with mp.workdps(WORKING_DPS):
-        xm = _as_mpf(x)
-        if not 0 <= xm <= 1:
-            raise ValueError("x must lie in [0, 1]")
-        return 1 + 3 * xm / (10 + mp.sqrt(4 - 3 * xm))
+    ctx = _ctx(WORKING_DPS)
+    xm = _as_mpf(x, ctx)
+    if not 0 <= xm <= 1:
+        raise ValueError("x must lie in [0, 1]")
+    return 1 + 3 * xm / (10 + ctx.sqrt(4 - 3 * xm))
 
 
 def _tail_estimate(xf: float, n: int) -> float:
@@ -234,15 +252,17 @@ def _tail_bound(n: int, next_term, one_minus):
     """Rigorous mpf bound on the tail after N = n terms, and its regime.
 
     ``next_term`` bounds the first omitted term B_(n+1) x^(n+1) and is read
-    only when ``one_minus`` = 1 - x is positive.  Returns (None, None)
-    when neither bound applies (x = 1 and n < 2).
+    only when ``one_minus`` = 1 - x is positive; the bound is computed in
+    ``one_minus``'s context.  Returns (None, None) when neither bound
+    applies (x = 1 and n < 2).
     """
+    ctx = one_minus.context
     tail, regime = None, None
     if one_minus > 0:
         tail, regime = next_term / one_minus, GEOMETRIC_TAIL
     if n >= 2:
         # sum_{k > n} B_k x^k <= sum_{k > n} B_k <= 1/(8 pi (n - 1/2)^2)
-        slow = 1 / (8 * mp.pi * mp.mpf(n - 0.5) ** 2)
+        slow = 1 / (8 * ctx.pi * ctx.mpf(n - 0.5) ** 2)
         if tail is None or slow < tail:
             tail, regime = slow, SLOW_TAIL
     return tail, regime
@@ -258,10 +278,13 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
     and the slow-convergence bound takes over; the returned enclosure
     records which regime closed it.  Raises ToleranceFloorError when the
     term budget cannot reach ``tol`` (the floor at x = 1 is about
-    1/(8 pi max_terms^2)).
+    1/(8 pi max_terms^2)), and ValueError when ``max_terms`` < 2, a budget
+    too small for either tail bound.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_terms < 2:
+        raise ValueError("max_terms must be at least 2")
     xf = float(x)
     if 0.0 <= xf <= 1.0 and _tail_estimate(xf, max_terms) > 2.0 * tol:
         raise ToleranceFloorError(
@@ -269,39 +292,39 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
             f"(achievable floor here is about {_tail_estimate(xf, max_terms):.3g})"
         )
     dps = _dps_for_tol(tol)
-    with mp.workdps(dps):
-        xm = _as_mpf(x)
-        if not 0 <= xm <= 1:
-            raise ValueError("x must lie in [0, 1]")
-        tol_m = mp.mpf(tol)
-        one_minus = 1 - xm
-        u = mp.mpf(10) ** (1 - dps)
-        term = mp.mpf(1)
-        s = mp.mpf(0)
-        n = 0
-        while n <= max_terms:
-            s += term
-            nxt = term * (mp.mpf(2 * n - 1) / (2 * n + 2)) ** 2 * xm
-            if n < 64 or n % 16 == 0 or n == max_terms:
-                tail, regime = _tail_bound(n, nxt, one_minus)
-                if tail is not None:
-                    # fp_err covers the summation; the term recurrence's own
-                    # accumulated rounding (~5n*u relative on nxt) is orders
-                    # below the geometric bound's intrinsic slack, since the
-                    # true term ratio ((2n-1)/(2n+2))^2 x sits strictly under
-                    # the x used by the bound
-                    fp_err = 8 * (n + 4) * u * s
-                    if tail * (1 + 16 * u) + 2 * fp_err <= tol_m:
-                        return Enclosure(
-                            s - fp_err, s + tail * (1 + 16 * u) + fp_err, regime
-                        )
-            term = nxt
-            n += 1
-        floor, _ = _tail_bound(max_terms, term, one_minus)
-        raise ToleranceFloorError(
-            f"tol={tol} not certifiable within {max_terms} terms at x={mp.nstr(xm, 10)} "
-            f"(achievable floor here is about {mp.nstr(floor, 5)})"
-        )
+    ctx = _ctx(dps)
+    xm = _as_mpf(x, ctx)
+    if not 0 <= xm <= 1:
+        raise ValueError("x must lie in [0, 1]")
+    tol_m = ctx.mpf(tol)
+    one_minus = 1 - xm
+    u = ctx.mpf(10) ** (1 - dps)
+    term = ctx.mpf(1)
+    s = ctx.mpf(0)
+    n = 0
+    while n <= max_terms:
+        s += term
+        nxt = term * (ctx.mpf(2 * n - 1) / (2 * n + 2)) ** 2 * xm
+        if n < 64 or n % 16 == 0 or n == max_terms:
+            tail, regime = _tail_bound(n, nxt, one_minus)
+            if tail is not None:
+                # fp_err covers the summation; the term recurrence's own
+                # accumulated rounding (~5n*u relative on nxt) is orders
+                # below the geometric bound's intrinsic slack, since the
+                # true term ratio ((2n-1)/(2n+2))^2 x sits strictly under
+                # the x used by the bound
+                fp_err = 8 * (n + 4) * u * s
+                if tail * (1 + 16 * u) + 2 * fp_err <= tol_m:
+                    return Enclosure(
+                        s - fp_err, s + tail * (1 + 16 * u) + fp_err, regime
+                    )
+        term = nxt
+        n += 1
+    floor, _ = _tail_bound(max_terms, term, one_minus)
+    raise ToleranceFloorError(
+        f"tol={tol} not certifiable within {max_terms} terms at x={ctx.nstr(xm, 10)} "
+        f"(achievable floor here is about {ctx.nstr(floor, 5)})"
+    )
 
 
 # fixed-order 15-point Gauss-Legendre rule used on every adaptive panel:
@@ -377,18 +400,16 @@ def perimeter(ellipse: Ellipse, tol: float | None = None, max_terms: int = 250_0
     floor there is set by ``max_terms``).  An explicit ``tol`` is honored
     or rejected with ToleranceFloorError, never silently loosened.
     """
-    with mp.workdps(WORKING_DPS):
-        x = ellipse.lam**2
+    x = _as_mpf(ellipse.lam, _ctx(WORKING_DPS)) ** 2
     if tol is None:
         tol = 1e-12 if float(x) <= 0.999 else 1e-6
     if tol <= 0:
         raise ValueError("tol must be positive")
-    dps = _dps_for_tol(tol)
-    with mp.workdps(dps):
-        prefactor = mp.pi * (ellipse.a + ellipse.b)
-        inner_tol = mp.mpf(tol) / prefactor * mp.mpf("0.9")
-        enc = eval_B(x, float(inner_tol), max_terms)
-        return _scaled(enc, prefactor)
+    ctx = _ctx(_dps_for_tol(tol))
+    prefactor = ctx.pi * (_as_mpf(ellipse.a, ctx) + ellipse.b)
+    inner_tol = ctx.mpf(tol) / prefactor * ctx.mpf("0.9")
+    enc = eval_B(x, float(inner_tol), max_terms)
+    return _scaled(enc, prefactor)
 
 
 def perimeter_ramanujan(ellipse: Ellipse):
@@ -400,10 +421,10 @@ def perimeter_ramanujan(ellipse: Ellipse):
     exposed so the identity can be checked, and they agree to a few ulp of
     working precision.
     """
-    with mp.workdps(WORKING_DPS):
-        a, b = ellipse.a, ellipse.b
-        root = mp.sqrt(a * a + 14 * a * b + b * b)
-        return mp.pi * ((a + b) + 3 * (a - b) ** 2 / (10 * (a + b) + root))
+    ctx = _ctx(WORKING_DPS)
+    a, b = _as_mpf(ellipse.a, ctx), _as_mpf(ellipse.b, ctx)
+    root = ctx.sqrt(a * a + 14 * a * b + b * b)
+    return ctx.pi * ((a + b) + 3 * (a - b) ** 2 / (10 * (a + b) + root))
 
 
 class _MpfCoefficientCache:
@@ -418,8 +439,8 @@ class _MpfCoefficientCache:
             deltas = self._store.setdefault(dps, [])
             if len(deltas) <= n_max:
                 exact = delta_coeffs_upto(n_max)
-                with mp.workdps(dps):
-                    deltas.extend(_as_mpf(d) for d in exact[len(deltas):])
+                ctx = _ctx(dps)
+                deltas.extend(_as_mpf(d, ctx) for d in exact[len(deltas):])
             return deltas
 
 
@@ -469,29 +490,29 @@ def discrepancy(x, tol: float | None = None, max_terms: int = 6000) -> Enclosure
         )
     dps = _dps_for_tol(tol)
     deltas = _MPF_COEFFS.get(dps, n_terms)
-    with mp.workdps(dps):
-        xm = _as_mpf(x)
-        if not 0 < xm <= 1:
-            raise ValueError("x must lie in (0, 1]")
-        u = mp.mpf(10) ** (1 - dps)
-        xp = xm**5
-        s = mp.mpf(0)
-        for n in range(5, n_terms + 1):
-            s += deltas[n] * xp
-            xp *= xm
-        # xp is now x^(n_terms+1); delta_n < B_n bounds the tail termwise
-        next_term = None
-        if xm < 1:
-            next_term = _as_mpf(b_coeffs_upto(n_terms + 1)[n_terms + 1]) * xp
-        tail, regime = _tail_bound(n_terms, next_term, 1 - xm)
-        fp_err = 8 * (n_terms + 4) * u * (s + est)
-        hi = s + tail * (1 + 16 * u) + fp_err
-        lo = s - fp_err
-        if hi - lo > mp.mpf(tol) * (1 + mp.mpf("1e-6")):
-            raise ToleranceFloorError(
-                f"tail bound {mp.nstr(tail, 5)} at N={n_terms} exceeds tol={tol} at x={xf}"
-            )
-        return Enclosure(lo, hi, regime)
+    ctx = _ctx(dps)
+    xm = _as_mpf(x, ctx)
+    if not 0 < xm <= 1:
+        raise ValueError("x must lie in (0, 1]")
+    u = ctx.mpf(10) ** (1 - dps)
+    xp = xm**5
+    s = ctx.mpf(0)
+    for n in range(5, n_terms + 1):
+        s += deltas[n] * xp
+        xp *= xm
+    # xp is now x^(n_terms+1); delta_n < B_n bounds the tail termwise
+    next_term = None
+    if xm < 1:
+        next_term = _as_mpf(b_coeffs_upto(n_terms + 1)[n_terms + 1], ctx) * xp
+    tail, regime = _tail_bound(n_terms, next_term, 1 - xm)
+    fp_err = 8 * (n_terms + 4) * u * (s + est)
+    hi = s + tail * (1 + 16 * u) + fp_err
+    lo = s - fp_err
+    if hi - lo > ctx.mpf(tol) * (1 + ctx.mpf("1e-6")):
+        raise ToleranceFloorError(
+            f"tail bound {ctx.nstr(tail, 5)} at N={n_terms} exceeds tol={tol} at x={xf}"
+        )
+    return Enclosure(lo, hi, regime)
 
 
 def discrepancy_ratio(x, tol: float | None = None, max_terms: int = 6000) -> Enclosure:
@@ -507,16 +528,13 @@ def discrepancy_ratio(x, tol: float | None = None, max_terms: int = 6000) -> Enc
     if inner == 0.0:  # float underflow at extreme x; fall back to the default
         inner = _default_delta_tol(xf, max_terms)
     enc = discrepancy(x, inner, max_terms)
-    with mp.workdps(_dps_for_tol(inner)):
-        xm = _as_mpf(x)
-        return _scaled(enc, 1 / xm**5)
+    xm = _as_mpf(x, _ctx(_dps_for_tol(inner)))
+    return _scaled(enc, 1 / xm**5)
 
 
 def theta_of_lambda(lam, tol: float | None = None, max_terms: int = 6000) -> Enclosure:
     """Enclosure of theta(lam) = Delta(lam^2) / lam^10 for 0 < lam <= 1."""
-    with mp.workdps(WORKING_DPS):
-        lm = _as_mpf(lam)
-        if not 0 < lm <= 1:
-            raise ValueError("lam must lie in (0, 1]")
-        x = lm * lm
-    return discrepancy_ratio(x, tol, max_terms)
+    lm = _as_mpf(lam, _ctx(WORKING_DPS))
+    if not 0 < lm <= 1:
+        raise ValueError("lam must lie in (0, 1]")
+    return discrepancy_ratio(lm * lm, tol, max_terms)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from mpmath import mp
+from mpmath import MPContext
 
 from .series_kernel import a_coeff_explicit, a_series_via_composition, a_term, b_coeff, rational_str
 
@@ -39,7 +39,10 @@ __all__ = [
     "verify_fundamental_lemma",
 ]
 
-_ANALYSIS_DPS = 50
+# the one numeric part of the module runs in its own 50-digit context,
+# fixed here, so the caller's precision never reaches it
+_ANALYSIS = MPContext()
+_ANALYSIS.dps = 50
 
 # Discrepancies between commonly published coefficient values and exact
 # evaluation of the defining formulas; every corrected value below is
@@ -115,30 +118,30 @@ def g_min_analysis():
     and right of the minimum is checked both from its rational closed form
     and by centered finite differences.
     """
-    with mp.workdps(_ANALYSIS_DPS):
-        s41 = mp.sqrt(41)
-        location = (7 + s41) / 4
-        closed = 1 + (37 - s41) / (399 + 69 * s41)
-        direct = _g_real(location)
-        if abs(closed - direct) > mp.mpf("1e-12"):
+    ctx = _ANALYSIS
+    s41 = ctx.sqrt(41)
+    location = (7 + s41) / 4
+    closed = 1 + (37 - s41) / (399 + 69 * s41)
+    direct = _g_real(location)
+    if abs(closed - direct) > ctx.mpf("1e-12"):
+        raise ArithmeticError(
+            f"g minimum value disagrees between forms: {closed} vs {direct}"
+        )
+    h = ctx.mpf("1e-12")
+    for probe, want_sign in ((location - ctx.mpf("0.5"), -1), (location + ctx.mpf("0.5"), 1)):
+        formula_sign = 1 if _g_prime_real(probe) > 0 else -1
+        fd = (_g_real(probe + h) - _g_real(probe - h)) / (2 * h)
+        fd_sign = 1 if fd > 0 else -1
+        if formula_sign != want_sign or fd_sign != want_sign:
             raise ArithmeticError(
-                f"g minimum value disagrees between forms: {closed} vs {direct}"
+                f"g' sign check failed at x = {probe}: "
+                f"formula {formula_sign}, finite difference {fd_sign}"
             )
-        h = mp.mpf("1e-12")
-        for probe, want_sign in ((location - mp.mpf("0.5"), -1), (location + mp.mpf("0.5"), 1)):
-            formula_sign = 1 if _g_prime_real(probe) > 0 else -1
-            fd = (_g_real(probe + h) - _g_real(probe - h)) / (2 * h)
-            fd_sign = 1 if fd > 0 else -1
-            if formula_sign != want_sign or fd_sign != want_sign:
-                raise ArithmeticError(
-                    f"g' sign check failed at x = {probe}: "
-                    f"formula {formula_sign}, finite difference {fd_sign}"
-                )
-        # stationarity at the located minimum, again by finite differences
-        fd_mid = (_g_real(location + h) - _g_real(location - h)) / (2 * h)
-        if abs(fd_mid) > mp.mpf("1e-8"):
-            raise ArithmeticError(f"g not stationary at {location}: slope {fd_mid}")
-        return location, closed
+    # stationarity at the located minimum, again by finite differences
+    fd_mid = (_g_real(location + h) - _g_real(location - h)) / (2 * h)
+    if abs(fd_mid) > ctx.mpf("1e-8"):
+        raise ArithmeticError(f"g not stationary at {location}: slope {fd_mid}")
+    return location, closed
 
 
 @dataclass
@@ -183,8 +186,7 @@ class LemmaCertificate:
 
     def to_json_dict(self) -> dict:
         def real(v) -> str:
-            with mp.workdps(_ANALYSIS_DPS):
-                return mp.nstr(v, 25)
+            return _ANALYSIS.nstr(v, 25)
 
         return {
             "n_max": self.n_max,

@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+from mpmath import mp
+
 import ellipcert
 from ellipcert.cli import cli_main
 
@@ -203,3 +205,23 @@ def test_coeffs_table_unaffected_by_the_int_digit_limit(capsys, int_digit_cap):
     rc, out, err = capped
     assert rc == 0 and err == ""
     assert len(out.splitlines()) == 602
+
+
+def test_cli_output_independent_of_ambient_precision(capsys):
+    # the package owns its precision, so a hostile global one changes nothing
+    commands = (
+        ["perimeter", "--a", "2", "--b", "1", "--json"],
+        ["bounds", "--lambda", "0.5"],
+        ["ivory-check", "--x", "0.7"],
+    )
+
+    def outputs():
+        return [run(argv, capsys) for argv in commands]
+
+    baseline = outputs()
+    assert all(rc == 0 for rc, _out, _err in baseline)
+    with mp.workdps(4):
+        low = outputs()
+    with mp.workdps(120):
+        high = outputs()
+    assert baseline == low == high

@@ -186,6 +186,17 @@ def test_eval_B_domain_and_floor():
         eval_B(0.5, -1e-3)
 
 
+@pytest.mark.parametrize("max_terms", [1, 0, -3])
+def test_term_budget_below_two_is_a_plain_value_error(max_terms):
+    # neither tail bound exists for N < 2, so there is no floor to name
+    for call in (lambda: eval_B(1.0, 0.1, max_terms=max_terms),
+                 lambda: perimeter(Ellipse(1, 0), max_terms=max_terms)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert not isinstance(info.value, ToleranceFloorError)
+        assert "None" not in str(info.value)
+
+
 def test_eval_B_floor_message_names_the_floor_at_x():
     # the geometric bound at x = 1/2 reaches far below the x = 1 floor
     with pytest.raises(ToleranceFloorError) as info:
