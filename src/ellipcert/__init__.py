@@ -63,6 +63,5 @@ from .bounds import (
     error_report,
     containment_check,
 )
-from .cli import cli_main
 
 __version__ = "1.0.0"

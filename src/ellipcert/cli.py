@@ -35,7 +35,15 @@ from .engine import (
     theta_of_lambda,
 )
 from .lemma import verify_fundamental_lemma
-from .series_kernel import a_coeffs_upto, b_coeffs_upto, delta_coeffs_upto, rational_str
+# the three *_coeffs_upto names are unused here but stay importable:
+# bench/tracer.py rebinds them in this namespace
+from .series_kernel import (  # noqa: F401
+    a_coeffs_upto,
+    b_coeffs_upto,
+    coeff_rows_str,
+    delta_coeffs_upto,
+    rational_str,
+)
 
 __all__ = ["cli_main", "main"]
 
@@ -104,20 +112,20 @@ def _cmd_coeffs(args) -> int:
     n = args.n
     if n < 0:
         raise ValueError("--n must be >= 0")
-    a = a_coeffs_upto(n)
-    b = b_coeffs_upto(n)
-    d = delta_coeffs_upto(n)
+    rows = coeff_rows_str(n)
+    out = sys.stdout  # rows are written as they come; the table is never held
     if args.format == "json":
-        rows = [
-            {"n": i, "A": rational_str(a[i]), "B": rational_str(b[i]),
-             "delta": rational_str(d[i])}
-            for i in range(n + 1)
-        ]
-        print(json.dumps({"rows": rows}, indent=2))
+        # the text json.dumps({"rows": [...]}, indent=2) gives, row by row
+        sep = '{\n  "rows": [\n'
+        for i, a, b, d in rows:
+            row = json.dumps({"n": i, "A": a, "B": b, "delta": d}, indent=2)
+            out.write(sep + "    " + row.replace("\n", "\n    "))
+            sep = ",\n"
+        out.write("\n  ]\n}\n")
     else:
-        print("n,A,B,delta")
-        for i in range(n + 1):
-            print(f"{i},{rational_str(a[i])},{rational_str(b[i])},{rational_str(d[i])}")
+        out.write("n,A,B,delta\n")
+        for i, a, b, d in rows:
+            out.write(f"{i},{a},{b},{d}\n")
     return 0
 
 

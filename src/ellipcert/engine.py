@@ -41,8 +41,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import MPContext
+from mpmath.libmp import from_man_exp, round_nearest
 
-from .series_kernel import b_coeffs_upto, delta_coeffs_upto
+# b_coeffs_upto and delta_coeffs_upto are unused here but stay importable:
+# bench/tracer.py rebinds them in this namespace
+from .series_kernel import b_coeffs_upto, delta_coeffs_upto, dyadic_coeffs_upto  # noqa: F401
 
 __all__ = [
     "WORKING_DPS",
@@ -91,6 +94,16 @@ def _as_mpf(v, ctx):
     if isinstance(v, Fraction):
         return ctx.mpf(v.numerator) / v.denominator
     return ctx.mpf(v)
+
+
+def _dyadic_mpf(coeff: tuple[int, int], ctx):
+    """num / 2**exp as a value of ``ctx``, rounded once to its precision.
+
+    ``ctx.mpf(num) / 2**exp`` rounds once too (the division by a power of
+    two is exact), so both give the same bits; this way no Fraction is built.
+    """
+    num, exp = coeff
+    return ctx.make_mpf(from_man_exp(num, -exp, ctx.prec, round_nearest))
 
 
 def _exact_fraction(v) -> Fraction:
@@ -438,9 +451,9 @@ class _MpfCoefficientCache:
         with self._lock:
             deltas = self._store.setdefault(dps, [])
             if len(deltas) <= n_max:
-                exact = delta_coeffs_upto(n_max)
+                rows = dyadic_coeffs_upto(n_max)
                 ctx = _ctx(dps)
-                deltas.extend(_as_mpf(d, ctx) for d in exact[len(deltas):])
+                deltas.extend(_dyadic_mpf(row.delta, ctx) for row in rows[len(deltas):])
             return deltas
 
 
@@ -503,7 +516,7 @@ def discrepancy(x, tol: float | None = None, max_terms: int = 6000) -> Enclosure
     # xp is now x^(n_terms+1); delta_n < B_n bounds the tail termwise
     next_term = None
     if xm < 1:
-        next_term = _as_mpf(b_coeffs_upto(n_terms + 1)[n_terms + 1], ctx) * xp
+        next_term = _dyadic_mpf(dyadic_coeffs_upto(n_terms + 1)[n_terms + 1].B, ctx) * xp
     tail, regime = _tail_bound(n_terms, next_term, 1 - xm)
     fp_err = 8 * (n_terms + 4) * u * (s + est)
     hi = s + tail * (1 + 16 * u) + fp_err

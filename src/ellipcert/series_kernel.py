@@ -9,14 +9,34 @@ and Ramanujan's closed-form approximation is pi*(a+b)*A(x) with
 
     A(x) = 1 + 3x / (10 + sqrt(4 - 3x)).
 
-This module produces the Maclaurin coefficients A_n and B_n as exact
-rationals.  Production has one O(n) table per quantity, grown on demand
-by `_CoefficientCache`: A_n by exact long division of the closed form's
-series, B_n by its term ratio.  Two independent checks stay beside it:
+This module produces the Maclaurin coefficients A_n and B_n, and their
+gap delta_n = B_n - A_n, exactly.  All three are dyadic, so production
+grows one O(n) table of integers (`_CoefficientCache`) without Fraction
+arithmetic.  With Cat(m) = C(2m,m)/(m+1) the m-th Catalan number,
 
-  * `a_coeff_explicit` sums the closed-form term expansion
-    a_m = C(2m,m) 3^m / ((2m-1) 16^(m+1)) * (-1/32)^(n-1-m)   (m >= 1),
-    a_0 = (4/16) * (-1/32)^(n-1);
+    C(2n,n)/(2n-1) = 2 Cat(n-1)    (n >= 1),
+
+because C(2n,n) = C(2n-2,n-1) * 2(2n-1)/n.  Hence B_n = Cat(n-1)^2 /
+2^(4n-2).  The explicit expansion of A_n (see `a_term`) is a sum of
+terms C(2m,m) 3^m / ((2m-1) 16^(m+1)) (-1/32)^(n-1-m) for m >= 1 and
+(1/4)(-1/32)^(n-1) for m = 0.  The m = 0 term has the largest
+denominator, 2^(5n-3), and on that common scale every term is an integer:
+
+    A_n 2^(5n-3) = sum_{m=0}^{n-1} (-1)^(n-1-m) w_m,
+        w_0 = 1,  w_m = 2^(m-1) Cat(m-1) 3^m  (m >= 1),
+    B_n 2^(5n-3) = 2^(n-1) Cat(n-1)^2.
+
+The Catalan ratio Cat(m)/Cat(m-1) = 2(2m-1)/(m+1) turns both into
+small-integer recurrences on the scaled integers (see `_CoefficientCache`).
+Each row stores every coefficient as an odd numerator and a power-of-two
+exponent.  `a_coeffs_upto`, `b_coeffs_upto` and `delta_coeffs_upto` build
+Fractions from the rows on demand; the engine converts the rows to mpf
+directly (`dyadic_coeffs_upto`), and `coeff_rows_str` prints them from a
+decimal twin of the table, so no big integer is converted to decimal.
+
+Two independent checks stay beside the table:
+
+  * `a_coeff_explicit` sums the closed-form term expansion;
   * `b_coeff` evaluates the defining product formula directly.
 
 `PowerSeries` with `ps_mul`, `ps_binomial_sqrt` and `ps_geom_recip` is
@@ -27,13 +47,24 @@ floating point appears anywhere in this module.
 from __future__ import annotations
 
 import threading
-from decimal import Decimal
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+)
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
-# Exact rationals: Fraction keeps gcd-reduced canonical form (positive
-# denominator) after every operation, which is exactly the contract the
-# coefficient work needs.
+# Exact rationals of the public views and the checks: Fraction keeps
+# gcd-reduced canonical form (positive denominator) after every operation.
 Rational = Fraction
 
 __all__ = [
@@ -50,6 +81,9 @@ __all__ = [
     "a_coeffs_upto",
     "b_coeffs_upto",
     "delta_coeffs_upto",
+    "DyadicRow",
+    "dyadic_coeffs_upto",
+    "coeff_rows_str",
     "rational_str",
 ]
 
@@ -192,69 +226,160 @@ def delta_coeff(n: int) -> Fraction:
     return b_coeff(n) - a_coeff_explicit(n)
 
 
-class _CoefficientCache:
-    """Initialize-once grow-on-demand store for A_n, B_n, delta_n tables.
+class DyadicRow(NamedTuple):
+    """A_n, B_n and delta_n, each as (num, exp) with value num / 2**exp;
+    num is odd, or 0 with exp = 0."""
 
-    B grows by the exact term ratio B_(n+1) = B_n * ((2n-1)/(2n+2))^2.
-    A grows by exact long division of the closed form: A(x) = 1 +
-    x u(x)/(32 + x) with u(x) = 10 - sqrt(4 - 3x), so A_1 = u_0/32 = 1/4
-    and A_(n+1) = t_n - A_n/32 with t_n = u_n/32.  The root's binomial
-    series gives t_1 = 3/128 and the term ratio t_m/t_(m-1) = 3(2m-3)/(8m):
-    one ratio step per row, so the table is O(n).  Guarded by a lock so
-    concurrent readers only ever see fully built prefixes.
+    A: tuple[int, int]
+    B: tuple[int, int]
+    delta: tuple[int, int]
+
+
+def _reduced(scaled: int, exp: int) -> tuple[int, int]:
+    """scaled / 2**exp as (odd numerator, exponent): strip trailing zero bits."""
+    if scaled == 0:
+        return 0, 0
+    k = (scaled & -scaled).bit_length() - 1
+    return scaled >> k, exp - k
+
+
+class _CoefficientCache:
+    """Initialize-once grow-on-demand table of the rows A_n, B_n, delta_n.
+
+    Row n is grown from the integers alpha_n = A_n 2^(5n-3), w_n and
+    beta_n = B_n 2^(5n-3) of the module docstring:
+
+        alpha_(n+1) = w_n - alpha_n,
+        w_(n+1) = w_n 12(2n-1)/(n+1),
+        beta_(n+1) = beta_n 8(2n-1)^2/(n+1)^2,
+
+    from alpha_1 = w_0 = 1, w_1 = 3 and beta_1 = 1; delta_n's scaled value
+    is beta_n - alpha_n.  Every step is an exact small-integer multiply or
+    divide (the quotients are integers by the Catalan identities), and
+    reduction only strips trailing zero bits, so no gcd is ever taken.
+    Guarded by a lock so concurrent readers only ever see fully built
+    prefixes.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._a = [Fraction(1), Fraction(1, 4)]
-        self._b = [Fraction(1), Fraction(1, 4)]
-        self._delta = [Fraction(0), Fraction(0)]
-        self._t = Fraction(3, 128)  # t_n for the highest built index n
+        self._rows = [DyadicRow((1, 0), (1, 0), (0, 0))]
+        self._alpha, self._w, self._beta = 1, 3, 1  # alpha_n, w_n, beta_n of the next row n
 
     def grow(self, n_max: int) -> None:
         with self._lock:
-            while len(self._a) <= n_max:
-                n = len(self._a) - 1  # highest index currently built
-                self._a.append(self._t - self._a[n] / 32)
-                self._b.append(self._b[n] * Fraction(2 * n - 1, 2 * n + 2) ** 2)
-                self._delta.append(self._b[n + 1] - self._a[n + 1])
-                self._t *= Fraction(3 * (2 * n - 1), 8 * (n + 1))  # t_(n+1)
+            alpha, w, beta = self._alpha, self._w, self._beta
+            for n in range(len(self._rows), n_max + 1):
+                exp = 5 * n - 3
+                self._rows.append(DyadicRow(
+                    _reduced(alpha, exp), _reduced(beta, exp), _reduced(beta - alpha, exp)
+                ))
+                alpha = w - alpha
+                w = w * (12 * (2 * n - 1)) // (n + 1)
+                beta = beta * (8 * (2 * n - 1) ** 2) // (n + 1) ** 2
+            self._alpha, self._w, self._beta = alpha, w, beta
 
-    def a_upto(self, n_max: int) -> list[Fraction]:
+    def rows_upto(self, n_max: int) -> list[DyadicRow]:
         self.grow(n_max)
-        return self._a[: n_max + 1]
-
-    def b_upto(self, n_max: int) -> list[Fraction]:
-        self.grow(n_max)
-        return self._b[: n_max + 1]
-
-    def delta_upto(self, n_max: int) -> list[Fraction]:
-        self.grow(n_max)
-        return self._delta[: n_max + 1]
+        return self._rows[: n_max + 1]
 
 
 _CACHE = _CoefficientCache()
 
 
-def a_coeffs_upto(n_max: int) -> list[Fraction]:
-    """[A_0, ..., A_n_max] from the shared exact table."""
+def dyadic_coeffs_upto(n_max: int) -> list[DyadicRow]:
+    """[row_0, ..., row_n_max] of the shared table, exactly and without Fractions."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return _CACHE.a_upto(n_max)
+    return _CACHE.rows_upto(n_max)
+
+
+def _fractions(column: int, n_max: int) -> list[Fraction]:
+    return [Fraction(num, 1 << exp) for num, exp in
+            (row[column] for row in dyadic_coeffs_upto(n_max))]
+
+
+def a_coeffs_upto(n_max: int) -> list[Fraction]:
+    """[A_0, ..., A_n_max] from the shared exact table."""
+    return _fractions(0, n_max)
 
 
 def b_coeffs_upto(n_max: int) -> list[Fraction]:
     """[B_0, ..., B_n_max] from the shared exact table."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return _CACHE.b_upto(n_max)
+    return _fractions(1, n_max)
 
 
 def delta_coeffs_upto(n_max: int) -> list[Fraction]:
     """[delta_0, ..., delta_n_max] from the shared exact table."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return _CACHE.delta_upto(n_max)
+    return _fractions(2, n_max)
+
+
+# Exact integer arithmetic in decimal: the precision never binds, and any
+# rounding, inexact division or overflow raises instead of happening.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[Rounded, Inexact, InvalidOperation, DivisionByZero, Overflow])
+
+
+def _exact_div(x: Decimal, d: int) -> Decimal:
+    q, r = _EXACT.divmod(x, d)
+    if r:
+        raise ArithmeticError(f"inexact division by {d} in the decimal coefficient table")
+    return q
+
+
+def _times_pow2(x: Decimal, k: int) -> Decimal:
+    """x * 2**k exactly; for k < 0 the division must leave no remainder."""
+    return _EXACT.multiply(x, 1 << k) if k >= 0 else _exact_div(x, 1 << -k)
+
+
+def _difference(x: Decimal, ex: int, y: Decimal, ey: int, exp: int) -> Decimal:
+    """The numerator of x/2**ex - y/2**ey over 2**exp, exactly."""
+    top = max(ex, ey)
+    diff = _EXACT.subtract(_times_pow2(x, top - ex), _times_pow2(y, top - ey))
+    return _times_pow2(diff, exp - top)
+
+
+def coeff_rows_str(n_max: int):
+    """Iterator over (n, A_n, B_n, delta_n) for n = 0..n_max, each
+    coefficient an exact "numerator/denominator" string.
+
+    The strings come from a decimal twin of the table, advanced in lockstep
+    on the odd numerators by small-integer steps:
+
+        A_(n+1) = t_n - A_n/32,   t_n = Cat(n-1) 3^n / 2^(4n+3),
+        t_(n+1) = t_n 3(2n-1) / (8(n+1)),
+        B_(n+1) = B_n (2n-1)^2 / (2n+2)^2,
+        delta_n = B_n - A_n,
+
+    with A_1 = B_1 = 1/4 and t_1 = 3/2^7.  The first line is the table's
+    alpha_(n+1) = w_n - alpha_n divided by 2^(5n+2), so t_n = w_n/2^(5n+2).
+    The exponents come from the binary rows, and each 2**exp denominator
+    from a running power, so no big integer is converted to decimal, and
+    a wrong exponent makes an exact division fail instead of printing a
+    wrong value.
+    """
+    rows = dyadic_coeffs_upto(n_max)
+    return _decimal_twin(rows)
+
+
+def _decimal_twin(rows):
+    yield 0, "1/1", "1/1", "0/1"
+    a, b, t, t_exp = Decimal(1), Decimal(1), Decimal(3), 7
+    dens = [[0, Decimal(1)] for _ in range(3)]  # running [exp, 2**exp] per column
+    for n in range(1, len(rows)):
+        exps = [exp for _num, exp in rows[n]]
+        nums = (a, b, _difference(b, exps[1], a, exps[0], exps[2]))
+        for den, exp in zip(dens, exps):
+            den[1] = _times_pow2(den[1], exp - den[0])
+            den[0] = exp
+        yield (n, *(f"{num}/{den[1]}" for num, den in zip(nums, dens)))
+        if n + 1 < len(rows):
+            v = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = 2^v * odd
+            odd = (n + 1) >> v
+            a = _difference(t, t_exp, a, exps[0] + 5, rows[n + 1].A[1])
+            b = _exact_div(_EXACT.multiply(b, (2 * n - 1) ** 2), odd * odd)
+            t = _exact_div(_EXACT.multiply(t, 3 * (2 * n - 1)), odd)
+            t_exp += 3 + v
 
 
 def rational_str(q) -> str:

@@ -1,6 +1,7 @@
-"""CLI contract tests, run in-process through cli_main, plus one
-``python -m ellipcert`` run in a subprocess."""
+"""CLI contract tests, run in-process through cli_main, plus
+``python -m ellipcert`` and ``python -m ellipcert.cli`` runs in a subprocess."""
 
+import contextlib
 import json
 import os
 import subprocess
@@ -8,10 +9,18 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
 from mpmath import mp
 
 import ellipcert
 from ellipcert.cli import cli_main
+from ellipcert.series_kernel import (
+    a_coeffs_upto,
+    b_coeff,
+    b_coeffs_upto,
+    delta_coeffs_upto,
+    rational_str,
+)
 
 CERT_KEYS = {
     "n_max": int,
@@ -193,6 +202,51 @@ def test_python_m_ellipcert_runs_the_cli_once():
     assert proc.stdout.startswith("n,A,B,delta\n")
     assert proc.stdout.count("n,A,B,delta") == 1
     assert proc.stderr == ""
+
+
+def test_python_m_ellipcert_cli_runs_the_module_once():
+    # the package no longer imports cli, so runpy has nothing to warn about
+    src = str(Path(ellipcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ellipcert.cli",
+         "coeffs", "--n", "3"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("n,A,B,delta\n0,1/1,1/1,0/1\n1,1/4,1/4,0/1\n"
+                           "2,1/64,1/64,0/1\n3,1/256,1/256,0/1\n")
+    assert proc.stderr == ""
+
+
+ORACLE_N = 1200
+
+
+@pytest.fixture(scope="module")
+def oracle_rows():
+    """coeffs rows formatted from the Fraction views by rational_str."""
+    a, b, d = a_coeffs_upto(ORACLE_N), b_coeffs_upto(ORACLE_N), delta_coeffs_upto(ORACLE_N)
+    return [(i, rational_str(a[i]), rational_str(b[i]), rational_str(d[i]))
+            for i in range(ORACLE_N + 1)]
+
+
+def _oracle_text(rows, fmt):
+    if fmt == "json":
+        table = [{"n": i, "A": a, "B": b, "delta": d} for i, a, b, d in rows]
+        return json.dumps({"rows": table}, indent=2) + "\n"
+    return "n,A,B,delta\n" + "".join(f"{i},{a},{b},{d}\n" for i, a, b, d in rows)
+
+
+@pytest.mark.parametrize("capped", [False, True])
+def test_coeffs_output_matches_the_fraction_oracle(capsys, int_digit_cap, oracle_rows, capped):
+    with int_digit_cap() if capped else contextlib.nullcontext():
+        outputs = {fmt: run(["coeffs", "--n", str(ORACLE_N), "--format", fmt], capsys)
+                   for fmt in ("csv", "json")}
+    for fmt, (rc, out, err) in outputs.items():
+        assert rc == 0 and err == ""
+        assert out == _oracle_text(oracle_rows, fmt), fmt
+    for i, _a, b, _d in oracle_rows:
+        assert F(b) == b_coeff(i), i
 
 
 def test_coeffs_table_unaffected_by_the_int_digit_limit(capsys, int_digit_cap):

@@ -451,3 +451,24 @@ def test_gauss_legendre_pairs_equal_numpy_leggauss():
     np = pytest.importorskip("numpy")
     nodes, weights = np.polynomial.legendre.leggauss(15)
     assert engine._GL_PAIRS == list(zip(nodes.tolist(), weights.tolist()))
+
+
+@pytest.fixture(scope="module")
+def exact_views():
+    n_max = 1500
+    return (engine.dyadic_coeffs_upto(n_max), engine.delta_coeffs_upto(n_max),
+            engine.b_coeffs_upto(n_max))
+
+
+@pytest.mark.parametrize("dps", [50, 60, 120])
+def test_dyadic_images_equal_the_fraction_conversion(dps, exact_views):
+    # num / 2**exp rounded once equals ctx.mpf(num) / den, bit for bit
+    rows, exact_d, exact_b = exact_views
+    ctx = engine._ctx(dps)
+    deltas = engine._MPF_COEFFS.get(dps, len(rows) - 1)
+    for n, row in enumerate(rows):
+        q = exact_d[n]
+        assert deltas[n]._mpf_ == (ctx.mpf(q.numerator) / q.denominator)._mpf_, n
+        q = exact_b[n]
+        assert (engine._dyadic_mpf(row.B, ctx)._mpf_
+                == (ctx.mpf(q.numerator) / q.denominator)._mpf_), n

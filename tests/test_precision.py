@@ -107,3 +107,50 @@ def test_package_never_touches_the_global_precision():
     uses = {path.name: _global_precision_uses(path.read_text(encoding="utf-8"))
             for path in files}
     assert not {name: found for name, found in uses.items() if found}
+
+
+# -- the guard: no module of the package touches private Fraction internals --
+
+_FRACTION_PRIVATES = {"_normalize", "_from_coprime_ints", "_numerator", "_denominator"}
+
+
+def _fraction_private_uses(source: str) -> list[str]:
+    """Each attribute, keyword or imported name of a private Fraction internal
+    (``_normalize`` is gone in Python 3.12; the package supports 3.10 on)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        line = getattr(node, "lineno", 0)
+        if isinstance(node, ast.Attribute) and node.attr in _FRACTION_PRIVATES:
+            found.append(f"{line}: .{node.attr}")
+        elif isinstance(node, ast.keyword) and node.arg in _FRACTION_PRIVATES:
+            found.append(f"{line}: {node.arg}=")
+        elif isinstance(node, ast.Name) and node.id in _FRACTION_PRIVATES:
+            found.append(f"{line}: {node.id}")
+        elif isinstance(node, ast.Constant) and node.value in _FRACTION_PRIVATES:
+            found.append(f"{line}: {node.value!r}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"{line}: import {a.name}" for a in node.names
+                      if a.name in _FRACTION_PRIVATES]
+    return found
+
+
+def test_fraction_guard_flags_each_kind_of_use():
+    samples = [
+        "q = Fraction(3, 4, _normalize=False)\n",
+        "q = Fraction._from_coprime_ints(3, 4)\n",
+        "n = q._numerator\n",
+        "q._denominator = 8\n",
+        "from fractions import _normalize\n",
+        "n = getattr(q, '_numerator')\n",
+    ]
+    for source in samples:
+        assert _fraction_private_uses(source), source
+    assert not _fraction_private_uses("q = Fraction(3, 4)\nn = q.numerator\n")
+
+
+def test_package_never_touches_private_fraction_internals():
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) >= 6
+    uses = {path.name: _fraction_private_uses(path.read_text(encoding="utf-8"))
+            for path in files}
+    assert not {name: found for name, found in uses.items() if found}

@@ -7,6 +7,7 @@ series algebra, and the B_n ratio recurrence cross-validates the direct
 product formula.
 """
 
+from decimal import Decimal
 from fractions import Fraction as F
 from math import comb
 
@@ -26,7 +27,15 @@ from ellipcert import (
     ps_geom_recip,
     ps_mul,
 )
-from ellipcert.series_kernel import _CoefficientCache, rational_str
+from ellipcert.series_kernel import (
+    DyadicRow,
+    _CoefficientCache,
+    _decimal_twin,
+    _exact_div,
+    _times_pow2,
+    dyadic_coeffs_upto,
+    rational_str,
+)
 
 
 @pytest.mark.parametrize(
@@ -221,9 +230,10 @@ def test_cache_grown_in_uneven_steps_matches_one_step():
     for n in (3, 4, 10, 200):
         stepped.grow(n)
     whole.grow(200)
-    assert stepped.a_upto(200) == whole.a_upto(200)
-    assert stepped.b_upto(200) == whole.b_upto(200)
-    assert stepped.delta_upto(200) == whole.delta_upto(200)
+    stepped_rows, whole_rows = stepped.rows_upto(200), whole.rows_upto(200)
+    assert [r.A for r in stepped_rows] == [r.A for r in whole_rows]
+    assert [r.B for r in stepped_rows] == [r.B for r in whole_rows]
+    assert [r.delta for r in stepped_rows] == [r.delta for r in whole_rows]
 
 
 def test_determinism():
@@ -256,3 +266,29 @@ def test_rational_str_ignores_the_int_digit_limit(int_digit_cap):
         assert rational_str(F(1)) == "1/1"
         assert rational_str(F(-3, 4)) == "-3/4"
         assert rational_str(big) == "-1" + "0" * 699 + "1/7"
+
+
+def test_dyadic_rows_are_reduced():
+    for n, row in enumerate(dyadic_coeffs_upto(300)):
+        for num, exp in row:
+            assert num % 2 == 1 or (num, exp) == (0, 0), (n, num, exp)
+        assert F(row.B[0], 2 ** row.B[1]) == b_coeff(n)
+
+
+def test_decimal_twin_divisions_raise_instead_of_truncating():
+    assert _exact_div(Decimal(21), 7) == 3
+    assert _times_pow2(Decimal(12), -2) == 3
+    with pytest.raises(ArithmeticError):
+        _exact_div(Decimal(22), 7)
+    with pytest.raises(ArithmeticError):
+        _times_pow2(Decimal(6), -2)
+
+
+def test_decimal_twin_rejects_a_wrong_exponent():
+    rows = dyadic_coeffs_upto(40)
+    assert len(list(_decimal_twin(rows))) == 41
+    # one bit too few in A_20's denominator: the twin's exact division fails
+    (num, exp), b, d = rows[20]
+    bad = rows[:20] + [DyadicRow((num, exp - 1), b, d)] + rows[21:]
+    with pytest.raises(ArithmeticError):
+        list(_decimal_twin(bad))
