@@ -99,8 +99,12 @@ def _cmd_verify_lemma(args) -> int:
     text = cert.to_json()
     print(text)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:  # a path the user gave: bad argument, not a failed check
+            print(f"error: cannot write the certificate: {exc}", file=sys.stderr)
+            return 2
     if cert.all_ok():
         print(f"all checks passed up to n = {cert.n_max}", file=sys.stderr)
         return 0

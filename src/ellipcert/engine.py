@@ -294,7 +294,7 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
     1/(8 pi max_terms^2)), and ValueError when ``max_terms`` < 2, a budget
     too small for either tail bound.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_terms < 2:
         raise ValueError("max_terms must be at least 2")
@@ -374,7 +374,7 @@ def ivory_integral(x, tol: float = 1e-12, max_panels: int = 4096) -> float:
     xf = float(x)
     if not 0.0 <= xf <= 1.0:
         raise ValueError("x must lie in [0, 1]")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     rx = math.sqrt(xf)
 
@@ -416,7 +416,7 @@ def perimeter(ellipse: Ellipse, tol: float | None = None, max_terms: int = 250_0
     x = _as_mpf(ellipse.lam, _ctx(WORKING_DPS)) ** 2
     if tol is None:
         tol = 1e-12 if float(x) <= 0.999 else 1e-6
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     ctx = _ctx(_dps_for_tol(tol))
     prefactor = ctx.pi * (_as_mpf(ellipse.a, ctx) + ellipse.b)
@@ -494,7 +494,7 @@ def discrepancy(x, tol: float | None = None, max_terms: int = 6000) -> Enclosure
     est = 2.288818359375e-5 * xf**5
     if tol is None:
         tol = _default_delta_tol(xf, max_terms)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     n_terms = _estimate_delta_terms(xf, tol, max_terms)
     if n_terms is None:

@@ -14,10 +14,15 @@ The claims being checked, all in exact rational arithmetic unless noted:
 The one intentionally non-exact piece is `g_min_analysis`, which locates
 the real minimum of g at (7 + sqrt(41))/4 and corroborates the sign
 pattern of g' numerically; everything feeding the certificate booleans is
-decided by `Fraction` comparisons alone.
+decided in exact integer arithmetic, by cross-multiplying numerators and
+positive denominators.
 
-A_n is read from the shared O(n) table, cross-checked against the explicit
-term sum and compared with B_n from the product formula: no shared recurrence.
+`verify_fundamental_lemma` is one pass that builds each quantity once,
+each from its own definition: A_n from the shared O(n) table, which
+expands the closed form; B_n from the product formula (`b_coeff`);
+C(2m, m) by `math.comb`, and from it the explicit terms a_m of `a_term`
+and f(n).  The table's A_n is also cross-checked against the explicit
+term sum for n <= 50.  No two sides of a comparison share a recurrence.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from math import comb
 
 from mpmath import MPContext
 
-from .series_kernel import a_coeff_explicit, a_series_via_composition, a_term, b_coeff, rational_str
+from .series_kernel import a_coeff_explicit, a_series_via_composition, b_coeff, rational_str
 
 __all__ = [
     "LemmaCertificate",
@@ -69,6 +74,11 @@ _PUBLISHED_VALUE_NOTES = (
 )
 
 
+def _f_terms(n: int, central: int) -> tuple[int, int]:
+    """f(n) as (numerator, denominator), given central = C(2n, n)."""
+    return n * (2 * n - 1) * 3 ** (n - 1), 2 * (2 * n - 3) * central
+
+
 def f_val(n: int) -> Fraction:
     """f(n) = (n/2) * (2n-1)/(2n-3) * 3^(n-1) / C(2n,n), exactly.
 
@@ -78,9 +88,23 @@ def f_val(n: int) -> Fraction:
     """
     if n < 2:
         raise ValueError("f(n) is defined here for n >= 2")
-    return Fraction(n, 2) * Fraction(2 * n - 1, 2 * n - 3) * Fraction(
-        3 ** (n - 1), comb(2 * n, n)
-    )
+    return Fraction(*_f_terms(n, comb(2 * n, n)))
+
+
+def _g_terms(k: int, fk: tuple[int, int], fk1: tuple[int, int]) -> tuple[int, int]:
+    """g(k) = f(k)/f(k+1) as (numerator, denominator), from f(k) and f(k+1)
+    as (numerator, denominator) pairs with positive entries.
+
+    The quotient must equal the closed form 2k/(6k-9) * ((2k-1)/(k+1))^2,
+    compared by cross-multiplication; a mismatch raises ArithmeticError.
+    """
+    num, den = fk[0] * fk1[1], fk[1] * fk1[0]
+    if num * (6 * k - 9) * (k + 1) ** 2 != den * 2 * k * (2 * k - 1) ** 2:
+        closed = Fraction(2 * k, 6 * k - 9) * Fraction(2 * k - 1, k + 1) ** 2
+        raise ArithmeticError(
+            f"g({k}): quotient form {Fraction(num, den)} != closed form {closed}"
+        )
+    return num, den
 
 
 def g_val(k: int) -> Fraction:
@@ -91,13 +115,7 @@ def g_val(k: int) -> Fraction:
     """
     if k < 2:
         raise ValueError("g(k) is defined here for k >= 2")
-    quotient = f_val(k) / f_val(k + 1)
-    closed = Fraction(2 * k, 6 * k - 9) * Fraction(2 * k - 1, k + 1) ** 2
-    if quotient != closed:
-        raise ArithmeticError(
-            f"g({k}): quotient form {quotient} != closed form {closed}"
-        )
-    return quotient
+    return Fraction(*_g_terms(k, f_val(k).as_integer_ratio(), f_val(k + 1).as_integer_ratio()))
 
 
 def _g_real(x):
@@ -234,17 +252,36 @@ def verify_fundamental_lemma(n_max: int) -> LemmaCertificate:
     equivalence (f(n) < 1) <=> (a_(n-1) < B_n) together with the identity
     f(n) = a_(n-1)/B_n; strict decrease of f via g(k) > 1; and agreement of
     the table A_n with the explicit term sum for n <= min(50, n_max).
-    A_n comes from the shared O(n) table, which expands the closed form,
-    and B_n from the defining product formula, so the sweep compares the
-    two definitions; they share no recurrence.
 
-    Failures are recorded in the certificate, never raised.
+    One pass builds each quantity once, from its own definition:
+
+      * A_n from the shared O(n) table (`a_series_via_composition`), which
+        expands the closed form;
+      * B_n from the defining product formula (`b_coeff`), once per n;
+      * C(2m, m) once per m <= n_max, by `math.comb`;
+      * the term magnitudes w_m = |a_m| 2^(5n-3) = C(2m,m) 6^m / (4(2m-1))
+        (w_0 = 1) of `a_term`, which do not depend on n, so each ratio
+        verdict is decided once per m and every sample n reads it;
+      * the lead term a_(n-1) = w_(n-1) / 2^(5n-3);
+      * f(n) for 7 <= n <= n_max from its product formula.
+
+    No claim is checked on values grown by the recurrence it asserts, and
+    A_n and B_n share no recurrence.  Every comparison is an integer
+    cross-multiplication of numerators and positive denominators; a
+    Fraction is built only for a recorded witness or a printed field.
+
+    Failures are recorded in the certificate, never raised; only a g(k)
+    that differs from its closed form raises ArithmeticError, as in `g_val`.
     """
     if n_max < 7:
         raise ValueError("verification needs n_max >= 7")
 
     a = a_series_via_composition(n_max).coeffs
     b = [b_coeff(n) for n in range(n_max + 1)]
+    central = [comb(2 * m, m) for m in range(n_max + 1)]
+    # (numerator, denominator) pairs; every denominator is positive
+    w = [(1, 1)] + [(central[m] * 6**m, 4 * (2 * m - 1)) for m in range(1, n_max)]
+    f = {n: _f_terms(n, central[n]) for n in range(7, n_max + 1)}
 
     first: dict | None = None
 
@@ -266,56 +303,69 @@ def verify_fundamental_lemma(n_max: int) -> LemmaCertificate:
 
     inequalities_ok = True
     for n in range(5, n_max + 1):
-        if not a[n] < b[n]:
+        if not a[n] < b[n]:  # Fraction order is one cross-multiplication
             inequalities_ok = False
             note("strict inequality A_n < B_n", n, a_n=a[n], b_n=b[n])
             break
 
+    # claim 1, once per m: |a_(m-1)/a_m| = w_(m-1)/w_m = m/(12(2m-3)) <= 1/6;
+    # sample n reads the verdicts of m <= n-1, so the worst ratio over the
+    # samples is the worst over 2 <= m <= n_max - 1
+    bad_ratio = None  # (m, num, den) of the smallest failing m
+    worst = (0, 1)
+    for m in range(2, n_max):
+        num, den = w[m - 1][0] * w[m][1], w[m - 1][1] * w[m][0]
+        if bad_ratio is None and (num * 12 * (2 * m - 3) != den * m or 6 * num > den):
+            bad_ratio = (m, num, den)
+        if num * worst[1] > worst[0] * den:
+            worst = (num, den)
+    ratio01 = (w[0][0] * w[1][1], w[0][1] * w[1][0])
+    # claim 2: a_m = (-1)^(n-1-m) w_m / 2^(5n-3), so a_(n-1) > 0 and the
+    # signs alternate exactly when w_0, ..., w_(n-1) are all positive
+    first_nonpositive = next((m for m, (num, _den) in enumerate(w) if num <= 0), n_max)
+
     samples = _claim_samples(n_max)
     claim1_ok = True
     claim2_ok = True
-    worst_ratio = Fraction(0)
-    bound = Fraction(1, 6)
     for n in samples:
-        terms = [a_term(n, m) for m in range(n)]
-        for m in range(2, n):
-            ratio = abs(terms[m - 1] / terms[m])
-            if ratio != Fraction(m, 12 * (2 * m - 3)) or ratio > bound:
-                claim1_ok = False
-                note("claim 1 ratio", n, m=m, ratio=ratio)
-            worst_ratio = max(worst_ratio, ratio)
-        if abs(terms[0] / terms[1]) != Fraction(1, 3):
+        if bad_ratio is not None and bad_ratio[0] < n:
             claim1_ok = False
-            note("claim 1 ratio a_0/a_1", n, ratio=abs(terms[0] / terms[1]))
-        if terms[-1] <= 0 or any(
-            terms[m] * terms[m + 1] >= 0 for m in range(n - 1)
-        ):
+            m, num, den = bad_ratio
+            note("claim 1 ratio", n, m=m, ratio=Fraction(num, den))
+        if 3 * ratio01[0] != ratio01[1]:
+            claim1_ok = False
+            note("claim 1 ratio a_0/a_1", n, ratio=Fraction(*ratio01))
+        if first_nonpositive < n:
             claim2_ok = False
             note("claim 2 sign alternation", n)
 
     dominance_ok = True
     chain_ok = True
     for n in range(7, n_max + 1):
-        lead = a_term(n, n - 1)
-        if not (0 < a[n] < lead):
+        lead_num, lead_den = w[n - 1][0], w[n - 1][1] << (5 * n - 3)
+        a_num, a_den = a[n].numerator, a[n].denominator
+        if not (0 < a_num and a_num * lead_den < lead_num * a_den):
             dominance_ok = False
-            note("dominance 0 < A_n < a_(n-1)", n, a_n=a[n], lead=lead)
+            note("dominance 0 < A_n < a_(n-1)", n, a_n=a[n], lead=Fraction(lead_num, lead_den))
             break
-        fn = f_val(n)
-        if (fn < 1) != (lead < b[n]) or fn != lead / b[n] or not fn < 1:
+        f_num, f_den = f[n]
+        b_num, b_den = b[n].numerator, b[n].denominator
+        f_below_one = f_num < f_den
+        if (f_below_one != (lead_num * b_den < b_num * lead_den)
+                or f_num * lead_den * b_num != f_den * lead_num * b_den  # f(n) = a_(n-1)/B_n
+                or not f_below_one):
             chain_ok = False
-            note("chain f(n) < 1 <=> a_(n-1) < B_n", n, f_n=fn)
+            note("chain f(n) < 1 <=> a_(n-1) < B_n", n, f_n=Fraction(f_num, f_den))
             break
 
     f_monotone_ok = True
-    prev = f_val(7)
-    for n in range(8, n_max + 1):
-        cur = f_val(n)
-        if not (prev > cur and g_val(n - 1) > 1):
+    for k in range(7, n_max):
+        g_num, g_den = _g_terms(k, f[k], f[k + 1])  # raises unless it is the closed form
+        # g(k) > 1 and f(k) > f(k+1) cross-multiply to the same integers
+        if not g_num > g_den:
             f_monotone_ok = False
-            note("f strictly decreasing", n, f_prev=prev, f_cur=cur)
+            note("f strictly decreasing", k + 1, f_prev=Fraction(*f[k]), f_cur=Fraction(*f[k + 1]))
             break
-        prev = cur
     chain_ok = chain_ok and f_monotone_ok
 
     route_max = min(50, n_max)
@@ -332,11 +382,11 @@ def verify_fundamental_lemma(n_max: int) -> LemmaCertificate:
         n_max=n_max,
         equalities_ok=equalities_ok,
         inequalities_ok=inequalities_ok,
-        f7_value=f_val(7),
+        f7_value=Fraction(*f[7]),
         f_monotone_range=(7, n_max),
         g_min_location=g_loc,
         g_min_value=g_min,
-        claim1_worst_ratio=worst_ratio,
+        claim1_worst_ratio=Fraction(*worst),
         claim2_ok=claim2_ok,
         paper_typos_noted=list(_PUBLISHED_VALUE_NOTES),
         claim1_ok=claim1_ok,

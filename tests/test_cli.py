@@ -279,3 +279,31 @@ def test_cli_output_independent_of_ambient_precision(capsys):
     with mp.workdps(120):
         high = outputs()
     assert baseline == low == high
+
+
+@pytest.mark.parametrize("args", [
+    ["perimeter", "--a", "2", "--b", "1", "--tol", "nan"],
+    ["ivory-check", "--x", "0.5", "--tol", "nan"],
+])
+def test_nan_tolerance_is_bad_argument(capsys, args):
+    rc, out, err = run(args, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: tol must be positive\n"
+
+
+def test_verify_lemma_unwritable_json_path_is_bad_argument(tmp_path):
+    # a failed write is a bad argument (exit 2), not a failed verification
+    target = tmp_path / "missing-dir" / "cert.json"
+    src = str(Path(ellipcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellipcert", "verify-lemma", "--max-n", "7", "--json", str(target)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["all_ok"] is True
+    assert proc.stderr.startswith("error: ")
+    assert str(target) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not target.exists()

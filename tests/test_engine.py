@@ -472,3 +472,17 @@ def test_dyadic_images_equal_the_fraction_conversion(dps, exact_views):
         q = exact_b[n]
         assert (engine._dyadic_mpf(row.B, ctx)._mpf_
                 == (ctx.mpf(q.numerator) / q.denominator)._mpf_), n
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), mp.mpf("nan")])
+def test_non_positive_or_nan_tolerance_is_rejected(tol):
+    # NaN fails every comparison, so only a test of tol > 0 rejects it
+    calls = [
+        lambda: eval_B(0.25, tol),
+        lambda: ivory_integral(0.5, tol),
+        lambda: perimeter(Ellipse(2, 1), tol),
+        lambda: discrepancy(0.5, tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be positive"):
+            call()

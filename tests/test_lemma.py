@@ -1,5 +1,6 @@
 """Verifier tests: f/g machinery, the minimum analysis, certificates."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -207,3 +208,104 @@ def test_certificate_json_schema_and_determinism():
     # extended reals carry at least 20 significant digits
     mantissa = doc["g_min_value"].replace(".", "").lstrip("0").rstrip("0")
     assert len(mantissa) >= 20
+
+
+# SHA-256 of verify_fundamental_lemma(n).to_json(): how the sweep computes
+# may change, the certificate it prints may not
+GOLDEN_CERT_SHA256 = {
+    7: "b0300dc4730e1ac0cfc77e15d0a7b8ca05b2e8028d5a57feb030382dbe377a9c",
+    8: "74f992c018d1d528cf716909ff6294f5dd7a38f31cd6977b043422487285beae",
+    15: "9c63ea24fa265e5ac266e0de6e94528ebc25c6c23e412d9136c4b43a4faf7777",
+    16: "7f5ea58a477dbed917aa96c4303f3f930d6efe3d1bd02a52210f1826512f77a4",
+    17: "91679e93ced601965c317b177740d174e3cb47860c535c368ff3379fbee7809f",
+    60: "34f075e06287192082b9df9e535909029fd234238ebdfeb59f2ea306f6acbf0c",
+    150: "cc20480b263813b05e74382684e127c666485cd1a8f7b0bdf74670f099eb92ee",
+    301: "b0b4d7a050c8473fa2d346b05d34d8186af52008c049455825632cbe4039aab4",
+    433: "df9595c0f6963e3b064dcdc32636f0e825400715ea11a34025e91446967caff1",
+    600: "f06ab3ac0440134436803b200f73ae574ab6ff9995b8c6903dfe6e898d71dccc",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_CERT_SHA256))
+def test_certificate_matches_golden_digest(n):
+    text = verify_fundamental_lemma(n).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CERT_SHA256[n]
+
+
+def _a_series_with(index, value):
+    """lemma's A_n source with A_index replaced by value(A_index)."""
+    original = lemma_mod.a_series_via_composition
+
+    def patched(order):
+        coeffs = list(original(order).coeffs)
+        coeffs[index] = value(coeffs[index])
+        return series_kernel.PowerSeries(coeffs)
+
+    return patched
+
+
+def test_fault_in_equality_is_witnessed(monkeypatch):
+    monkeypatch.setattr(lemma_mod, "a_series_via_composition",
+                        _a_series_with(3, lambda a3: a3 + F(1, 1024)))
+    cert = verify_fundamental_lemma(30)
+    assert not cert.equalities_ok and not cert.all_ok()
+    assert cert.first_counterexample == {
+        "check": "equality A_n = B_n", "index": 3, "a_n": "5/1024", "b_n": "1/256",
+    }
+
+
+def test_fault_in_dominance_is_witnessed(monkeypatch):
+    # A_20 halfway between a_19 and B_20: still below B_20, above the lead term
+    lead, b20 = series_kernel.a_term(20, 19), b_coeff(20)
+    monkeypatch.setattr(lemma_mod, "a_series_via_composition",
+                        _a_series_with(20, lambda _a20: (lead + b20) / 2))
+    cert = verify_fundamental_lemma(30)
+    assert cert.inequalities_ok and not cert.dominance_ok
+    assert cert.first_counterexample == {
+        "check": "dominance 0 < A_n < a_(n-1)",
+        "index": 20,
+        "a_n": "1700394855403981275/302231454903657293676544",
+        "lead": "138785264039493225/151115727451828646838272",
+    }
+
+
+def test_fault_in_chain_is_witnessed(monkeypatch):
+    # B_20 halfway between A_20 and a_19: still above A_20, below the lead term
+    lead, a20 = series_kernel.a_term(20, 19), series_kernel.a_coeffs_upto(20)[20]
+    monkeypatch.setattr(lemma_mod, "b_coeff",
+                        lambda n: (a20 + lead) / 2 if n == 20 else b_coeff(n))
+    cert = verify_fundamental_lemma(30)
+    assert cert.inequalities_ok and cert.dominance_ok
+    assert not cert.chain_equivalence_ok
+    assert cert.first_counterexample == {
+        "check": "chain f(n) < 1 <=> a_(n-1) < B_n", "index": 20, "f_n": "387420489/4359249202",
+    }
+
+
+def test_fault_in_routes_is_witnessed(monkeypatch):
+    explicit = series_kernel.a_coeff_explicit
+    monkeypatch.setattr(lemma_mod, "a_coeff_explicit",
+                        lambda n: F(0) if n == 12 else explicit(n))
+    cert = verify_fundamental_lemma(30)
+    assert not cert.routes_ok
+    assert cert.first_counterexample == {
+        "check": "route equivalence explicit = composition", "index": 12,
+    }
+
+
+@pytest.mark.parametrize("n", [300, 600])
+def test_sweep_builds_each_binomial_once(monkeypatch, n):
+    # C(2m, m) once per m and B_n once per n, plus the 1225 calls of the
+    # n <= 50 route check; rebuilding f or the terms per use costs thousands
+    calls = 0
+    original = lemma_mod.comb
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(lemma_mod, "comb", counting)
+    monkeypatch.setattr(series_kernel, "comb", counting)
+    assert verify_fundamental_lemma(n).all_ok()
+    assert calls <= 2 * n + 1300
