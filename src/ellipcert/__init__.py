@@ -14,7 +14,6 @@ Four layers, bottom up:
 """
 
 from .series_kernel import (
-    Rational,
     PowerSeries,
     ps_mul,
     ps_binomial_sqrt,

@@ -162,10 +162,18 @@ def _cmd_perimeter(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    ctx = _ctx(WORKING_DPS)
+    lam = args.lam
+    if lam is None and args.e is not None:
+        lam = lambda_from_eccentricity(args.e)
+    if lam is not None:  # everything that can refuse the arguments runs before printing
+        lam = _as_mpf(lam, ctx)
+        if not 0 <= lam <= 1:
+            raise ValueError("lambda must lie in [0, 1]")
+    enc = theta_of_lambda(lam) if lam else None
     lo, up = THETA_LOWER, theta_upper()
     pi_up = scaled_theta_upper()
     de_lo, de_up = delta_e_bounds()
-    ctx = _ctx(WORKING_DPS)
     identity_gap = abs(pi_up - ctx.pi * up)
     print(f"theta lower (exact)   = {rational_str(lo)} = {_fmt(lo)}")
     print(f"theta upper           = {_fmt(up)}   (4/pi - 14/11)")
@@ -174,23 +182,16 @@ def _cmd_bounds(args) -> int:
     print(f"delta_e lower         = {_fmt(de_lo)}   (3*pi/2^36)")
     print(f"delta_e upper         = {_fmt(de_up)}   ((7/11)*(22/7 - pi)/2^18)")
 
-    lam = args.lam
-    if lam is None and args.e is not None:
-        lam = lambda_from_eccentricity(args.e)
     if lam is None:
         return 0
-    lam_m = _as_mpf(lam, ctx)
-    if not 0 <= lam_m <= 1:
-        raise ValueError("lambda must lie in [0, 1]")
-    if lam_m == 0:
+    if enc is None:
         print("lambda = 0: theta takes its limit value 3/2^17; nothing to check")
         return 0
-    enc = theta_of_lambda(lam_m)
     low_v, up_v = _verdict_between(
-        enc.mid, enc.width, _as_mpf(lo, ctx), up, attained_upper=(lam_m == 1), margin=10.0
+        enc.mid, enc.width, _as_mpf(lo, ctx), up, attained_upper=(lam == 1), margin=10.0
     )
     delta = _scaled(enc, ctx.pi / 2**DELTA_E_EXPONENT)
-    print(f"theta({_fmt(lam_m, 8)}) in {_enc_str(enc)}")
+    print(f"theta({_fmt(lam, 8)}) in {_enc_str(enc)}")
     print(f"delta_e value in [{_fmt(delta.lo)}, {_fmt(delta.hi)}]")
     print(f"containment: lower {low_v}, upper {up_v}")
     if low_v == "fail" or up_v == "fail":

@@ -29,6 +29,8 @@ endpoint (where the series converges like 1/n^3) work without a separate
 code path.  Each bound has one owner: ``_tail_bound`` certifies it in mpf
 for both eval_B and discrepancy, and ``_tail_estimate`` is its float
 counterpart that plans term counts, default tolerances and early refusals.
+The difference series reads delta_n and B_n from one cache of mpf images,
+``_MpfCoefficientCache``, grown from an exact stream per precision.
 """
 
 from __future__ import annotations
@@ -43,9 +45,8 @@ from functools import lru_cache
 from mpmath import MPContext
 from mpmath.libmp import from_man_exp, round_nearest
 
-# b_coeffs_upto and delta_coeffs_upto are unused here but stay importable:
-# bench/tracer.py rebinds them in this namespace
-from .series_kernel import b_coeffs_upto, delta_coeffs_upto, dyadic_coeffs_upto  # noqa: F401
+# b_coeffs_upto, delta_coeffs_upto: unused here, but bench/tracer.py rebinds them here
+from .series_kernel import b_coeffs_upto, delta_coeffs_upto, dyadic_rows  # noqa: F401
 
 __all__ = [
     "WORKING_DPS",
@@ -72,6 +73,8 @@ GEOMETRIC_TAIL = "geometric-tail"
 SLOW_TAIL = "slow-convergence-tail"
 EXACT_POINT = "exact"
 
+DELTA_5 = 2.288818359375e-5  # delta_5 = 3/2^17, exactly
+
 
 class ToleranceFloorError(ValueError):
     """Requested tolerance is below what the term budget can certify."""
@@ -81,7 +84,7 @@ class QuadratureBudgetError(RuntimeError):
     """Adaptive quadrature did not reach tolerance within its panel budget."""
 
 
-@lru_cache(maxsize=None)  # float tolerances keep dps below 340: few contexts
+@lru_cache(maxsize=None)  # dps tracks -log10(tol): one context per precision in use
 def _ctx(dps: int) -> MPContext:
     """The private context working at ``dps`` digits; its precision never changes."""
     ctx = MPContext()
@@ -119,6 +122,13 @@ def _exact_fraction(v) -> Fraction:
         raise ValueError(f"cannot take exact value of {v!r}")
     fr = Fraction(man) * Fraction(2) ** exp
     return -fr if sign else fr
+
+
+def _check_tol(tol) -> None:
+    if not tol > 0:  # NaN fails every comparison, so it is refused here too
+        raise ValueError("tol must be positive")
+    if tol == math.inf:
+        raise ValueError("tol must be finite")
 
 
 def _dps_for_tol(tol: float) -> int:
@@ -294,8 +304,7 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
     1/(8 pi max_terms^2)), and ValueError when ``max_terms`` < 2, a budget
     too small for either tail bound.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if max_terms < 2:
         raise ValueError("max_terms must be at least 2")
     xf = float(x)
@@ -374,8 +383,7 @@ def ivory_integral(x, tol: float = 1e-12, max_panels: int = 4096) -> float:
     xf = float(x)
     if not 0.0 <= xf <= 1.0:
         raise ValueError("x must lie in [0, 1]")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     rx = math.sqrt(xf)
 
     def integrand(phi: float) -> float:
@@ -416,8 +424,7 @@ def perimeter(ellipse: Ellipse, tol: float | None = None, max_terms: int = 250_0
     x = _as_mpf(ellipse.lam, _ctx(WORKING_DPS)) ** 2
     if tol is None:
         tol = 1e-12 if float(x) <= 0.999 else 1e-6
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     ctx = _ctx(_dps_for_tol(tol))
     prefactor = ctx.pi * (_as_mpf(ellipse.a, ctx) + ellipse.b)
     inner_tol = ctx.mpf(tol) / prefactor * ctx.mpf("0.9")
@@ -441,20 +448,25 @@ def perimeter_ramanujan(ellipse: Ellipse):
 
 
 class _MpfCoefficientCache:
-    """Per-precision mpf images of the exact delta_n table."""
+    """Per-precision mpf images of delta_n and B_n, the one coefficient cache:
+    each precision keeps its own exact stream (`dyadic_rows`) and only the
+    images, so no exact row outlives its conversion."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._store: dict[int, list] = {}
+        self._store: dict[int, tuple] = {}  # dps -> (stream, deltas, bs)
 
-    def get(self, dps: int, n_max: int) -> list:
+    def get(self, dps: int, n_max: int) -> tuple[list, list]:
+        """([delta_0, ...], [B_0, ...]) rounded once at ``dps`` digits, each
+        list at least n_max + 1 long; later calls only append to them."""
         with self._lock:
-            deltas = self._store.setdefault(dps, [])
-            if len(deltas) <= n_max:
-                rows = dyadic_coeffs_upto(n_max)
-                ctx = _ctx(dps)
-                deltas.extend(_dyadic_mpf(row.delta, ctx) for row in rows[len(deltas):])
-            return deltas
+            rows, deltas, bs = self._store.setdefault(dps, (dyadic_rows(), [], []))
+            ctx = _ctx(dps)
+            while len(deltas) <= n_max:
+                row = next(rows)
+                deltas.append(_dyadic_mpf(row.delta, ctx))
+                bs.append(_dyadic_mpf(row.B, ctx))
+            return deltas, bs
 
 
 _MPF_COEFFS = _MpfCoefficientCache()
@@ -471,10 +483,19 @@ def _estimate_delta_terms(xf: float, tol: float, max_terms: int) -> int | None:
     return ns[i] if i < len(ns) else None
 
 
-def _default_delta_tol(xf: float, max_terms: int) -> float:
-    """Width target tracking Delta's own magnitude, floored by the budget."""
-    est = 2.288818359375e-5 * xf**5  # delta_5 x^5, a lower bound for Delta
-    return max(est * 1e-9, 3.0 * _tail_estimate(xf, max_terms))
+def _x5_target(c, x, factor: float = 1.0):
+    """The width target c x^5 factor, in mpf where the float one underflows to 0."""
+    target = c * float(x) ** 5 * factor
+    if target > 0.0:
+        return target
+    ctx = _ctx(15)
+    return _as_mpf(c, ctx) * _as_mpf(x, ctx) ** 5 * factor
+
+
+def _default_delta_tol(x, max_terms: int):
+    """Width target tracking Delta's own magnitude (delta_5 x^5 is a lower
+    bound for Delta), floored by the budget."""
+    return max(_x5_target(DELTA_5, x, 1e-9), 3.0 * _tail_estimate(float(x), max_terms))
 
 
 def discrepancy(x, tol: float | None = None, max_terms: int = 6000) -> Enclosure:
@@ -488,21 +509,20 @@ def discrepancy(x, tol: float | None = None, max_terms: int = 6000) -> Enclosure
     significant digits), floored by what ``max_terms`` can certify near
     x = 1.
     """
-    xf = float(x)
-    if not 0 < xf <= 1:
+    if not 0 < _as_mpf(x, _ctx(WORKING_DPS)) <= 1:  # in mpf: x may lie below the float range
         raise ValueError("x must lie in (0, 1]")
-    est = 2.288818359375e-5 * xf**5
+    xf = float(x)
+    est = DELTA_5 * xf**5
     if tol is None:
-        tol = _default_delta_tol(xf, max_terms)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+        tol = _default_delta_tol(x, max_terms)
+    _check_tol(tol)
     n_terms = _estimate_delta_terms(xf, tol, max_terms)
     if n_terms is None:
         raise ToleranceFloorError(
             f"tol={tol} not certifiable within {max_terms} difference terms at x={xf}"
         )
     dps = _dps_for_tol(tol)
-    deltas = _MPF_COEFFS.get(dps, n_terms)
+    deltas, bs = _MPF_COEFFS.get(dps, n_terms + 1)
     ctx = _ctx(dps)
     xm = _as_mpf(x, ctx)
     if not 0 < xm <= 1:
@@ -516,7 +536,7 @@ def discrepancy(x, tol: float | None = None, max_terms: int = 6000) -> Enclosure
     # xp is now x^(n_terms+1); delta_n < B_n bounds the tail termwise
     next_term = None
     if xm < 1:
-        next_term = _dyadic_mpf(dyadic_coeffs_upto(n_terms + 1)[n_terms + 1].B, ctx) * xp
+        next_term = bs[n_terms + 1] * xp
     tail, regime = _tail_bound(n_terms, next_term, 1 - xm)
     fp_err = 8 * (n_terms + 4) * u * (s + est)
     hi = s + tail * (1 + 16 * u) + fp_err
@@ -532,14 +552,12 @@ def discrepancy_ratio(x, tol: float | None = None, max_terms: int = 6000) -> Enc
     """Enclosure of Delta(x)/x^5, the normalized discrepancy.
 
     This quantity decreases to delta_5 = 3/2^17 as x -> 0 and climbs to
-    4/pi - 14/11 at x = 1.  ``tol`` is the target width of the ratio.
+    4/pi - 14/11 at x = 1.  ``tol`` is the target width of the ratio; an
+    explicit ``tol`` is honored or refused, never loosened.
     """
-    xf = float(x)
-    if not 0 < xf <= 1:
+    if not 0 < _as_mpf(x, _ctx(WORKING_DPS)) <= 1:
         raise ValueError("x must lie in (0, 1]")
-    inner = tol * xf**5 if tol is not None else _default_delta_tol(xf, max_terms)
-    if inner == 0.0:  # float underflow at extreme x; fall back to the default
-        inner = _default_delta_tol(xf, max_terms)
+    inner = _default_delta_tol(x, max_terms) if tol is None else _x5_target(tol, x)
     enc = discrepancy(x, inner, max_terms)
     xm = _as_mpf(x, _ctx(_dps_for_tol(inner)))
     return _scaled(enc, 1 / xm**5)

@@ -18,10 +18,10 @@ decided in exact integer arithmetic, by cross-multiplying numerators and
 positive denominators.
 
 `verify_fundamental_lemma` is one pass that builds each quantity once,
-each from its own definition: A_n from the shared O(n) table, which
+each from its own definition: A_n from the exact O(n) stream, which
 expands the closed form; B_n from the product formula (`b_coeff`);
 C(2m, m) by `math.comb`, and from it the explicit terms a_m of `a_term`
-and f(n).  The table's A_n is also cross-checked against the explicit
+and f(n).  The streamed A_n is also cross-checked against the explicit
 term sum for n <= 50.  No two sides of a comparison share a recurrence.
 """
 
@@ -251,11 +251,11 @@ def verify_fundamental_lemma(n_max: int) -> LemmaCertificate:
     0 < A_n < a_(n-1) and a_(n-1) < B_n for 7 <= n <= n_max; the exact
     equivalence (f(n) < 1) <=> (a_(n-1) < B_n) together with the identity
     f(n) = a_(n-1)/B_n; strict decrease of f via g(k) > 1; and agreement of
-    the table A_n with the explicit term sum for n <= min(50, n_max).
+    the streamed A_n with the explicit term sum for n <= min(50, n_max).
 
     One pass builds each quantity once, from its own definition:
 
-      * A_n from the shared O(n) table (`a_series_via_composition`), which
+      * A_n from the exact O(n) stream (`a_series_via_composition`), which
         expands the closed form;
       * B_n from the defining product formula (`b_coeff`), once per n;
       * C(2m, m) once per m <= n_max, by `math.comb`;

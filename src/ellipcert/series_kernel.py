@@ -11,8 +11,9 @@ and Ramanujan's closed-form approximation is pi*(a+b)*A(x) with
 
 This module produces the Maclaurin coefficients A_n and B_n, and their
 gap delta_n = B_n - A_n, exactly.  All three are dyadic, so production
-grows one O(n) table of integers (`_CoefficientCache`) without Fraction
-arithmetic.  With Cat(m) = C(2m,m)/(m+1) the m-th Catalan number,
+streams them as integers (`dyadic_rows`), a few small-integer steps per
+row, without Fraction arithmetic.  With Cat(m) = C(2m,m)/(m+1) the m-th
+Catalan number,
 
     C(2n,n)/(2n-1) = 2 Cat(n-1)    (n >= 1),
 
@@ -27,26 +28,25 @@ denominator, 2^(5n-3), and on that common scale every term is an integer:
     B_n 2^(5n-3) = 2^(n-1) Cat(n-1)^2.
 
 The Catalan ratio Cat(m)/Cat(m-1) = 2(2m-1)/(m+1) turns both into
-small-integer recurrences on the scaled integers (see `_CoefficientCache`).
-Each row stores every coefficient as an odd numerator and a power-of-two
-exponent.  `a_coeffs_upto`, `b_coeffs_upto` and `delta_coeffs_upto` build
-Fractions from the rows on demand; the engine converts the rows to mpf
-directly (`dyadic_coeffs_upto`), and `coeff_rows_str` prints them from a
-decimal twin of the table, so no big integer is converted to decimal.
+small-integer recurrences on the scaled integers (see `dyadic_rows`).
+Each row carries every coefficient as an odd numerator and a power-of-two
+exponent.  The module holds no table: `a_coeffs_upto`, `b_coeffs_upto`
+and `delta_coeffs_upto` build Fractions from a fresh stream, the engine
+keeps mpf images of the rows, and `coeff_rows_str` prints them from a
+decimal twin, so no big integer is converted to decimal.
 
-Two independent checks stay beside the table:
+Two independent checks stay beside the stream:
 
   * `a_coeff_explicit` sums the closed-form term expansion;
   * `b_coeff` evaluates the defining product formula directly.
 
 `PowerSeries` with `ps_mul`, `ps_binomial_sqrt` and `ps_geom_recip` is
-the formal series algebra the tests use as an oracle for the table.  No
+the formal series algebra the tests use as an oracle for the stream.  No
 floating point appears anywhere in this module.
 """
 
 from __future__ import annotations
 
-import threading
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -60,15 +60,11 @@ from decimal import (
     Rounded,
 )
 from fractions import Fraction
+from itertools import chain, count, islice, pairwise
 from math import comb
 from typing import NamedTuple
 
-# Exact rationals of the public views and the checks: Fraction keeps
-# gcd-reduced canonical form (positive denominator) after every operation.
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "PowerSeries",
     "ps_mul",
     "ps_binomial_sqrt",
@@ -82,7 +78,7 @@ __all__ = [
     "b_coeffs_upto",
     "delta_coeffs_upto",
     "DyadicRow",
-    "dyadic_coeffs_upto",
+    "dyadic_rows",
     "coeff_rows_str",
     "rational_str",
 ]
@@ -177,8 +173,8 @@ def b_coeff(n: int) -> Fraction:
 def a_series_via_composition(order: int) -> PowerSeries:
     """Maclaurin expansion of A(x) = 1 + 3x/(10 + sqrt(4-3x)) to the given order.
 
-    The coefficients are read from the shared table, which expands the
-    closed form exactly (see `_CoefficientCache`).
+    The coefficients are read from the exact stream, which expands the
+    closed form (see `dyadic_rows`).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -210,7 +206,7 @@ def a_coeff_explicit(n: int) -> Fraction:
     """Coefficient A_n by direct summation of the explicit terms.
 
     Rejects n = 0: the constant term is definitionally 1 and has no term
-    expansion.  Equals the table coefficient A_n for every n.
+    expansion.  Equals the streamed coefficient A_n for every n.
     """
     if n < 1:
         raise ValueError("n must be >= 1 (A_0 = 1 by definition)")
@@ -243,8 +239,8 @@ def _reduced(scaled: int, exp: int) -> tuple[int, int]:
     return scaled >> k, exp - k
 
 
-class _CoefficientCache:
-    """Initialize-once grow-on-demand table of the rows A_n, B_n, delta_n.
+def dyadic_rows():
+    """Yield row_0, row_1, ... (`DyadicRow`s) without end, exactly.
 
     Row n is grown from the integers alpha_n = A_n 2^(5n-3), w_n and
     beta_n = B_n 2^(5n-3) of the module docstring:
@@ -257,60 +253,43 @@ class _CoefficientCache:
     is beta_n - alpha_n.  Every step is an exact small-integer multiply or
     divide (the quotients are integers by the Catalan identities), and
     reduction only strips trailing zero bits, so no gcd is ever taken.
-    Guarded by a lock so concurrent readers only ever see fully built
-    prefixes.
+    Each stream keeps only the three integers of its next row, so nothing
+    outlives its consumer; take a prefix with `itertools.islice`.
     """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._rows = [DyadicRow((1, 0), (1, 0), (0, 0))]
-        self._alpha, self._w, self._beta = 1, 3, 1  # alpha_n, w_n, beta_n of the next row n
-
-    def grow(self, n_max: int) -> None:
-        with self._lock:
-            alpha, w, beta = self._alpha, self._w, self._beta
-            for n in range(len(self._rows), n_max + 1):
-                exp = 5 * n - 3
-                self._rows.append(DyadicRow(
-                    _reduced(alpha, exp), _reduced(beta, exp), _reduced(beta - alpha, exp)
-                ))
-                alpha = w - alpha
-                w = w * (12 * (2 * n - 1)) // (n + 1)
-                beta = beta * (8 * (2 * n - 1) ** 2) // (n + 1) ** 2
-            self._alpha, self._w, self._beta = alpha, w, beta
-
-    def rows_upto(self, n_max: int) -> list[DyadicRow]:
-        self.grow(n_max)
-        return self._rows[: n_max + 1]
+    yield DyadicRow((1, 0), (1, 0), (0, 0))
+    alpha, w, beta = 1, 3, 1  # alpha_n, w_n, beta_n of row n
+    for n in count(1):
+        exp = 5 * n - 3
+        yield DyadicRow(_reduced(alpha, exp), _reduced(beta, exp), _reduced(beta - alpha, exp))
+        alpha = w - alpha
+        w = w * (12 * (2 * n - 1)) // (n + 1)
+        beta = beta * (8 * (2 * n - 1) ** 2) // (n + 1) ** 2
 
 
-_CACHE = _CoefficientCache()
-
-
-def dyadic_coeffs_upto(n_max: int) -> list[DyadicRow]:
-    """[row_0, ..., row_n_max] of the shared table, exactly and without Fractions."""
+def _rows_upto(n_max: int):
+    """row_0, ..., row_n_max of a fresh stream."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return _CACHE.rows_upto(n_max)
+    return islice(dyadic_rows(), n_max + 1)
 
 
 def _fractions(column: int, n_max: int) -> list[Fraction]:
     return [Fraction(num, 1 << exp) for num, exp in
-            (row[column] for row in dyadic_coeffs_upto(n_max))]
+            (row[column] for row in _rows_upto(n_max))]
 
 
 def a_coeffs_upto(n_max: int) -> list[Fraction]:
-    """[A_0, ..., A_n_max] from the shared exact table."""
+    """[A_0, ..., A_n_max] exactly."""
     return _fractions(0, n_max)
 
 
 def b_coeffs_upto(n_max: int) -> list[Fraction]:
-    """[B_0, ..., B_n_max] from the shared exact table."""
+    """[B_0, ..., B_n_max] exactly."""
     return _fractions(1, n_max)
 
 
 def delta_coeffs_upto(n_max: int) -> list[Fraction]:
-    """[delta_0, ..., delta_n_max] from the shared exact table."""
+    """[delta_0, ..., delta_n_max] exactly."""
     return _fractions(2, n_max)
 
 
@@ -323,7 +302,7 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
 def _exact_div(x: Decimal, d: int) -> Decimal:
     q, r = _EXACT.divmod(x, d)
     if r:
-        raise ArithmeticError(f"inexact division by {d} in the decimal coefficient table")
+        raise ArithmeticError(f"inexact division by {d} in the decimal twin")
     return q
 
 
@@ -343,7 +322,7 @@ def coeff_rows_str(n_max: int):
     """Iterator over (n, A_n, B_n, delta_n) for n = 0..n_max, each
     coefficient an exact "numerator/denominator" string.
 
-    The strings come from a decimal twin of the table, advanced in lockstep
+    The strings come from a decimal twin of the rows, advanced in lockstep
     on the odd numerators by small-integer steps:
 
         A_(n+1) = t_n - A_n/32,   t_n = Cat(n-1) 3^n / 2^(4n+3),
@@ -351,32 +330,33 @@ def coeff_rows_str(n_max: int):
         B_(n+1) = B_n (2n-1)^2 / (2n+2)^2,
         delta_n = B_n - A_n,
 
-    with A_1 = B_1 = 1/4 and t_1 = 3/2^7.  The first line is the table's
+    with A_1 = B_1 = 1/4 and t_1 = 3/2^7.  The first line is the rows'
     alpha_(n+1) = w_n - alpha_n divided by 2^(5n+2), so t_n = w_n/2^(5n+2).
-    The exponents come from the binary rows, and each 2**exp denominator
-    from a running power, so no big integer is converted to decimal, and
-    a wrong exponent makes an exact division fail instead of printing a
-    wrong value.
+    The exponents come from the binary rows, read one row ahead for the
+    next A exponent, and each 2**exp denominator from a running power, so
+    no big integer is converted to decimal, and a wrong exponent makes an
+    exact division fail instead of printing a wrong value.
     """
-    rows = dyadic_coeffs_upto(n_max)
-    return _decimal_twin(rows)
+    return _decimal_twin(_rows_upto(n_max))
 
 
 def _decimal_twin(rows):
+    rows = iter(rows)
+    next(rows, None)  # row 0 prints as constants
     yield 0, "1/1", "1/1", "0/1"
     a, b, t, t_exp = Decimal(1), Decimal(1), Decimal(3), 7
     dens = [[0, Decimal(1)] for _ in range(3)]  # running [exp, 2**exp] per column
-    for n in range(1, len(rows)):
-        exps = [exp for _num, exp in rows[n]]
+    for n, (row, ahead) in enumerate(pairwise(chain(rows, [None])), start=1):
+        exps = [exp for _num, exp in row]
         nums = (a, b, _difference(b, exps[1], a, exps[0], exps[2]))
         for den, exp in zip(dens, exps):
             den[1] = _times_pow2(den[1], exp - den[0])
             den[0] = exp
         yield (n, *(f"{num}/{den[1]}" for num, den in zip(nums, dens)))
-        if n + 1 < len(rows):
+        if ahead is not None:
             v = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = 2^v * odd
             odd = (n + 1) >> v
-            a = _difference(t, t_exp, a, exps[0] + 5, rows[n + 1].A[1])
+            a = _difference(t, t_exp, a, exps[0] + 5, ahead.A[1])
             b = _exact_div(_EXACT.multiply(b, (2 * n - 1) ** 2), odd * odd)
             t = _exact_div(_EXACT.multiply(t, 3 * (2 * n - 1)), odd)
             t_exp += 3 + v

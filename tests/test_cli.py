@@ -135,9 +135,23 @@ def test_bounds_with_eccentricity_endpoint(capsys):
 
 
 def test_bounds_domain_error(capsys):
-    rc, _out, err = run(["bounds", "--lambda", "1.5"], capsys)
-    assert rc == 2
-    assert "error" in err
+    # refused before anything is printed: no partial result on stdout
+    for args in (["--lambda", "1.5"], ["--lambda", "nan"], ["--e", "2"]):
+        rc, out, err = run(["bounds", *args], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "must lie in [0, 1]" in err
+
+
+@pytest.mark.parametrize("args", [["--lambda", "1e-35"], ["--e", "1e-17"]])
+def test_bounds_tiny_shape_is_certified(capsys, args):
+    # theta's gap above 3/2^17 (~ lam^2 / 2) is below working precision
+    # here, so the lower side is inconclusive, not refused
+    rc, out, err = run(["bounds", *args], capsys)
+    assert rc == 0
+    assert "theta(" in out
+    assert "containment: lower inconclusive, upper pass" in out
+    assert err == "warning: containment inconclusive at this tolerance\n"
 
 
 def test_bounds_mutually_exclusive(capsys):
@@ -290,6 +304,18 @@ def test_nan_tolerance_is_bad_argument(capsys, args):
     assert rc == 2
     assert out == ""
     assert err == "error: tol must be positive\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["perimeter", "--a", "2", "--b", "1", "--tol", "inf"],
+    ["ivory-check", "--x", "0.5", "--tol", "inf"],
+])
+def test_infinite_tolerance_is_bad_argument(capsys, args):
+    # an infinite tolerance made ivory-check a check that could not fail
+    rc, out, err = run(args, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: tol must be finite\n"
 
 
 def test_verify_lemma_unwritable_json_path_is_bad_argument(tmp_path):

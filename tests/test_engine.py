@@ -26,6 +26,7 @@ from ellipcert import (
     ToleranceFloorError,
     a_coeffs_upto,
     b_coeff,
+    delta_coeffs_upto,
     discrepancy,
     discrepancy_ratio,
     eccentricity_from_lambda,
@@ -397,6 +398,52 @@ def test_theta_equals_discrepancy_at_endpoint():
         assert abs(t.mid - d.mid) < t.width + d.width
 
 
+def _ratio_partial_sum(x: F, n_max: int) -> F:
+    """delta_5 + delta_6 x + ... + delta_n_max x^(n_max - 5), exactly."""
+    d = delta_coeffs_upto(n_max)
+    return sum((d[n] * x ** (n - 5) for n in range(5, n_max + 1)), F(0))
+
+
+def _assert_certifies_ratio(enc, xq: F, scale: F) -> None:
+    """enc encloses scale * Delta(x)/x^5 to about nine digits; the omitted
+    terms of the partial sum to n = 12 lie in (0, x^8 / (1 - x)], since
+    0 < delta_n < B_n <= 1."""
+    s = _ratio_partial_sum(xq, 12)
+    rest = xq**8 / (1 - xq)
+    lo, hi = engine._exact_fraction(enc.lo), engine._exact_fraction(enc.hi)
+    assert 0 < lo <= (s + rest) * scale
+    assert s * scale <= hi
+    assert hi - lo <= F(1, 10**8) * s * scale
+
+
+@pytest.mark.parametrize("x", [1e-50, 1e-62, 1e-63, 1e-70, 1e-200, 2.2e-308, 5e-324])
+def test_discrepancy_default_target_certifies_tiny_x(x):
+    # below x ~ 1e-62 the float default target underflowed to 0.0 and the
+    # call was refused with "tol must be positive"
+    xq = F(x)
+    _assert_certifies_ratio(discrepancy(x), xq, xq**5)
+    _assert_certifies_ratio(discrepancy_ratio(x), xq, F(1))
+
+
+@pytest.mark.parametrize("lam", [1e-35, 1e-170, 5e-324])
+def test_theta_of_lambda_certifies_tiny_lambda(lam):
+    # x = lam^2 is formed at working precision; for lam below ~1e-162 it
+    # lies below the float range
+    lm = engine._as_mpf(lam, engine._ctx(engine.WORKING_DPS))
+    _assert_certifies_ratio(theta_of_lambda(lam), engine._exact_fraction(lm * lm), F(1))
+
+
+def test_discrepancy_ratio_never_loosens_an_explicit_tol():
+    # tol * x^5 underflows in float at both points; the default target
+    # (width 2.6e-24 at x = 1e-10) must not stand in for the one asked for
+    assert discrepancy_ratio(1e-61, 1e-20).width <= 1e-20
+    try:
+        width = discrepancy_ratio(1e-10, 1e-300).width
+    except ToleranceFloorError:
+        width = None  # refused, which is allowed
+    assert width is None or width <= 1e-300 * (1 + 1e-5)
+
+
 # -------------------------------------------------------------- Enclosure
 
 
@@ -456,22 +503,58 @@ def test_gauss_legendre_pairs_equal_numpy_leggauss():
 @pytest.fixture(scope="module")
 def exact_views():
     n_max = 1500
-    return (engine.dyadic_coeffs_upto(n_max), engine.delta_coeffs_upto(n_max),
-            engine.b_coeffs_upto(n_max))
+    return engine.delta_coeffs_upto(n_max), engine.b_coeffs_upto(n_max)
 
 
 @pytest.mark.parametrize("dps", [50, 60, 120])
 def test_dyadic_images_equal_the_fraction_conversion(dps, exact_views):
     # num / 2**exp rounded once equals ctx.mpf(num) / den, bit for bit
-    rows, exact_d, exact_b = exact_views
+    exact_d, exact_b = exact_views
     ctx = engine._ctx(dps)
-    deltas = engine._MPF_COEFFS.get(dps, len(rows) - 1)
-    for n, row in enumerate(rows):
-        q = exact_d[n]
-        assert deltas[n]._mpf_ == (ctx.mpf(q.numerator) / q.denominator)._mpf_, n
-        q = exact_b[n]
-        assert (engine._dyadic_mpf(row.B, ctx)._mpf_
-                == (ctx.mpf(q.numerator) / q.denominator)._mpf_), n
+    deltas, bs = engine._MPF_COEFFS.get(dps, len(exact_d) - 1)
+    for n, (d, b) in enumerate(zip(exact_d, exact_b)):
+        assert deltas[n]._mpf_ == (ctx.mpf(d.numerator) / d.denominator)._mpf_, n
+        assert bs[n]._mpf_ == (ctx.mpf(b.numerator) / b.denominator)._mpf_, n
+
+
+def test_cache_grown_in_uneven_steps_matches_one_step():
+    for dps in (50, 120):
+        stepped, whole = engine._MpfCoefficientCache(), engine._MpfCoefficientCache()
+        for n in (3, 4, 10, 200):
+            stepped.get(dps, n)
+        whole.get(dps, 200)
+        # the delta images, then the B images
+        for got, want in zip(stepped.get(dps, 200), whole.get(dps, 200)):
+            assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+
+
+def test_cache_concurrent_growth_is_consistent(fast_thread_switching):
+    # hammer one fresh cache from many threads at two precisions; every
+    # reader must see a fully built prefix equal to a serial cache's
+    from concurrent.futures import ThreadPoolExecutor
+
+    serial = engine._MpfCoefficientCache()
+    reference = {dps: [[v._mpf_ for v in images] for images in serial.get(dps, 400)]
+                 for dps in (50, 60)}
+    shared = engine._MpfCoefficientCache()
+
+    def worker(k):
+        dps = (50, 60)[k % 2]
+        n = 50 + (k * 37) % 350
+        got = shared.get(dps, n)
+        return all(images[i]._mpf_ == ref[i]
+                   for images, ref in zip(got, reference[dps]) for i in range(n + 1))
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        results = list(pool.map(worker, range(64)))
+    assert all(results)
+
+
+def test_cold_discrepancy_at_one_holds_no_exact_table(traced_peak_mb):
+    # N = 4900 rows: a held table of exact A, B and delta peaked near 22 MB;
+    # the stream leaves only the mpf images, about 2.5 MB
+    peak = traced_peak_mb("ellipcert.engine.discrepancy(1.0)")
+    assert peak < 8.0, peak
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), mp.mpf("nan")])
@@ -485,4 +568,19 @@ def test_non_positive_or_nan_tolerance_is_rejected(tol):
     ]
     for call in calls:
         with pytest.raises(ValueError, match="tol must be positive"):
+            call()
+
+
+@pytest.mark.parametrize("tol", [math.inf, mp.mpf("inf")])
+def test_infinite_tolerance_is_rejected(tol):
+    # an infinite width target certifies nothing
+    calls = [
+        lambda: eval_B(0.25, tol),
+        lambda: ivory_integral(0.5, tol),
+        lambda: perimeter(Ellipse(2, 1), tol),
+        lambda: discrepancy(0.5, tol),
+        lambda: discrepancy_ratio(1e-70, tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be finite"):
             call()

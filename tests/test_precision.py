@@ -2,12 +2,10 @@
 neither their own precision changed nor each other's results disturbed."""
 
 import ast
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from threading import Barrier
 
-import pytest
 from mpmath import mp
 
 import ellipcert
@@ -28,16 +26,6 @@ def _results():
                  report.theta, report.delta_e]
     encs += [theta_of_lambda(lam) for lam in LAMBDAS]
     return [(e.lo._mpf_, e.hi._mpf_, e.regime) for e in encs]
-
-
-@pytest.fixture
-def fast_thread_switching():
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(old)
 
 
 def test_concurrent_callers_match_serial_and_keep_caller_precision(fast_thread_switching):
@@ -154,3 +142,65 @@ def test_package_never_touches_private_fraction_internals():
     uses = {path.name: _fraction_private_uses(path.read_text(encoding="utf-8"))
             for path in files}
     assert not {name: found for name, found in uses.items() if found}
+
+
+# -- the guard: the exact coefficient layer holds no state --
+
+_THREADING = {"threading", "_thread"}
+_MUTABLE_FACTORIES = {"list", "dict", "set", "bytearray", "deque", "defaultdict",
+                      "OrderedDict", "Counter"}
+
+
+def _held_state(source: str) -> list[str]:
+    """Each threading import, and each module-level binding of a mutable
+    container or of an instance of a class the module defines (``__all__``
+    is exempt)."""
+    tree = ast.parse(source)
+    local_classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"{node.lineno}: import {a.name}" for a in node.names
+                      if a.name.split(".")[0] in _THREADING]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in _THREADING:
+            found.append(f"{node.lineno}: from {node.module} import")
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            continue
+        value = node.value
+        if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
+                              ast.SetComp)) or (
+                isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in _MUTABLE_FACTORIES | local_classes):
+            found.append(f"{node.lineno}: {ast.unparse(targets[0])}")
+    return found
+
+
+def test_state_guard_flags_each_kind_of_binding():
+    samples = [
+        "import threading\n",
+        "from threading import Lock\n",
+        "def f():\n    import _thread\n",
+        "_ROWS = []\n",
+        "_ROWS: dict = {}\n",
+        "_SEEN = set()\n",
+        "_SQUARES = [n * n for n in range(3)]\n",
+        "from collections import deque\n_QUEUE = deque()\n",
+        "class Table:\n    pass\n_TABLE = Table()\n",
+    ]
+    for source in samples:
+        assert _held_state(source), source
+    assert not _held_state(
+        "__all__ = ['f']\n_PAIR = (1, 2)\n_NONE = frozenset()\n"
+        "def f():\n    cache = {}\n    return cache\n"
+    )
+
+
+def test_series_kernel_holds_no_table_or_lock():
+    assert not _held_state((SRC / "series_kernel.py").read_text(encoding="utf-8"))

@@ -9,6 +9,7 @@ product formula.
 
 from decimal import Decimal
 from fractions import Fraction as F
+from itertools import islice
 from math import comb
 
 import pytest
@@ -29,11 +30,10 @@ from ellipcert import (
 )
 from ellipcert.series_kernel import (
     DyadicRow,
-    _CoefficientCache,
     _decimal_twin,
     _exact_div,
     _times_pow2,
-    dyadic_coeffs_upto,
+    dyadic_rows,
     rational_str,
 )
 
@@ -225,39 +225,11 @@ def test_caches_match_definitional_routes():
         assert d[n] == b[n] - a[n]
 
 
-def test_cache_grown_in_uneven_steps_matches_one_step():
-    stepped, whole = _CoefficientCache(), _CoefficientCache()
-    for n in (3, 4, 10, 200):
-        stepped.grow(n)
-    whole.grow(200)
-    stepped_rows, whole_rows = stepped.rows_upto(200), whole.rows_upto(200)
-    assert [r.A for r in stepped_rows] == [r.A for r in whole_rows]
-    assert [r.B for r in stepped_rows] == [r.B for r in whole_rows]
-    assert [r.delta for r in stepped_rows] == [r.delta for r in whole_rows]
-
-
 def test_determinism():
     first = a_series_via_composition(30)
     second = a_series_via_composition(30)
     assert first == second
     assert a_coeffs_upto(40) == a_coeffs_upto(40)
-
-
-def test_cache_concurrent_growth_is_consistent():
-    # hammer the initialize-once table from many threads; every reader
-    # must see a fully built prefix identical to the sequential answer
-    from concurrent.futures import ThreadPoolExecutor
-
-    reference = delta_coeffs_upto(400)
-
-    def worker(k):
-        n = 50 + (k * 37) % 350
-        rows = delta_coeffs_upto(n)
-        return all(rows[i] == reference[i] for i in range(n + 1))
-
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(worker, range(64)))
-    assert all(results)
 
 
 def test_rational_str_ignores_the_int_digit_limit(int_digit_cap):
@@ -269,7 +241,7 @@ def test_rational_str_ignores_the_int_digit_limit(int_digit_cap):
 
 
 def test_dyadic_rows_are_reduced():
-    for n, row in enumerate(dyadic_coeffs_upto(300)):
+    for n, row in enumerate(islice(dyadic_rows(), 301)):
         for num, exp in row:
             assert num % 2 == 1 or (num, exp) == (0, 0), (n, num, exp)
         assert F(row.B[0], 2 ** row.B[1]) == b_coeff(n)
@@ -285,10 +257,20 @@ def test_decimal_twin_divisions_raise_instead_of_truncating():
 
 
 def test_decimal_twin_rejects_a_wrong_exponent():
-    rows = dyadic_coeffs_upto(40)
+    rows = list(islice(dyadic_rows(), 41))
     assert len(list(_decimal_twin(rows))) == 41
     # one bit too few in A_20's denominator: the twin's exact division fails
     (num, exp), b, d = rows[20]
     bad = rows[:20] + [DyadicRow((num, exp - 1), b, d)] + rows[21:]
     with pytest.raises(ArithmeticError):
         list(_decimal_twin(bad))
+
+
+def test_coefficient_rows_stream_in_bounded_memory(traced_peak_mb):
+    # a held table of the 2001 rows peaks near 4 MB; a stream stays near 0.05 MB
+    peak = traced_peak_mb(
+        "from ellipcert.series_kernel import coeff_rows_str\n"
+        "for row in coeff_rows_str(2000):\n"
+        "    pass"
+    )
+    assert peak < 1.0, peak
