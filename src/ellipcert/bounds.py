@@ -219,32 +219,38 @@ def error_report(ellipse: Ellipse, tol: float | None = None) -> ErrorReport:
     )
 
 
-def _verdict_between(mid, width, lower, upper, attained_upper: bool, margin: float):
+def _verdict_between(enc: Enclosure, lower, upper, attained_upper: bool, margin: float):
     """Strictness-aware containment verdicts for an enclosure.
 
-    Strict inequalities pass only with a ``margin``-times-width gap, and
-    fail only when the whole enclosure clears the bound; anything in
-    between is reported inconclusive rather than silently passed or
-    failed.  When the upper endpoint is attained (lam = 1), the upper
-    comparison is a plain <= on the midpoint.  The arithmetic runs at
-    WORKING_DPS; ``mid`` and ``width`` enter it exactly (``ctx.convert``),
-    so each difference and the guard round once.
+    Strict inequalities pass only when the midpoint clears the bound by
+    more than ``margin`` times the width, and fail only when the whole
+    enclosure clears it; anything in between is reported inconclusive
+    rather than silently passed or failed.  When the upper endpoint is
+    attained (lam = 1), the upper comparison is a plain <= on the
+    midpoint.  Every verdict is exact: the sums below are formed without
+    rounding (``exact=True``; doubling is exact too) and mpf comparisons
+    are exact, so a gap far below the working precision still decides.
     """
     ctx = _ctx(WORKING_DPS)
-    mid, width = ctx.convert(mid), ctx.convert(width)
-    guard = margin * width
-    half = width / 2
-    if lower - mid > half:  # enclosure entirely below the lower bound
+    lo, hi = enc.lo, enc.hi
+    # twice the midpoint, the bounds and the guard margin * width
+    mid2, lower2, upper2 = ctx.fadd(lo, hi, exact=True), ctx.ldexp(lower, 1), ctx.ldexp(upper, 1)
+    guard2 = ctx.fmul(2 * margin, ctx.fsub(hi, lo, exact=True), exact=True)
+
+    def clears(a2, b2) -> bool:  # a - b > margin * width
+        return ctx.fsub(a2, b2, exact=True) > guard2
+
+    if hi < lower:  # enclosure entirely below the lower bound
         low = "fail"
-    elif mid - lower > guard:
+    elif clears(mid2, lower2):
         low = "pass"
     else:
         low = "inconclusive"
     if attained_upper:
-        up = "pass" if mid <= upper else ("fail" if mid - upper > half else "inconclusive")
-    elif mid - upper > half:  # enclosure entirely above the upper bound
+        up = "pass" if mid2 <= upper2 else ("fail" if lo > upper else "inconclusive")
+    elif lo > upper:  # enclosure entirely above the upper bound
         up = "fail"
-    elif upper - mid > guard:
+    elif clears(upper2, mid2):
         up = "pass"
     else:
         up = "inconclusive"
@@ -264,9 +270,8 @@ def containment_check(report: ErrorReport, margin: float = 10.0) -> dict:
     else:
         attained = report.lam == 1
         eps, theta = report.epsilon_enclosure, report.theta
-        eps_v = _verdict_between(eps.mid, eps.width, report.lower_bound,
-                                 report.upper_bound, attained, margin)
-        theta_v = _verdict_between(theta.mid, theta.width, _as_mpf(THETA_LOWER, _ctx(WORKING_DPS)),
+        eps_v = _verdict_between(eps, report.lower_bound, report.upper_bound, attained, margin)
+        theta_v = _verdict_between(theta, _as_mpf(THETA_LOWER, _ctx(WORKING_DPS)),
                                    theta_upper(), attained, margin)
         verdicts = dict(zip(keys, eps_v + theta_v))
     verdicts["ok"] = all(v != "fail" for v in verdicts.values())

@@ -11,39 +11,47 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 
-from .bounds import (
-    DELTA_E_EXPONENT,
-    THETA_LOWER,
-    _verdict_between,
-    containment_check,
-    delta_e_bounds,
-    error_report,
-    scaled_theta_upper,
-    theta_upper,
-)
-from .engine import (
-    WORKING_DPS,
-    Ellipse,
-    QuadratureBudgetError,
-    _as_mpf,
-    _ctx,
-    _scaled,
-    eval_B,
-    ivory_integral,
-    lambda_from_eccentricity,
-    theta_of_lambda,
-)
-from .lemma import verify_fundamental_lemma
-# the three *_coeffs_upto names are unused here but stay importable:
-# bench/tracer.py rebinds them in this namespace
-from .series_kernel import (  # noqa: F401
-    a_coeffs_upto,
-    b_coeffs_upto,
-    coeff_rows_str,
-    delta_coeffs_upto,
-    rational_str,
-)
+# name -> the layer that defines it.  A command binds the names of the
+# layers it uses just before it runs (`_load`), so `coeffs` never imports
+# the numeric layers or mpmath; module `__getattr__` resolves any of them
+# from outside.  A name already bound here -- rebound by a caller to wrap
+# or replace it -- is left as it is, and is what the command calls.
+_LAYER_NAMES = {
+    **dict.fromkeys((
+        "DELTA_E_EXPONENT", "THETA_LOWER", "_verdict_between", "containment_check",
+        "delta_e_bounds", "error_report", "scaled_theta_upper", "theta_upper",
+    ), "bounds"),
+    **dict.fromkeys((
+        "WORKING_DPS", "Ellipse", "QuadratureBudgetError", "_as_mpf", "_ctx", "_scaled",
+        "eval_B", "ivory_integral", "lambda_from_eccentricity", "theta_of_lambda",
+    ), "engine"),
+    "verify_fundamental_lemma": "lemma",
+    # the three *_coeffs_upto names are unused here but stay reachable:
+    # bench/tracer.py rebinds them in this namespace
+    **dict.fromkeys((
+        "a_coeffs_upto", "b_coeffs_upto", "coeff_rows_str", "delta_coeffs_upto",
+        "rational_str",
+    ), "series_kernel"),
+}
+
+
+def _load(*layers: str) -> None:
+    """Bind here every name of ``layers`` that is not bound yet."""
+    names = globals()
+    for name, layer in _LAYER_NAMES.items():
+        if layer in layers and name not in names:
+            names[name] = getattr(import_module(f".{layer}", __package__), name)
+
+
+def __getattr__(name: str):
+    layer = _LAYER_NAMES.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(layer)
+    return globals()[name]
+
 
 __all__ = ["cli_main", "main"]
 
@@ -95,6 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify_lemma(args) -> int:
+    _load("lemma")
     cert = verify_fundamental_lemma(args.max_n)
     text = cert.to_json()
     print(text)
@@ -116,6 +125,7 @@ def _cmd_coeffs(args) -> int:
     n = args.n
     if n < 0:
         raise ValueError("--n must be >= 0")
+    _load("series_kernel")
     rows = coeff_rows_str(n)
     out = sys.stdout  # rows are written as they come; the table is never held
     if args.format == "json":
@@ -134,6 +144,7 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_perimeter(args) -> int:
+    _load("engine", "bounds")
     ell = Ellipse(args.a, args.b)
     report = error_report(ell, args.tol)
     verdicts = containment_check(report)
@@ -162,6 +173,7 @@ def _cmd_perimeter(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    _load("series_kernel", "engine", "bounds")
     ctx = _ctx(WORKING_DPS)
     lam = args.lam
     if lam is None and args.e is not None:
@@ -187,9 +199,8 @@ def _cmd_bounds(args) -> int:
     if enc is None:
         print("lambda = 0: theta takes its limit value 3/2^17; nothing to check")
         return 0
-    low_v, up_v = _verdict_between(
-        enc.mid, enc.width, _as_mpf(lo, ctx), up, attained_upper=(lam == 1), margin=10.0
-    )
+    low_v, up_v = _verdict_between(enc, _as_mpf(lo, ctx), up, attained_upper=(lam == 1),
+                                   margin=10.0)
     delta = _scaled(enc, ctx.pi / 2**DELTA_E_EXPONENT)
     print(f"theta({_fmt(lam, 8)}) in {_enc_str(enc)}")
     print(f"delta_e value in [{_fmt(delta.lo)}, {_fmt(delta.hi)}]")
@@ -203,8 +214,13 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_ivory_check(args) -> int:
+    _load("engine")
     x = args.x
-    quad = ivory_integral(x, args.tol)
+    try:
+        quad = ivory_integral(x, args.tol)
+    except QuadratureBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     series_tol = max(args.tol, 5e-9 if x > 0.999 else 1e-12)
     enc = eval_B(x, series_tol)
     ctx = _ctx(WORKING_DPS)
@@ -240,9 +256,6 @@ def cli_main(argv=None) -> int:
     except ValueError as exc:  # domain errors and tolerance floors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except QuadratureBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def main() -> None:

@@ -2,9 +2,10 @@
 
 Everything numeric here runs in mpmath extended precision (50 significant
 digits by default, more when a tolerance demands it) in private
-contexts: ``_ctx(dps)`` makes one ``mpmath.MPContext`` per precision and
-never changes it.  mpmath rounds an operation at the precision of its left
-operand's context, so each value enters a context before it is used:
+contexts: ``_ctx(dps)`` makes one ``mpmath.MPContext`` per precision (the
+few most recently used are kept) and never changes it.  mpmath rounds an
+operation at the precision of its left operand's context, so each value
+enters a context before it is used:
 ``ctx.mpf``/``_as_mpf`` round it to the context's precision, and
 ``ctx.convert`` takes a wider value exactly.  The global ``mp`` context
 is never read or changed, so results do not depend on the caller's
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -84,7 +86,13 @@ class QuadratureBudgetError(RuntimeError):
     """Adaptive quadrature did not reach tolerance within its panel budget."""
 
 
-@lru_cache(maxsize=None)  # dps tracks -log10(tol): one context per precision in use
+# dps tracks -log10(tol), so a sweep over tolerances or tiny x meets a new
+# precision at every step; the per-precision caches keep only this many of
+# the most recently used ones, and a dropped one is rebuilt on demand
+_PRECISIONS_KEPT = 8
+
+
+@lru_cache(maxsize=_PRECISIONS_KEPT)
 def _ctx(dps: int) -> MPContext:
     """The private context working at ``dps`` digits; its precision never changes."""
     ctx = MPContext()
@@ -267,8 +275,14 @@ def _tail_estimate(xf: float, n: int) -> float:
         return slow
     if xf == 0.0:
         return 0.0  # the series terminates immediately
-    log_geo = (n + 1) * math.log(xf) - math.log(4.0 * math.pi * (n + 1) ** 3) - math.log1p(-xf)
-    return min(slow, math.exp(log_geo))
+    return min(slow, math.exp(_log_geo_estimate(math.log(xf), math.log1p(-xf), n)))
+
+
+def _log_geo_estimate(log_x: float, log1m_x: float, n: int) -> float:
+    """Natural log of the geometric tail estimate B_(n+1) x^(n+1) / (1 - x)
+    of ``_tail_estimate``, from log x and log(1 - x); finite where the
+    estimate itself underflows."""
+    return (n + 1) * log_x - math.log(4.0 * math.pi * (n + 1) ** 3) - log1m_x
 
 
 def _tail_bound(n: int, next_term, one_minus):
@@ -450,17 +464,24 @@ def perimeter_ramanujan(ellipse: Ellipse):
 class _MpfCoefficientCache:
     """Per-precision mpf images of delta_n and B_n, the one coefficient cache:
     each precision keeps its own exact stream (`dyadic_rows`) and only the
-    images, so no exact row outlives its conversion."""
+    images, so no exact row outlives its conversion.  Only the
+    ``_PRECISIONS_KEPT`` most recently used precisions are kept."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._store: dict[int, tuple] = {}  # dps -> (stream, deltas, bs)
+        self._store: OrderedDict[int, tuple] = OrderedDict()  # dps -> (stream, deltas, bs)
 
     def get(self, dps: int, n_max: int) -> tuple[list, list]:
         """([delta_0, ...], [B_0, ...]) rounded once at ``dps`` digits, each
         list at least n_max + 1 long; later calls only append to them."""
         with self._lock:
-            rows, deltas, bs = self._store.setdefault(dps, (dyadic_rows(), [], []))
+            if dps in self._store:
+                self._store.move_to_end(dps)
+            else:
+                self._store[dps] = (dyadic_rows(), [], [])
+                if len(self._store) > _PRECISIONS_KEPT:
+                    self._store.popitem(last=False)
+            rows, deltas, bs = self._store[dps]
             ctx = _ctx(dps)
             while len(deltas) <= n_max:
                 row = next(rows)
@@ -472,14 +493,29 @@ class _MpfCoefficientCache:
 _MPF_COEFFS = _MpfCoefficientCache()
 
 
-def _estimate_delta_terms(xf: float, tol: float, max_terms: int) -> int | None:
-    """Smallest N >= 6 whose float tail estimate is within tol/2, or None.
+def _estimate_delta_terms(x, tol, max_terms: int) -> int | None:
+    """Smallest N >= 6 whose tail estimate is within tol/2, or None.
 
     The estimate strictly decreases in N, so bisection finds the first N a
-    linear scan would.
+    linear scan would.  Where the float estimate underflows to 0 (x, or x
+    and tol, far below 1) the comparison is made in log space instead, so
+    the plan does not stop short of the terms a tiny tol needs.  ``x``
+    and ``tol`` may be mpf values below the float range.
     """
+    xf, half = float(x), 0.5 * tol
+    ctx = _ctx(15)
+    logs = []  # [log x, log(1 - x), log(tol/2)], computed on the first underflow
+
+    def fits(n: int) -> bool:
+        est = _tail_estimate(xf, n)
+        if est > 0.0:
+            return est <= half
+        if not logs:  # the estimate underflowed, so x < 1 here
+            logs.extend((float(ctx.log(x)), math.log1p(-xf), float(ctx.log(half))))
+        return _log_geo_estimate(logs[0], logs[1], n) <= logs[2]
+
     ns = range(6, max_terms + 1)
-    i = bisect_left(ns, True, key=lambda n: _tail_estimate(xf, n) <= 0.5 * tol)
+    i = bisect_left(ns, True, key=fits)
     return ns[i] if i < len(ns) else None
 
 
@@ -516,7 +552,7 @@ def discrepancy(x, tol: float | None = None, max_terms: int = 6000) -> Enclosure
     if tol is None:
         tol = _default_delta_tol(x, max_terms)
     _check_tol(tol)
-    n_terms = _estimate_delta_terms(xf, tol, max_terms)
+    n_terms = _estimate_delta_terms(x, tol, max_terms)
     if n_terms is None:
         raise ToleranceFloorError(
             f"tol={tol} not certifiable within {max_terms} difference terms at x={xf}"

@@ -13,9 +13,9 @@ The claims being checked, all in exact rational arithmetic unless noted:
 
 The one intentionally non-exact piece is `g_min_analysis`, which locates
 the real minimum of g at (7 + sqrt(41))/4 and corroborates the sign
-pattern of g' numerically; everything feeding the certificate booleans is
-decided in exact integer arithmetic, by cross-multiplying numerators and
-positive denominators.
+pattern of g' numerically, in 50-digit decimal arithmetic; everything
+feeding the certificate booleans is decided in exact integer arithmetic,
+by cross-multiplying numerators and positive denominators.
 
 `verify_fundamental_lemma` is one pass that builds each quantity once,
 each from its own definition: A_n from the exact O(n) stream, which
@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import comb
-
-from mpmath import MPContext
 
 from .series_kernel import a_coeff_explicit, a_series_via_composition, b_coeff, rational_str
 
@@ -45,9 +44,9 @@ __all__ = [
 ]
 
 # the one numeric part of the module runs in its own 50-digit context,
-# fixed here, so the caller's precision never reaches it
-_ANALYSIS = MPContext()
-_ANALYSIS.dps = 50
+# fixed here and entered with localcontext, so the caller's decimal
+# context never reaches it
+_ANALYSIS = Context(prec=50)
 
 # Discrepancies between commonly published coefficient values and exact
 # evaluation of the defining formulas; every corrected value below is
@@ -126,39 +125,40 @@ def _g_prime_real(x):
     return 2 * (2 * x**2 - 7 * x + 1) / (x * (x + 1) * (2 * x - 1) * (2 * x + 3))
 
 
-def g_min_analysis():
+def g_min_analysis() -> tuple[Decimal, Decimal]:
     """Locate and evaluate the minimum of g on (3/2, infinity).
 
-    Returns ``(location, value)`` where location = (7 + sqrt(41))/4, the
-    positive root of 2x^2 - 7x + 1.  The value is computed two ways (the
-    closed form 1 + (37 - sqrt(41))/(399 + 69 sqrt(41)) and direct
-    evaluation of g) which must agree to 1e-12, and the sign of g' left
-    and right of the minimum is checked both from its rational closed form
-    and by centered finite differences.
+    Returns ``(location, value)`` as 50-digit Decimals, where location =
+    (7 + sqrt(41))/4, the positive root of 2x^2 - 7x + 1.  The value is
+    computed two ways (the closed form 1 + (37 - sqrt(41))/(399 + 69
+    sqrt(41)) and direct evaluation of g) which must agree to 1e-12, and
+    the sign of g' left and right of the minimum is checked both from its
+    rational closed form and by centered finite differences.
     """
-    ctx = _ANALYSIS
-    s41 = ctx.sqrt(41)
-    location = (7 + s41) / 4
-    closed = 1 + (37 - s41) / (399 + 69 * s41)
-    direct = _g_real(location)
-    if abs(closed - direct) > ctx.mpf("1e-12"):
-        raise ArithmeticError(
-            f"g minimum value disagrees between forms: {closed} vs {direct}"
-        )
-    h = ctx.mpf("1e-12")
-    for probe, want_sign in ((location - ctx.mpf("0.5"), -1), (location + ctx.mpf("0.5"), 1)):
-        formula_sign = 1 if _g_prime_real(probe) > 0 else -1
-        fd = (_g_real(probe + h) - _g_real(probe - h)) / (2 * h)
-        fd_sign = 1 if fd > 0 else -1
-        if formula_sign != want_sign or fd_sign != want_sign:
+    with localcontext(_ANALYSIS):
+        s41 = Decimal(41).sqrt()
+        location = (7 + s41) / 4
+        closed = 1 + (37 - s41) / (399 + 69 * s41)
+        direct = _g_real(location)
+        if abs(closed - direct) > Decimal("1e-12"):
             raise ArithmeticError(
-                f"g' sign check failed at x = {probe}: "
-                f"formula {formula_sign}, finite difference {fd_sign}"
+                f"g minimum value disagrees between forms: {closed} vs {direct}"
             )
-    # stationarity at the located minimum, again by finite differences
-    fd_mid = (_g_real(location + h) - _g_real(location - h)) / (2 * h)
-    if abs(fd_mid) > ctx.mpf("1e-8"):
-        raise ArithmeticError(f"g not stationary at {location}: slope {fd_mid}")
+        h = Decimal("1e-12")
+        for probe, want_sign in ((location - Decimal("0.5"), -1),
+                                 (location + Decimal("0.5"), 1)):
+            formula_sign = 1 if _g_prime_real(probe) > 0 else -1
+            fd = (_g_real(probe + h) - _g_real(probe - h)) / (2 * h)
+            fd_sign = 1 if fd > 0 else -1
+            if formula_sign != want_sign or fd_sign != want_sign:
+                raise ArithmeticError(
+                    f"g' sign check failed at x = {probe}: "
+                    f"formula {formula_sign}, finite difference {fd_sign}"
+                )
+        # stationarity at the located minimum, again by finite differences
+        fd_mid = (_g_real(location + h) - _g_real(location - h)) / (2 * h)
+        if abs(fd_mid) > Decimal("1e-8"):
+            raise ArithmeticError(f"g not stationary at {location}: slope {fd_mid}")
     return location, closed
 
 
@@ -177,8 +177,8 @@ class LemmaCertificate:
     inequalities_ok: bool
     f7_value: Fraction
     f_monotone_range: tuple[int, int]
-    g_min_location: object  # mpf
-    g_min_value: object  # mpf
+    g_min_location: Decimal
+    g_min_value: Decimal
     claim1_worst_ratio: Fraction
     claim2_ok: bool
     paper_typos_noted: list[str]
@@ -204,7 +204,8 @@ class LemmaCertificate:
 
     def to_json_dict(self) -> dict:
         def real(v) -> str:
-            return _ANALYSIS.nstr(v, 25)
+            with localcontext(_ANALYSIS):  # rounds to 25 digits half-even
+                return format(v, ".25g")
 
         return {
             "n_max": self.n_max,

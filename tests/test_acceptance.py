@@ -82,6 +82,7 @@ def test_criterion_3_f_g_machinery():
         assert g_val(k) > 1, f"g({k}) <= 1"
     loc, val = g_min_analysis()
     with mp.workdps(60):
+        loc, val = mp.mpf(str(loc)), mp.mpf(str(val))
         assert abs(val - mp.mpf("1.0363895208")) < mp.mpf("1e-9")
         assert abs(loc - (7 + mp.sqrt(41)) / 4) < mp.mpf("1e-12")
         x = mp.mpf(10) ** 6

@@ -145,13 +145,14 @@ def test_bounds_domain_error(capsys):
 
 @pytest.mark.parametrize("args", [["--lambda", "1e-35"], ["--e", "1e-17"]])
 def test_bounds_tiny_shape_is_certified(capsys, args):
-    # theta's gap above 3/2^17 (~ lam^2 / 2) is below working precision
-    # here, so the lower side is inconclusive, not refused
+    # theta's gap above 3/2^17 (~ 4e-5 lam^2, about 4e-75) lies far below
+    # the 50-digit working precision but far above the enclosure's width
+    # (~ 3e-144); the verdicts are exact comparisons, so the lower side passes
     rc, out, err = run(["bounds", *args], capsys)
     assert rc == 0
     assert "theta(" in out
-    assert "containment: lower inconclusive, upper pass" in out
-    assert err == "warning: containment inconclusive at this tolerance\n"
+    assert "containment: lower pass, upper pass" in out
+    assert err == ""
 
 
 def test_bounds_mutually_exclusive(capsys):

@@ -444,6 +444,21 @@ def test_discrepancy_ratio_never_loosens_an_explicit_tol():
     assert width is None or width <= 1e-300 * (1 + 1e-5)
 
 
+@pytest.mark.parametrize("x", [1e-10, 1e-70])
+def test_discrepancy_ratio_plans_past_the_float_underflow(x):
+    # the float tail estimate underflows to 0 long before tol * x^5 is met,
+    # so the term count must be planned past it.  Omitted terms past n = 45
+    # lie in (0, x^41 / (1 - x)].
+    tol = 1e-300
+    enc = discrepancy_ratio(x, tol)
+    assert enc.width <= tol
+    xq = F(x)
+    s = _ratio_partial_sum(xq, 45)
+    lo, hi = engine._exact_fraction(enc.lo), engine._exact_fraction(enc.hi)
+    assert lo <= s + xq**41 / (1 - xq)
+    assert s <= hi
+
+
 # -------------------------------------------------------------- Enclosure
 
 
@@ -548,6 +563,17 @@ def test_cache_concurrent_growth_is_consistent(fast_thread_switching):
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(worker, range(64)))
     assert all(results)
+
+
+def test_per_precision_caches_stay_bounded():
+    # the default target of Delta(10^-k) needs about 5k + 30 digits, so this
+    # sweep meets 50 precisions; only the most recently used few are kept
+    misses = engine._ctx.cache_info().misses
+    for k in range(5, 55):
+        discrepancy(10.0**-k)
+    assert engine._ctx.cache_info().misses - misses >= 50
+    assert engine._ctx.cache_info().currsize <= engine._PRECISIONS_KEPT
+    assert len(engine._MPF_COEFFS._store) <= engine._PRECISIONS_KEPT
 
 
 def test_cold_discrepancy_at_one_holds_no_exact_table(traced_peak_mb):

@@ -1,5 +1,6 @@
 """Verifier tests: f/g machinery, the minimum analysis, certificates."""
 
+import decimal
 import hashlib
 import json
 from fractions import Fraction as F
@@ -51,6 +52,7 @@ def test_g_exceeds_minimum_bound_exactly():
 def test_g_min_analysis_location_is_critical_point():
     loc, val = g_min_analysis()
     with mp.workdps(50):
+        loc, val = mp.mpf(str(loc)), mp.mpf(str(val))
         # the location must kill 2x^2 - 7x + 1 ...
         residual = 2 * loc**2 - 7 * loc + 1
         assert abs(residual) < mp.mpf("1e-40")
@@ -61,6 +63,7 @@ def test_g_min_analysis_location_is_critical_point():
 def test_g_min_analysis_value():
     _loc, val = g_min_analysis()
     with mp.workdps(50):
+        val = mp.mpf(str(val))
         assert abs(val - mp.mpf("1.0363895208")) < mp.mpf("1e-9")
         assert val > 1
 
@@ -68,6 +71,7 @@ def test_g_min_analysis_value():
 def test_g_min_is_local_minimum():
     loc, val = g_min_analysis()
     with mp.workdps(50):
+        loc, val = mp.mpf(str(loc)), mp.mpf(str(val))
         def g(x):
             return (2 * x / (6 * x - 9)) * ((2 * x - 1) / (x + 1)) ** 2
 
@@ -230,6 +234,15 @@ GOLDEN_CERT_SHA256 = {
 def test_certificate_matches_golden_digest(n):
     text = verify_fundamental_lemma(n).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CERT_SHA256[n]
+
+
+def test_certificate_ignores_the_ambient_decimal_context():
+    want = verify_fundamental_lemma(60).to_json()
+    with decimal.localcontext() as hostile:
+        hostile.prec = 5
+        hostile.rounding = decimal.ROUND_FLOOR
+        assert verify_fundamental_lemma(60).to_json() == want
+    assert hashlib.sha256(want.encode()).hexdigest() == GOLDEN_CERT_SHA256[60]
 
 
 def _a_series_with(index, value):

@@ -47,13 +47,16 @@ def test_concurrent_callers_match_serial_and_keep_caller_precision(fast_thread_s
     assert all(run == serial for run in runs)
 
 
-# -- the guard: no module of the package touches mpmath's global context --
+# -- the guard: no module of the package touches mpmath's global context,
+# -- nor the thread's decimal context
 
 _SCOPED = {"workdps", "workprec", "extradps", "extraprec"}
+_DECIMAL_GLOBAL = {"getcontext", "setcontext"}
 
 
 def _global_precision_uses(source: str) -> list[str]:
-    """Each use of the global context's precision, or of the context itself."""
+    """Each use of the global context's precision, or of the context itself;
+    for decimal, each read or replacement of the thread's context."""
     found = []
     for node in ast.walk(ast.parse(source)):
         line = getattr(node, "lineno", 0)
@@ -65,11 +68,16 @@ def _global_precision_uses(source: str) -> list[str]:
                 found.append(f"{line}: .{node.attr}")
             elif node.attr == "mp" and isinstance(base, ast.Name) and base.id == "mpmath":
                 found.append(f"{line}: mpmath.mp")
-        elif isinstance(node, ast.Name) and node.id in _SCOPED:
+            elif node.attr in _DECIMAL_GLOBAL:
+                found.append(f"{line}: .{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in _SCOPED | _DECIMAL_GLOBAL:
             found.append(f"{line}: {node.id}")
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mpmath"):
             found += [f"{line}: import {a.name}" for a in node.names
                       if a.name in _SCOPED | {"mp"}]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("decimal", "_pydecimal"):
+            found += [f"{line}: import {a.name}" for a in node.names
+                      if a.name in _DECIMAL_GLOBAL]
     return found
 
 
@@ -83,10 +91,17 @@ def test_guard_flags_each_kind_of_use():
         "mp.dps = 30\n",
         "p = mp.prec\n",
         "f = extradps(5)(g)\n",
+        "from decimal import getcontext\n",
+        "import decimal\ndecimal.getcontext().prec = 50\n",
+        "decimal.setcontext(ctx)\n",
+        "ctx = getcontext()\n",
     ]
     for source in samples:
         assert _global_precision_uses(source), source
     assert not _global_precision_uses("from mpmath import MPContext\nctx.dps = 50\n")
+    assert not _global_precision_uses(
+        "from decimal import Context, localcontext\n"
+        "with localcontext(Context(prec=50)):\n    pass\n")
 
 
 def test_package_never_touches_the_global_precision():
