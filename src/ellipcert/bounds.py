@@ -159,9 +159,9 @@ class ErrorReport:
 def error_report(ellipse: Ellipse, tol: float | None = None) -> ErrorReport:
     """Full error analysis for one ellipse.
 
-    ``tol`` bounds the perimeter enclosure width (default 1e-12, widened
-    automatically in the slow-convergence regime); the defect enclosure
-    gets its own, much tighter, magnitude-tracking tolerance.  For a
+    ``tol`` bounds the perimeter enclosure width (by default 1e-12 of p,
+    see ``perimeter``); the defect enclosure gets its own, much tighter,
+    magnitude-tracking tolerance.  For a
     circle (a = b) every error field is zero and theta/delta_e carry the
     lam -> 0 limit values.  Internal consistency of the lam- and
     eccentricity-parameterizations is asserted before returning.

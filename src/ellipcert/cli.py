@@ -1,7 +1,8 @@
 """Command-line driver: certificates, coefficient tables, perimeter reports.
 
 Exit codes: 0 success, 1 a verification failed, 2 bad arguments (including
-domain and tolerance-floor violations).  Diagnostics go to stderr; results
+domain violations and tolerances that are not positive and finite).
+Diagnostics go to stderr; results
 go to stdout.  Exact rationals print as "numerator/denominator"; reals
 print with 20 significant digits.
 """
@@ -253,7 +254,7 @@ def cli_main(argv=None) -> int:
         if args.command == "ivory-check":
             return _cmd_ivory_check(args)
         raise ValueError(f"unknown command {args.command!r}")
-    except ValueError as exc:  # domain errors and tolerance floors
+    except ValueError as exc:  # domain errors and refused tolerances
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,23 +1,22 @@
-"""Certified evaluation of the perimeter series, plus the quadrature oracle.
+"""Certified evaluation of the perimeter and its defect, plus the quadrature oracle.
 
-Everything numeric here runs in mpmath extended precision (50 significant
-digits by default, more when a tolerance demands it) in private
-contexts: ``_ctx(dps)`` makes one ``mpmath.MPContext`` per precision (the
-few most recently used are kept) and never changes it.  mpmath rounds an
-operation at the precision of its left operand's context, so each value
-enters a context before it is used:
-``ctx.mpf``/``_as_mpf`` round it to the context's precision, and
-``ctx.convert`` takes a wider value exactly.  The global ``mp`` context
-is never read or changed, so results do not depend on the caller's
-precision or on other threads.  Enclosures are
-produced the same way throughout: a partial sum of a positive-term series,
-a closed-form bound on the omitted tail, and an explicit forward-error
-term for the floating arithmetic itself, so
+Everything numeric runs in private mpmath contexts: ``_ctx(dps)`` makes
+one ``MPContext`` per precision (the few most recently used are kept) and
+never changes it.  mpmath rounds an operation at its left operand's
+context, so each value enters a context before use (``ctx.mpf``/``_as_mpf``
+round it, ``ctx.convert`` takes a wider value exactly).  The global ``mp``
+is never read or changed, so neither the caller's precision nor other
+threads change a result.
 
-    lo = S - fp_err      hi = S + tail_bound + fp_err
-
-is guaranteed to bracket the true value of the series at the represented
-argument.  Two tail bounds are available for B(x) = sum B_n x^n:
+``perimeter`` and ``discrepancy`` work on raw ``mpmath.libmp`` tuples and
+round every operation outward (``round_floor`` towards a lower end,
+``round_ceiling`` towards an upper one), so they need no error allowance.
+The perimeter is the Gauss-Legendre AGM sum (``_agm_sum``); Delta(x) =
+B(x) - A(x) is the positive series sum_{n>=5} delta_n x^n up to
+``SERIES_MAX_X`` and B - A by the AGM above it.  ``eval_B``, the series
+oracle for B(x), sums in a context plus an explicit floating-error
+allowance: lo = S - fp_err, hi = S + tail_bound + fp_err.  Both series
+stop on ``_tail_bound``, the one owner of their tail bounds:
 
   * geometric: the term ratio is ((2n-1)/(2n+2))^2 * x <= x, so the tail
     after N is at most B_(N+1) x^(N+1) / (1 - x) for x < 1;
@@ -25,27 +24,21 @@ argument.  Two tail bounds are available for B(x) = sum B_n x^n:
     B_n <= 1/(pi n (2n-1)^2) <= 1/(4 pi (n-1)^3), hence for any x <= 1 the
     tail after N is at most 1/(8 pi (N - 1/2)^2).
 
-The engine always uses the smaller of the two, which makes the x = 1
-endpoint (where the series converges like 1/n^3) work without a separate
-code path.  Each bound has one owner: ``_tail_bound`` certifies it in mpf
-for both eval_B and discrepancy, and ``_tail_estimate`` is its float
-counterpart that plans term counts, default tolerances and early refusals.
-The difference series reads delta_n and B_n from one cache of mpf images,
-``_MpfCoefficientCache``, grown from an exact stream per precision.
+The smaller one is used, so eval_B's x = 1 endpoint needs no separate
+code path.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from bisect import bisect_left
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import MPContext
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_le,
+                          mpf_lt, mpf_mul, mpf_pi, mpf_shift, mpf_sqrt, mpf_sub,
+                          round_ceiling, round_floor, round_nearest)
 
 # b_coeffs_upto, delta_coeffs_upto: unused here, but bench/tracer.py rebinds them here
 from .series_kernel import b_coeffs_upto, delta_coeffs_upto, dyadic_rows  # noqa: F401
@@ -70,12 +63,23 @@ __all__ = [
 
 WORKING_DPS = 50
 
-# regime of the series evaluation, recorded on every enclosure
+# how each enclosure was obtained, recorded on it
 GEOMETRIC_TAIL = "geometric-tail"
 SLOW_TAIL = "slow-convergence-tail"
 EXACT_POINT = "exact"
+AGM = "agm"
+CLOSED_FORM = "closed-form"
 
 DELTA_5 = 2.288818359375e-5  # delta_5 = 3/2^17, exactly
+
+# Delta(x) comes from its series up to this x, where the two routes cost
+# about the same (0.2-0.3 ms warm), and from the AGM above it
+SERIES_MAX_X = 0.01
+PERIMETER_REL_TOL = 1e-12  # the default perimeter width, as a fraction of p
+_AGM_GUARD_BITS = 10  # see _agm_within
+
+_DOWN, _UP = round_floor, round_ceiling
+_THREE, _FOUR, _TEN = from_int(3), from_int(4), from_int(10)
 
 
 class ToleranceFloorError(ValueError):
@@ -87,8 +91,8 @@ class QuadratureBudgetError(RuntimeError):
 
 
 # dps tracks -log10(tol), so a sweep over tolerances or tiny x meets a new
-# precision at every step; the per-precision caches keep only this many of
-# the most recently used ones, and a dropped one is rebuilt on demand
+# precision at every step; only this many of the most recently used
+# contexts are kept, and a dropped one is rebuilt on demand
 _PRECISIONS_KEPT = 8
 
 
@@ -107,14 +111,15 @@ def _as_mpf(v, ctx):
     return ctx.mpf(v)
 
 
-def _dyadic_mpf(coeff: tuple[int, int], ctx):
+def _dyadic_mpf(coeff: tuple[int, int], ctx, rnd=round_nearest):
     """num / 2**exp as a value of ``ctx``, rounded once to its precision.
 
     ``ctx.mpf(num) / 2**exp`` rounds once too (the division by a power of
     two is exact), so both give the same bits; this way no Fraction is built.
+    ``rnd`` may direct the rounding instead.
     """
     num, exp = coeff
-    return ctx.make_mpf(from_man_exp(num, -exp, ctx.prec, round_nearest))
+    return ctx.make_mpf(from_man_exp(num, -exp, ctx.prec, rnd))
 
 
 def _exact_fraction(v) -> Fraction:
@@ -176,7 +181,7 @@ class Enclosure:
         return f"Enclosure([{nstr(self.lo, 20)}, {nstr(self.hi, 20)}], regime={self.regime!r})"
 
 
-def _scaled(enc: Enclosure, c, regime: str | None = None) -> Enclosure:
+def _scaled(enc: Enclosure, c) -> Enclosure:
     """Enclosure times a positive mpf ``c``, rounded and padded in c's context."""
     if c <= 0:
         raise ValueError("scale factor must be positive")
@@ -185,7 +190,7 @@ def _scaled(enc: Enclosure, c, regime: str | None = None) -> Enclosure:
     lo = c * enc.lo
     hi = c * enc.hi
     pad = 8 * u * abs(hi)
-    return Enclosure(lo - pad, hi + pad, regime if regime is not None else enc.regime)
+    return Enclosure(lo - pad, hi + pad, enc.regime)
 
 
 class Ellipse:
@@ -249,6 +254,15 @@ def eccentricity_from_lambda(lam):
     return 2 * ctx.sqrt(lm) / (1 + lm)
 
 
+def _kernel(x, prec: int, rnd, opp):
+    """A(x) = 1 + 3x/(10 + sqrt(4 - 3x)) of a raw x, rounded towards ``rnd``
+    with the denominator rounded towards ``opp``.  A increases with x, so
+    with opposite directions the result bounds A on that side."""
+    three_x = mpf_mul(_THREE, x, prec, rnd)
+    root = mpf_sqrt(mpf_sub(_FOUR, three_x, prec, opp), prec, opp)
+    return mpf_add(fone, mpf_div(three_x, mpf_add(_TEN, root, prec, opp), prec, rnd), prec, rnd)
+
+
 def eval_A(x):
     """Closed-form 1 + 3x/(10 + sqrt(4 - 3x)) at working precision.
 
@@ -259,48 +273,35 @@ def eval_A(x):
     xm = _as_mpf(x, ctx)
     if not 0 <= xm <= 1:
         raise ValueError("x must lie in [0, 1]")
-    return 1 + 3 * xm / (10 + ctx.sqrt(4 - 3 * xm))
+    return ctx.make_mpf(_kernel(xm._mpf_, ctx.prec, round_nearest, round_nearest))
 
 
 def _tail_estimate(xf: float, n: int) -> float:
-    """Float estimate of the tail of B(x) after N = n terms, for 0 <= x <= 1.
-
-    The smaller of the slow-convergence bound and the geometric bound with
-    B_(n+1) ~ 1/(4 pi (n+1)^3), which slightly undercuts the true
-    coefficient.  It plans term counts and refusals only; ``_tail_bound``
-    certifies.
-    """
+    """Float estimate of ``_tail_bound`` after N = n terms, 0 <= x <= 1, with
+    B_(n+1) ~ 1/(4 pi (n+1)^3), slightly under the true coefficient: it
+    plans eval_B's early refusals only."""
     slow = 1.0 / (8.0 * math.pi * (n - 0.5) ** 2)
     if xf >= 1.0:
         return slow
-    if xf == 0.0:
-        return 0.0  # the series terminates immediately
-    return min(slow, math.exp(_log_geo_estimate(math.log(xf), math.log1p(-xf), n)))
+    return min(slow, xf ** (n + 1) / (4.0 * math.pi * (n + 1) ** 3 * (1.0 - xf)))
 
 
-def _log_geo_estimate(log_x: float, log1m_x: float, n: int) -> float:
-    """Natural log of the geometric tail estimate B_(n+1) x^(n+1) / (1 - x)
-    of ``_tail_estimate``, from log x and log(1 - x); finite where the
-    estimate itself underflows."""
-    return (n + 1) * log_x - math.log(4.0 * math.pi * (n + 1) ** 3) - log1m_x
+def _tail_bound(n: int, next_term, one_minus, prec: int):
+    """Rigorous bound on the tail after N = n terms, rounded up, and its regime.
 
-
-def _tail_bound(n: int, next_term, one_minus):
-    """Rigorous mpf bound on the tail after N = n terms, and its regime.
-
-    ``next_term`` bounds the first omitted term B_(n+1) x^(n+1) and is read
-    only when ``one_minus`` = 1 - x is positive; the bound is computed in
-    ``one_minus``'s context.  Returns (None, None) when neither bound
-    applies (x = 1 and n < 2).
+    Raw tuples at ``prec`` bits: ``next_term`` bounds the first omitted
+    term B_(n+1) x^(n+1) from above and is read only when ``one_minus``, a
+    lower bound on 1 - x, is positive.  Returns (None, None) when neither
+    bound applies (x = 1 and n < 2).
     """
-    ctx = one_minus.context
     tail, regime = None, None
-    if one_minus > 0:
-        tail, regime = next_term / one_minus, GEOMETRIC_TAIL
+    if mpf_lt(fzero, one_minus):
+        tail, regime = mpf_div(next_term, one_minus, prec, _UP), GEOMETRIC_TAIL
     if n >= 2:
         # sum_{k > n} B_k x^k <= sum_{k > n} B_k <= 1/(8 pi (n - 1/2)^2)
-        slow = 1 / (8 * ctx.pi * ctx.mpf(n - 0.5) ** 2)
-        if tail is None or slow < tail:
+        below = mpf_mul(mpf_pi(prec, _DOWN), from_int(2 * (2 * n - 1) ** 2), prec, _DOWN)
+        slow = mpf_div(fone, below, prec, _UP)
+        if tail is None or mpf_lt(slow, tail):
             tail, regime = slow, SLOW_TAIL
     return tail, regime
 
@@ -342,8 +343,9 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
         s += term
         nxt = term * (ctx.mpf(2 * n - 1) / (2 * n + 2)) ** 2 * xm
         if n < 64 or n % 16 == 0 or n == max_terms:
-            tail, regime = _tail_bound(n, nxt, one_minus)
+            tail, regime = _tail_bound(n, nxt._mpf_, one_minus._mpf_, ctx.prec)
             if tail is not None:
+                tail = ctx.make_mpf(tail)
                 # fp_err covers the summation; the term recurrence's own
                 # accumulated rounding (~5n*u relative on nxt) is orders
                 # below the geometric bound's intrinsic slack, since the
@@ -356,17 +358,17 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
                     )
         term = nxt
         n += 1
-    floor, _ = _tail_bound(max_terms, term, one_minus)
+    floor, _ = _tail_bound(max_terms, term._mpf_, one_minus._mpf_, ctx.prec)
     raise ToleranceFloorError(
         f"tol={tol} not certifiable within {max_terms} terms at x={ctx.nstr(xm, 10)} "
-        f"(achievable floor here is about {ctx.nstr(floor, 5)})"
+        f"(achievable floor here is about {ctx.nstr(ctx.make_mpf(floor), 5)})"
     )
 
 
 # fixed-order 15-point Gauss-Legendre rule used on every adaptive panel:
 # (node, weight) pairs for nodes >= 0, equal bit for bit to
 # numpy.polynomial.legendre.leggauss(15), mirrored below
-_GL_HALF = [
+_GL_HALF = (
     (0.0, 0.2025782419255613),
     (0.20119409399743451, 0.1984314853271116),
     (0.3941513470775634, 0.1861610000155622),
@@ -375,8 +377,8 @@ _GL_HALF = [
     (0.8482065834104272, 0.10715922046717141),
     (0.9372733924007058, 0.0703660474881084),
     (0.9879925180204854, 0.030753241996117203),
-]
-_GL_PAIRS = [(-t, w) for t, w in reversed(_GL_HALF[1:])] + _GL_HALF
+)
+_GL_PAIRS = tuple((-t, w) for t, w in reversed(_GL_HALF[1:])) + _GL_HALF
 
 
 def _gauss_panel(f, a: float, b: float) -> float:
@@ -427,23 +429,98 @@ def ivory_integral(x, tol: float = 1e-12, max_panels: int = 4096) -> float:
     return total / math.pi
 
 
-def perimeter(ellipse: Ellipse, tol: float | None = None, max_terms: int = 250_000) -> Enclosure:
-    """Enclosure of the true perimeter pi*(a+b)*B(((a-b)/(a+b))^2).
+def _agm_within(scale, tol, enclose):
+    """``enclose(prec)``, an outward-rounded (lo, hi) of raw tuples for a
+    value below ``scale``.  Rounding alone sets its width, so it starts at
+    ``_AGM_GUARD_BITS`` beyond log2(scale / tol) and doubles the precision
+    until hi - lo <= tol; a width that four doublings leave too wide
+    (the extreme axis ratios need one) is a fault, not a tolerance floor."""
+    mag, limit = _ctx(15).mag, _ctx(15).convert(tol)._mpf_  # tol exactly
+    start = max(53, mag(scale) - mag(tol) + _AGM_GUARD_BITS)
+    for prec in (start << k for k in range(5)):
+        lo, hi = enclose(prec)
+        if mpf_le(mpf_sub(hi, lo), limit):  # mpf_sub without a precision is exact
+            return lo, hi
+    raise ArithmeticError(f"enclosure still wider than tol={tol} at {prec} bits")
 
-    Default tolerance is 1e-12; when lam^2 > 0.999 the series is in its
-    slow-convergence regime and the default widens to 1e-6 (the certified
-    floor there is set by ``max_terms``).  An explicit ``tol`` is honored
-    or rejected with ToleranceFloorError, never silently loosened.
+
+def _agm_sum(a, b, t, s, prec: int):
+    """Outward-rounded ((S_lo, S_hi), (M_lo, M_hi)) of the Gauss-Legendre sum.
+
+    For a_0 >= b_0 > 0 let a_(n+1) = (a_n + b_n)/2, b_(n+1) = sqrt(a_n b_n),
+    c_0^2 = a_0^2 - b_0^2 and c_(n+1) = (a_n - b_n)/2.  The ellipse with
+    semi-axes a_0, b_0 has perimeter 2 pi S / M (Almkvist and Berndt, Amer.
+    Math. Monthly 95, 1988), with M = lim a_n = lim b_n and
+    S = a_0^2 - sum_{n>=0} 2^(n-1) c_n^2.  The arguments are (lo, hi) pairs
+    at step one: a_1, b_1, t_1 = c_1^2 and s_1 = (a_0^2 + b_0^2)/2.
+
+    Rounding: the AGM step increases in both arguments, so the lower ends,
+    every operation rounded down, stay below (a_n, b_n) and the upper ends
+    above, and b_n <= M <= a_n.  As c_(n+1) = c_n^2 / (4 a_(n+1)), the
+    recurrence t_(n+1) = t_n^2 / (16 a_(n+1)^2) has no cancellation.
+
+    Tail: the loop stops at the first n with t_n <= 2^(-2 prec) b_n^2.  For
+    k >= n, a_(k+1) >= M >= b_n, so t_k <= t_n gives t_(k+1) / t_k =
+    t_k / (16 a_(k+1)^2) <= t_n / (16 b_n^2) <= 1/4; by induction t_k <= t_n
+    for all k >= n, and consecutive summands have the ratio
+    2 t_(k+1) / t_k <= t_n / (8 b_n^2) <= 1/2.  So the lower end of S also
+    subtracts sum_{k>=n} 2^(k-1) t_k <= 2^n t_n.  The bracket of M is then
+    a_n - b_n = 2 c_(n+1) = t_n / (2 a_(n+1)) <= 2^(-2 prec) M.
     """
-    x = _as_mpf(ellipse.lam, _ctx(WORKING_DPS)) ** 2
+    (a_lo, a_hi), (b_lo, b_hi), (t_lo, t_hi), (s_lo, s_hi) = a, b, t, s
+    n = 1
+    while not mpf_le(mpf_shift(t_hi, 2 * prec), mpf_mul(b_lo, b_lo, prec, _DOWN)):
+        s_lo = mpf_sub(s_lo, mpf_shift(t_hi, n - 1), prec, _DOWN)
+        s_hi = mpf_sub(s_hi, mpf_shift(t_lo, n - 1), prec, _UP)
+        a_lo, a_hi, b_lo, b_hi = (
+            mpf_shift(mpf_add(a_lo, b_lo, prec, _DOWN), -1),
+            mpf_shift(mpf_add(a_hi, b_hi, prec, _UP), -1),
+            mpf_sqrt(mpf_mul(a_lo, b_lo, prec, _DOWN), prec, _DOWN),
+            mpf_sqrt(mpf_mul(a_hi, b_hi, prec, _UP), prec, _UP),
+        )
+        a2_lo, a2_hi = mpf_mul(a_lo, a_lo, prec, _DOWN), mpf_mul(a_hi, a_hi, prec, _UP)
+        t_lo = mpf_div(mpf_mul(t_lo, t_lo, prec, _DOWN), mpf_shift(a2_hi, 4), prec, _DOWN)
+        t_hi = mpf_div(mpf_mul(t_hi, t_hi, prec, _UP), mpf_shift(a2_lo, 4), prec, _UP)
+        n += 1
+    s_lo = mpf_sub(s_lo, mpf_shift(t_hi, n), prec, _DOWN)
+    # S > 0; a negative lower end (a precision too low to resolve S) says only that
+    return (s_lo if mpf_lt(fzero, s_lo) else fzero, s_hi), (b_lo, a_hi)
+
+
+def _agm_perimeter(a, b, prec: int):
+    """Outward-rounded (lo, hi) of 2 pi S / M for raw semi-axes a >= b > 0."""
+
+    def step_one(rnd):  # a_1, b_1, t_1, s_1 of _agm_sum, all rounded one way
+        d = mpf_sub(a, b, prec, rnd)
+        square_sum = mpf_add(mpf_mul(a, a, prec, rnd), mpf_mul(b, b, prec, rnd), prec, rnd)
+        return (mpf_shift(mpf_add(a, b, prec, rnd), -1),
+                mpf_sqrt(mpf_mul(a, b, prec, rnd), prec, rnd),
+                mpf_shift(mpf_mul(d, d, prec, rnd), -2),
+                mpf_shift(square_sum, -1))
+
+    (s_lo, s_hi), (m_lo, m_hi) = _agm_sum(*zip(step_one(_DOWN), step_one(_UP)), prec)
+    lo = mpf_mul(mpf_shift(mpf_pi(prec, _DOWN), 1), s_lo, prec, _DOWN)
+    hi = mpf_mul(mpf_shift(mpf_pi(prec, _UP), 1), s_hi, prec, _UP)
+    return mpf_div(lo, m_hi, prec, _DOWN), mpf_div(hi, m_lo, prec, _UP)
+
+
+def perimeter(ellipse: Ellipse, tol=None) -> Enclosure:
+    """Enclosure of the true perimeter by the Gauss-Legendre AGM sum.
+
+    The default ``tol`` is ``PERIMETER_REL_TOL`` times 4a <= p, so relative;
+    an explicit ``tol`` is an absolute width, always honored by raising the
+    precision (``_agm_within``).  A degenerate b = 0 gives p = 4a exactly.
+    """
     if tol is None:
-        tol = 1e-12 if float(x) <= 0.999 else 1e-6
+        tol = PERIMETER_REL_TOL * 4 * ellipse.a  # p >= 4a
     _check_tol(tol)
-    ctx = _ctx(_dps_for_tol(tol))
-    prefactor = ctx.pi * (_as_mpf(ellipse.a, ctx) + ellipse.b)
-    inner_tol = ctx.mpf(tol) / prefactor * ctx.mpf("0.9")
-    enc = eval_B(x, float(inner_tol), max_terms)
-    return _scaled(enc, prefactor)
+    ctx = _ctx(WORKING_DPS)
+    a, b = ellipse.a._mpf_, ellipse.b._mpf_  # exact, a >= b
+    if b == fzero:
+        p = ctx.make_mpf(mpf_shift(a, 2))
+        return Enclosure(p, p, EXACT_POINT)
+    lo, hi = _agm_within(8 * ellipse.a, tol, lambda prec: _agm_perimeter(a, b, prec))
+    return Enclosure(ctx.make_mpf(lo), ctx.make_mpf(hi), AGM)
 
 
 def perimeter_ramanujan(ellipse: Ellipse):
@@ -461,147 +538,107 @@ def perimeter_ramanujan(ellipse: Ellipse):
     return ctx.pi * ((a + b) + 3 * (a - b) ** 2 / (10 * (a + b) + root))
 
 
-class _MpfCoefficientCache:
-    """Per-precision mpf images of delta_n and B_n, the one coefficient cache:
-    each precision keeps its own exact stream (`dyadic_rows`) and only the
-    images, so no exact row outlives its conversion.  Only the
-    ``_PRECISIONS_KEPT`` most recently used precisions are kept."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._store: OrderedDict[int, tuple] = OrderedDict()  # dps -> (stream, deltas, bs)
-
-    def get(self, dps: int, n_max: int) -> tuple[list, list]:
-        """([delta_0, ...], [B_0, ...]) rounded once at ``dps`` digits, each
-        list at least n_max + 1 long; later calls only append to them."""
-        with self._lock:
-            if dps in self._store:
-                self._store.move_to_end(dps)
-            else:
-                self._store[dps] = (dyadic_rows(), [], [])
-                if len(self._store) > _PRECISIONS_KEPT:
-                    self._store.popitem(last=False)
-            rows, deltas, bs = self._store[dps]
-            ctx = _ctx(dps)
-            while len(deltas) <= n_max:
-                row = next(rows)
-                deltas.append(_dyadic_mpf(row.delta, ctx))
-                bs.append(_dyadic_mpf(row.B, ctx))
-            return deltas, bs
-
-
-_MPF_COEFFS = _MpfCoefficientCache()
-
-
-def _estimate_delta_terms(x, tol, max_terms: int) -> int | None:
-    """Smallest N >= 6 whose tail estimate is within tol/2, or None.
-
-    The estimate strictly decreases in N, so bisection finds the first N a
-    linear scan would.  Where the float estimate underflows to 0 (x, or x
-    and tol, far below 1) the comparison is made in log space instead, so
-    the plan does not stop short of the terms a tiny tol needs.  ``x``
-    and ``tol`` may be mpf values below the float range.
-    """
-    xf, half = float(x), 0.5 * tol
-    ctx = _ctx(15)
-    logs = []  # [log x, log(1 - x), log(tol/2)], computed on the first underflow
-
-    def fits(n: int) -> bool:
-        est = _tail_estimate(xf, n)
-        if est > 0.0:
-            return est <= half
-        if not logs:  # the estimate underflowed, so x < 1 here
-            logs.extend((float(ctx.log(x)), math.log1p(-xf), float(ctx.log(half))))
-        return _log_geo_estimate(logs[0], logs[1], n) <= logs[2]
-
-    ns = range(6, max_terms + 1)
-    i = bisect_left(ns, True, key=fits)
-    return ns[i] if i < len(ns) else None
-
-
-def _x5_target(c, x, factor: float = 1.0):
-    """The width target c x^5 factor, in mpf where the float one underflows to 0."""
-    target = c * float(x) ** 5 * factor
-    if target > 0.0:
-        return target
+def _x5_target(c, x, factor=1):
+    """The width target c x^5 factor, formed in mpf: it may lie far below
+    the float range."""
     ctx = _ctx(15)
     return _as_mpf(c, ctx) * _as_mpf(x, ctx) ** 5 * factor
 
 
-def _default_delta_tol(x, max_terms: int):
-    """Width target tracking Delta's own magnitude (delta_5 x^5 is a lower
-    bound for Delta), floored by the budget."""
-    return max(_x5_target(DELTA_5, x, 1e-9), 3.0 * _tail_estimate(float(x), max_terms))
+def _discrepancy_series(x, limit, ctx):
+    """Outward-rounded (lo, hi) of sum_{n>=5} delta_n x^n, 0 < x <= SERIES_MAX_X,
+    at most ``limit`` wide, at the precision of ``ctx``.
 
-
-def discrepancy(x, tol: float | None = None, max_terms: int = 6000) -> Enclosure:
-    """Enclosure of Delta(x) = B(x) - A(x) for 0 < x <= 1.
-
-    Evaluated from the difference series sum_{n>=5} delta_n x^n with exact
-    cached coefficients, which avoids the cancellation a literal B - A
-    subtraction would suffer (Delta(x) ~ (3/2^17) x^5 near 0).  The tail
-    obeys the same two bounds as eval_B since 0 < delta_n < B_n.  The
-    default tolerance tracks the magnitude of Delta itself (about nine
-    significant digits), floored by what ``max_terms`` can certify near
-    x = 1.
+    No term is negative, so the lower sum rounds down and the upper sum up,
+    with delta_n and B_n from a fresh exact stream.  As 0 < delta_n < B_n
+    and B_(n+1) < B_n, ``_tail_bound`` with next term B_n x^(n+1) bounds
+    the tail.  The sum runs through n = 6 at least, so theta's rise above
+    delta_5 (delta_6 x) shows however small x is, and then ends: the tail
+    shrinks 100-fold a term, and ``_dps_for_tol`` keeps the rounding spread
+    16 digits below ``limit``.
     """
-    if not 0 < _as_mpf(x, _ctx(WORKING_DPS)) <= 1:  # in mpf: x may lie below the float range
+    prec = ctx.prec
+    s_lo = s_hi = fzero
+    xp_lo = xp_hi = fone  # x^n
+    one_minus = mpf_sub(fone, x, prec, _DOWN)
+    for n, row in enumerate(dyadic_rows()):
+        d_lo, d_hi = (_dyadic_mpf(row.delta, ctx, rnd)._mpf_ for rnd in (_DOWN, _UP))
+        s_lo = mpf_add(s_lo, mpf_mul(d_lo, xp_lo, prec, _DOWN), prec, _DOWN)
+        s_hi = mpf_add(s_hi, mpf_mul(d_hi, xp_hi, prec, _UP), prec, _UP)
+        xp_lo, xp_hi = mpf_mul(xp_lo, x, prec, _DOWN), mpf_mul(xp_hi, x, prec, _UP)
+        next_term = mpf_mul(_dyadic_mpf(row.B, ctx, _UP)._mpf_, xp_hi, prec, _UP)
+        hi = mpf_add(s_hi, _tail_bound(n, next_term, one_minus, prec)[0], prec, _UP)
+        if n >= 6 and mpf_le(mpf_sub(hi, s_lo), limit):
+            return s_lo, hi
+
+
+def _discrepancy_agm(x, prec: int):
+    """Outward-rounded (lo, hi) of B(x) - A(x), 0 < x <= 1, B from the AGM.
+
+    The ellipse a_0 = 1 + lam, b_0 = 1 - lam with lam^2 = x has
+    a_0 + b_0 = 2, so B(x) = S / M.  At step one a_1 = 1, b_1 = sqrt(1 - x),
+    c_1^2 = x and (a_0^2 + b_0^2)/2 = 1 + x: x enters only through
+    sqrt(1 - x), which is rounded outward with everything else.  At x = 1
+    the ellipse is degenerate, p = 4a, so B(1) = 4/pi (and A(1) = 14/11).
+    """
+
+    def step_one(rnd):
+        root = mpf_sqrt(mpf_sub(fone, x, prec, rnd), prec, rnd)
+        return fone, root, x, mpf_add(fone, x, prec, rnd)
+
+    if x == fone:
+        b_lo = mpf_div(_FOUR, mpf_pi(prec, _UP), prec, _DOWN)
+        b_hi = mpf_div(_FOUR, mpf_pi(prec, _DOWN), prec, _UP)
+    else:
+        (s_lo, s_hi), (m_lo, m_hi) = _agm_sum(*zip(step_one(_DOWN), step_one(_UP)), prec)
+        b_lo, b_hi = mpf_div(s_lo, m_hi, prec, _DOWN), mpf_div(s_hi, m_lo, prec, _UP)
+    return (mpf_sub(b_lo, _kernel(x, prec, _UP, _DOWN), prec, _DOWN),
+            mpf_sub(b_hi, _kernel(x, prec, _DOWN, _UP), prec, _UP))
+
+
+def discrepancy(x, tol=None) -> Enclosure:
+    """Enclosure of Delta(x) = B(x) - A(x) for 0 < x <= 1, rounded outward.
+
+    Up to ``SERIES_MAX_X`` it sums the difference series, free of the
+    cancellation of B - A (Delta(x) ~ (3/2^17) x^5 near 0) but longer as x
+    grows; above it, B - A by the AGM at a precision that follows ``tol``,
+    so the cancellation (Delta >= delta_5 x^5) costs digits, not width.
+    The default tolerance, delta_5 x^5 / 10^9, keeps about nine significant
+    digits of Delta; an explicit ``tol`` is always honored.
+    """
+    xm = _as_mpf(x, _ctx(WORKING_DPS))
+    if not 0 < xm <= 1:  # in mpf: x may lie below the float range
         raise ValueError("x must lie in (0, 1]")
-    xf = float(x)
-    est = DELTA_5 * xf**5
     if tol is None:
-        tol = _default_delta_tol(x, max_terms)
+        tol = _x5_target(DELTA_5, xm, 1e-9)
     _check_tol(tol)
-    n_terms = _estimate_delta_terms(x, tol, max_terms)
-    if n_terms is None:
-        raise ToleranceFloorError(
-            f"tol={tol} not certifiable within {max_terms} difference terms at x={xf}"
-        )
-    dps = _dps_for_tol(tol)
-    deltas, bs = _MPF_COEFFS.get(dps, n_terms + 1)
-    ctx = _ctx(dps)
-    xm = _as_mpf(x, ctx)
-    if not 0 < xm <= 1:
-        raise ValueError("x must lie in (0, 1]")
-    u = ctx.mpf(10) ** (1 - dps)
-    xp = xm**5
-    s = ctx.mpf(0)
-    for n in range(5, n_terms + 1):
-        s += deltas[n] * xp
-        xp *= xm
-    # xp is now x^(n_terms+1); delta_n < B_n bounds the tail termwise
-    next_term = None
-    if xm < 1:
-        next_term = bs[n_terms + 1] * xp
-    tail, regime = _tail_bound(n_terms, next_term, 1 - xm)
-    fp_err = 8 * (n_terms + 4) * u * (s + est)
-    hi = s + tail * (1 + 16 * u) + fp_err
-    lo = s - fp_err
-    if hi - lo > ctx.mpf(tol) * (1 + ctx.mpf("1e-6")):
-        raise ToleranceFloorError(
-            f"tail bound {ctx.nstr(tail, 5)} at N={n_terms} exceeds tol={tol} at x={xf}"
-        )
-    return Enclosure(lo, hi, regime)
+    ctx = _ctx(_dps_for_tol(tol))
+    xt = xm._mpf_
+    if xm <= SERIES_MAX_X:
+        lo, hi = _discrepancy_series(xt, _ctx(15).convert(tol)._mpf_, ctx)
+        regime = GEOMETRIC_TAIL
+    else:  # B, A < 2
+        lo, hi = _agm_within(2, tol, lambda prec: _discrepancy_agm(xt, prec))
+        regime = CLOSED_FORM if xm == 1 else AGM
+    return Enclosure(ctx.make_mpf(lo), ctx.make_mpf(hi), regime)
 
 
-def discrepancy_ratio(x, tol: float | None = None, max_terms: int = 6000) -> Enclosure:
+def discrepancy_ratio(x, tol=None) -> Enclosure:
     """Enclosure of Delta(x)/x^5, the normalized discrepancy.
 
     This quantity decreases to delta_5 = 3/2^17 as x -> 0 and climbs to
     4/pi - 14/11 at x = 1.  ``tol`` is the target width of the ratio; an
     explicit ``tol`` is honored or refused, never loosened.
     """
-    if not 0 < _as_mpf(x, _ctx(WORKING_DPS)) <= 1:
-        raise ValueError("x must lie in (0, 1]")
-    inner = _default_delta_tol(x, max_terms) if tol is None else _x5_target(tol, x)
-    enc = discrepancy(x, inner, max_terms)
-    xm = _as_mpf(x, _ctx(_dps_for_tol(inner)))
-    return _scaled(enc, 1 / xm**5)
+    xm = _as_mpf(x, _ctx(WORKING_DPS))
+    inner = _x5_target(DELTA_5, xm, 1e-9) if tol is None else _x5_target(tol, xm)
+    enc = discrepancy(xm, inner)  # refuses x outside (0, 1] first
+    return _scaled(enc, 1 / _as_mpf(xm, _ctx(_dps_for_tol(inner))) ** 5)
 
 
-def theta_of_lambda(lam, tol: float | None = None, max_terms: int = 6000) -> Enclosure:
+def theta_of_lambda(lam, tol=None) -> Enclosure:
     """Enclosure of theta(lam) = Delta(lam^2) / lam^10 for 0 < lam <= 1."""
     lm = _as_mpf(lam, _ctx(WORKING_DPS))
     if not 0 < lm <= 1:
         raise ValueError("lam must lie in (0, 1]")
-    return discrepancy_ratio(lm * lm, tol, max_terms)
+    return discrepancy_ratio(lm * lm, tol)

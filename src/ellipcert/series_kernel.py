@@ -32,7 +32,7 @@ small-integer recurrences on the scaled integers (see `dyadic_rows`).
 Each row carries every coefficient as an odd numerator and a power-of-two
 exponent.  The module holds no table: `a_coeffs_upto`, `b_coeffs_upto`
 and `delta_coeffs_upto` build Fractions from a fresh stream, the engine
-keeps mpf images of the rows, and `coeff_rows_str` prints them from a
+reads its own stream per call, and `coeff_rows_str` prints them from a
 decimal twin, so no big integer is converted to decimal.
 
 Two independent checks stay beside the stream:

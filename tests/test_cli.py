@@ -109,9 +109,13 @@ def test_perimeter_degenerate_default_tolerance(capsys):
 
 
 def test_perimeter_tolerance_floor_is_bad_argument(capsys):
-    rc, _out, err = run(["perimeter", "--a", "1", "--b", "0", "--tol", "1e-30"], capsys)
-    assert rc == 2
-    assert "floor" in err
+    # the AGM route has no term budget: a tiny explicit tolerance certifies
+    rc, out, _err = run(["perimeter", "--a", "1", "--b", "0", "--tol", "1e-30", "--json"], capsys)
+    assert rc == 0
+    p = json.loads(out)["p_enclosure"]
+    lo, hi = F(p["lo"]), F(p["hi"])
+    assert lo <= 4 <= hi
+    assert hi - lo <= F(1, 10**30)
 
 
 def test_bounds_constants_only(capsys):

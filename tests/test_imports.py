@@ -44,7 +44,7 @@ for argv in (["coeffs", "--n", "5"], ["verify-lemma", "--max-n", "7"], ["--help"
 
 with contextlib.redirect_stdout(io.StringIO()) as out:
     assert cli.cli_main(["perimeter", "--a", "2", "--b", "1"]) == 0
-assert "p        in [9.68844822054742" in out.getvalue(), out.getvalue()
+assert "p        in [9.68844822054766" in out.getvalue(), out.getvalue()
 print("ok")
 """
     assert _fresh(script).stdout == "ok\n"

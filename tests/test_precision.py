@@ -219,3 +219,7 @@ def test_state_guard_flags_each_kind_of_binding():
 
 def test_series_kernel_holds_no_table_or_lock():
     assert not _held_state((SRC / "series_kernel.py").read_text(encoding="utf-8"))
+
+
+def test_engine_holds_no_table_or_lock():
+    assert not _held_state((SRC / "engine.py").read_text(encoding="utf-8"))
