@@ -30,13 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import (
-    WORKING_DPS,
     Ellipse,
     Enclosure,
     EXACT_POINT,
-    _as_mpf,
-    _ctx,
-    _scaled,
+    _CTX,
+    _product,
+    _ramanujan_enclosure,
     discrepancy,
     perimeter,
     perimeter_ramanujan,
@@ -72,8 +71,7 @@ _BOUND_FORM_NOTE = (
 
 def theta_upper():
     """The sharp upper bound 4/pi - 14/11 for theta, at working precision."""
-    ctx = _ctx(WORKING_DPS)
-    return 4 / ctx.pi - ctx.mpf(14) / 11
+    return 4 / _CTX.pi - _CTX.mpf(14) / 11
 
 
 def scaled_theta_upper():
@@ -82,8 +80,7 @@ def scaled_theta_upper():
     This is the pi*theta version of the upper constant; see the module
     docstring for why both labels exist.
     """
-    ctx = _ctx(WORKING_DPS)
-    return (ctx.mpf(14) / 11) * (ctx.mpf(22) / 7 - ctx.pi)
+    return (_CTX.mpf(14) / 11) * (_CTX.mpf(22) / 7 - _CTX.pi)
 
 
 def theta_bounds() -> tuple[Fraction, object]:
@@ -96,9 +93,8 @@ def delta_e_bounds():
 
     Both equal pi/2^19 times the corresponding theta bound.
     """
-    ctx = _ctx(WORKING_DPS)
-    lower = 3 * ctx.pi / 2**36
-    upper = (ctx.mpf(7) / 11) * (ctx.mpf(22) / 7 - ctx.pi) / 2**18
+    lower = 3 * _CTX.pi / 2**36
+    upper = (_CTX.mpf(7) / 11) * (_CTX.mpf(22) / 7 - _CTX.pi) / 2**18
     return lower, upper
 
 
@@ -128,10 +124,8 @@ class ErrorReport:
     bound_form_note: str
 
     def to_json_dict(self) -> dict:
-        ctx = _ctx(WORKING_DPS)
-
         def real(v) -> str:
-            return ctx.nstr(ctx.mpf(v), 25)
+            return _CTX.nstr(_CTX.mpf(v), 25)
 
         def enc(e: Enclosure) -> dict:
             return {"lo": real(e.lo), "hi": real(e.hi), "regime": e.regime}
@@ -156,57 +150,58 @@ class ErrorReport:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
+def _delta_e(theta: Enclosure) -> Enclosure:
+    """delta(e) = pi theta / 2^19, rounded outward."""
+    return _product(theta, Fraction(1, 2**DELTA_E_EXPONENT), times_pi=True)
+
+
 def error_report(ellipse: Ellipse, tol: float | None = None) -> ErrorReport:
     """Full error analysis for one ellipse.
 
     ``tol`` bounds the perimeter enclosure width (by default 1e-12 of p,
     see ``perimeter``); the defect enclosure gets its own, much tighter,
-    magnitude-tracking tolerance.  For a
-    circle (a = b) every error field is zero and theta/delta_e carry the
-    lam -> 0 limit values.  Internal consistency of the lam- and
-    eccentricity-parameterizations is asserted before returning.
+    magnitude-tracking tolerance.  Every enclosure starts from the exact
+    axes: x = lam^2 = ((a-b)/(a+b))^2 is formed as an exact rational, and
+    epsilon = pi (a+b) Delta(x), theta = Delta(x) / x^5 and
+    delta_e = pi theta / 2^19 are rounded outward (``_product``).
+    For a circle (a = b) every error field is zero and theta/delta_e carry
+    the lam -> 0 limit values.  Before returning, two exact overlap tests
+    of directed enclosures check epsilon against its eccentricity form and
+    against p - p_R; a miss raises ArithmeticError.
     """
     p_enc = perimeter(ellipse, tol)
     p_r = perimeter_ramanujan(ellipse)
-    ctx = _ctx(WORKING_DPS)
-    a, b, lam, ecc = (_as_mpf(v, ctx) for v in (ellipse.a, ellipse.b, ellipse.lam, ellipse.ecc))
-    if lam == 0:
-        zero, theta_point = ctx.mpf(0), _as_mpf(THETA_LOWER, ctx)  # dyadic: exact
+    a, b, lam, ecc = ellipse.a, ellipse.b, ellipse.lam, ellipse.ecc
+    aq, bq = ellipse.axes
+    if aq == bq:
+        zero, theta_point = _CTX.mpf(0), _CTX.convert(THETA_LOWER)  # dyadic: exact
         eps = Enclosure(zero, zero, EXACT_POINT)
         theta = Enclosure(theta_point, theta_point, EXACT_POINT)
         lower = upper = ram = zero
     else:
-        d_enc = discrepancy(lam * lam)
-        prefactor = ctx.pi * (a + b)
-        eps = _scaled(d_enc, prefactor)
+        x = ((aq - bq) / (aq + bq)) ** 2
+        d_enc = discrepancy(x)
+        eps = _product(d_enc, aq + bq, times_pi=True)
+        theta = _product(d_enc, 1 / x**5)
+        prefactor = _CTX.pi * (a + b)
         lam10 = lam**10
-        theta = _scaled(d_enc, 1 / lam10)
-        lower = prefactor * _as_mpf(THETA_LOWER, ctx) * lam10
+        lower = prefactor * _CTX.convert(THETA_LOWER) * lam10
         upper = prefactor * theta_upper() * lam10
         ram = 3 * a * ecc**20 / 2**36
-    delta_e = _scaled(theta, ctx.pi / 2**DELTA_E_EXPONENT)
+    delta_e = _delta_e(theta)
 
-    if lam != 0:
-        # mids and widths carry WORKING_DPS + 10 digits; ctx.convert takes
-        # them exactly, so each operation below rounds once
-        eps_mid, eps_width, p_mid, p_width = (
-            ctx.convert(v) for v in (eps.mid, eps.width, p_enc.mid, p_enc.width)
-        )
-        # lam-form vs eccentricity-form of epsilon
-        stretch = (2 * a / (a + b)) ** 19  # == (2/(1 + sqrt(1-e^2)))^19
-        e_form = a * ctx.convert(delta_e.mid) * stretch * ecc**20
-        slack = eps_width + abs(eps_mid) * ctx.mpf(10) ** (20 - WORKING_DPS) + ctx.mpf("1e-200")
-        if abs(e_form - eps_mid) > slack:
-            raise ArithmeticError(
-                f"epsilon parameterizations disagree: {e_form} vs {eps_mid}"
-            )
-        # epsilon vs p - p_R
-        p_form = p_mid - p_r
-        slack2 = (p_width + eps_width) / 2 + abs(p_r) * ctx.mpf(10) ** (20 - WORKING_DPS)
-        if abs(p_form - eps_mid) > slack2:
-            raise ArithmeticError(
-                f"epsilon enclosure inconsistent with p - p_R: {eps_mid} vs {p_form}"
-            )
+    if aq != bq:
+        # the eccentricity form a delta_e (2a/(a+b))^19 e^20 with e^2 = (a^2 - b^2)/a^2,
+        # whose factor is exactly 2^19 (a-b)^10 / (a+b)^9
+        form = 2**DELTA_E_EXPONENT * (aq - bq) ** 10 / (aq + bq) ** 9
+        e_form = _product(delta_e, form)
+        if not (e_form.lo <= eps.hi and eps.lo <= e_form.hi):  # mpf comparisons are exact
+            raise ArithmeticError(f"epsilon parameterizations disagree: {e_form} vs {eps}")
+        r_enc = _ramanujan_enclosure(x, aq + bq)
+        p_form = Enclosure(_CTX.fsub(p_enc.lo, r_enc.hi, exact=True),
+                           _CTX.fsub(p_enc.hi, r_enc.lo, exact=True))
+        if not (p_form.lo <= eps.hi and eps.lo <= p_form.hi):
+            raise ArithmeticError(f"epsilon enclosure inconsistent with p - p_R: {eps} vs {p_form}")
 
     return ErrorReport(
         a=a, b=b, lam=lam, ecc=ecc,
@@ -226,19 +221,18 @@ def _verdict_between(enc: Enclosure, lower, upper, attained_upper: bool, margin:
     more than ``margin`` times the width, and fail only when the whole
     enclosure clears it; anything in between is reported inconclusive
     rather than silently passed or failed.  When the upper endpoint is
-    attained (lam = 1), the upper comparison is a plain <= on the
+    attained (b = 0), the upper comparison is a plain <= on the
     midpoint.  Every verdict is exact: the sums below are formed without
     rounding (``exact=True``; doubling is exact too) and mpf comparisons
     are exact, so a gap far below the working precision still decides.
     """
-    ctx = _ctx(WORKING_DPS)
     lo, hi = enc.lo, enc.hi
     # twice the midpoint, the bounds and the guard margin * width
-    mid2, lower2, upper2 = ctx.fadd(lo, hi, exact=True), ctx.ldexp(lower, 1), ctx.ldexp(upper, 1)
-    guard2 = ctx.fmul(2 * margin, ctx.fsub(hi, lo, exact=True), exact=True)
+    mid2, lower2, upper2 = _CTX.fadd(lo, hi, exact=True), _CTX.ldexp(lower, 1), _CTX.ldexp(upper, 1)
+    guard2 = _CTX.fmul(2 * margin, _CTX.fsub(hi, lo, exact=True), exact=True)
 
     def clears(a2, b2) -> bool:  # a - b > margin * width
-        return ctx.fsub(a2, b2, exact=True) > guard2
+        return _CTX.fsub(a2, b2, exact=True) > guard2
 
     if hi < lower:  # enclosure entirely below the lower bound
         low = "fail"
@@ -268,10 +262,10 @@ def containment_check(report: ErrorReport, margin: float = 10.0) -> dict:
     if report.lam == 0:
         verdicts = dict.fromkeys(keys, "not-applicable")
     else:
-        attained = report.lam == 1
+        attained = report.b == 0  # exact: b rounds to 0 only when it is 0
         eps, theta = report.epsilon_enclosure, report.theta
         eps_v = _verdict_between(eps, report.lower_bound, report.upper_bound, attained, margin)
-        theta_v = _verdict_between(theta, _as_mpf(THETA_LOWER, _ctx(WORKING_DPS)),
+        theta_v = _verdict_between(theta, _CTX.convert(THETA_LOWER),
                                    theta_upper(), attained, margin)
         verdicts = dict(zip(keys, eps_v + theta_v))
     verdicts["ok"] = all(v != "fail" for v in verdicts.values())

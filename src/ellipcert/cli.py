@@ -21,12 +21,12 @@ from importlib import import_module
 # or replace it -- is left as it is, and is what the command calls.
 _LAYER_NAMES = {
     **dict.fromkeys((
-        "DELTA_E_EXPONENT", "THETA_LOWER", "_verdict_between", "containment_check",
+        "THETA_LOWER", "_delta_e", "_verdict_between", "containment_check",
         "delta_e_bounds", "error_report", "scaled_theta_upper", "theta_upper",
     ), "bounds"),
     **dict.fromkeys((
-        "WORKING_DPS", "Ellipse", "QuadratureBudgetError", "_as_mpf", "_ctx", "_scaled",
-        "eval_B", "ivory_integral", "lambda_from_eccentricity", "theta_of_lambda",
+        "Ellipse", "QuadratureBudgetError", "_CTX", "eval_B", "ivory_integral",
+        "lambda_from_eccentricity", "theta_of_lambda",
     ), "engine"),
     "verify_fundamental_lemma": "lemma",
     # the three *_coeffs_upto names are unused here but stay reachable:
@@ -58,8 +58,7 @@ __all__ = ["cli_main", "main"]
 
 
 def _fmt(v, digits: int = 20) -> str:
-    ctx = _ctx(WORKING_DPS)
-    return ctx.nstr(_as_mpf(v, ctx), digits)
+    return _CTX.nstr(_CTX.mpf(_CTX.convert(v)), digits)  # rounded to working precision first
 
 
 def _enc_str(enc) -> str:
@@ -175,19 +174,17 @@ def _cmd_perimeter(args) -> int:
 
 def _cmd_bounds(args) -> int:
     _load("series_kernel", "engine", "bounds")
-    ctx = _ctx(WORKING_DPS)
     lam = args.lam
     if lam is None and args.e is not None:
         lam = lambda_from_eccentricity(args.e)
     if lam is not None:  # everything that can refuse the arguments runs before printing
-        lam = _as_mpf(lam, ctx)
         if not 0 <= lam <= 1:
             raise ValueError("lambda must lie in [0, 1]")
     enc = theta_of_lambda(lam) if lam else None
     lo, up = THETA_LOWER, theta_upper()
     pi_up = scaled_theta_upper()
     de_lo, de_up = delta_e_bounds()
-    identity_gap = abs(pi_up - ctx.pi * up)
+    identity_gap = abs(pi_up - _CTX.pi * up)
     print(f"theta lower (exact)   = {rational_str(lo)} = {_fmt(lo)}")
     print(f"theta upper           = {_fmt(up)}   (4/pi - 14/11)")
     print(f"pi*theta upper        = {_fmt(pi_up)}   ((14/11)*(22/7 - pi))")
@@ -200,9 +197,9 @@ def _cmd_bounds(args) -> int:
     if enc is None:
         print("lambda = 0: theta takes its limit value 3/2^17; nothing to check")
         return 0
-    low_v, up_v = _verdict_between(enc, _as_mpf(lo, ctx), up, attained_upper=(lam == 1),
+    low_v, up_v = _verdict_between(enc, _CTX.convert(lo), up, attained_upper=(lam == 1),
                                    margin=10.0)
-    delta = _scaled(enc, ctx.pi / 2**DELTA_E_EXPONENT)
+    delta = _delta_e(enc)
     print(f"theta({_fmt(lam, 8)}) in {_enc_str(enc)}")
     print(f"delta_e value in [{_fmt(delta.lo)}, {_fmt(delta.hi)}]")
     print(f"containment: lower {low_v}, upper {up_v}")
@@ -224,9 +221,8 @@ def _cmd_ivory_check(args) -> int:
         return 1
     series_tol = max(args.tol, 5e-9 if x > 0.999 else 1e-12)
     enc = eval_B(x, series_tol)
-    ctx = _ctx(WORKING_DPS)
-    residual = ctx.mpf(quad) - enc.mid
-    combined = ctx.mpf(args.tol) + ctx.mpf(enc.width) / 2
+    residual = _CTX.mpf(quad) - enc.mid
+    combined = _CTX.mpf(args.tol) + _CTX.mpf(enc.width) / 2
     print(f"quadrature = {quad!r}")
     print(f"series     in {_enc_str(enc)}")
     print(f"residual   = {_fmt(residual, 6)}   (combined tolerance {_fmt(combined, 6)})")
@@ -260,6 +256,10 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
+    import signal  # here, so that in-process callers of cli_main never load it
+
+    if hasattr(signal, "SIGPIPE"):  # a closed reader (`| head`) ends the process quietly
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(cli_main())
 
 

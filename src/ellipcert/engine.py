@@ -1,22 +1,21 @@
 """Certified evaluation of the perimeter and its defect, plus the quadrature oracle.
 
-Everything numeric runs in private mpmath contexts: ``_ctx(dps)`` makes
-one ``MPContext`` per precision (the few most recently used are kept) and
-never changes it.  mpmath rounds an operation at its left operand's
-context, so each value enters a context before use (``ctx.mpf``/``_as_mpf``
-round it, ``ctx.convert`` takes a wider value exactly).  The global ``mp``
-is never read or changed, so neither the caller's precision nor other
-threads change a result.
+Every enclosure is computed from the exact input (``_exact_fraction``:
+nothing is rounded on entry) on raw ``mpmath.libmp`` tuples, at a
+precision in bits, each operation rounded outward (``round_floor``
+towards a lower end, ``round_ceiling`` towards an upper one), so none
+needs an error allowance; an input that is not binary is rounded outward
+too (``_bounds``).  ``_CTX``, the one ``MPContext``, never changes: it
+prints, wraps raw values as mpf values and evaluates the point values at
+``WORKING_DPS`` digits.  The global ``mp`` is never read or changed, so
+neither the caller's precision nor other threads change a result.
 
-``perimeter`` and ``discrepancy`` work on raw ``mpmath.libmp`` tuples and
-round every operation outward (``round_floor`` towards a lower end,
-``round_ceiling`` towards an upper one), so they need no error allowance.
 The perimeter is the Gauss-Legendre AGM sum (``_agm_sum``); Delta(x) =
 B(x) - A(x) is the positive series sum_{n>=5} delta_n x^n up to
 ``SERIES_MAX_X`` and B - A by the AGM above it.  ``eval_B``, the series
-oracle for B(x), sums in a context plus an explicit floating-error
-allowance: lo = S - fp_err, hi = S + tail_bound + fp_err.  Both series
-stop on ``_tail_bound``, the one owner of their tail bounds:
+oracle for B(x), sums positive terms, its lower sum rounded down and its
+upper sum up.  Both series stop on ``_tail_bound``, the one owner of their
+tail bounds:
 
   * geometric: the term ratio is ((2n-1)/(2n+2))^2 * x <= x, so the tail
     after N is at most B_(N+1) x^(N+1) / (1 - x) for x < 1;
@@ -33,15 +32,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from mpmath import MPContext
-from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_le,
-                          mpf_lt, mpf_mul, mpf_pi, mpf_shift, mpf_sqrt, mpf_sub,
-                          round_ceiling, round_floor, round_nearest)
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div,
+                          mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_shift, mpf_sqrt,
+                          mpf_sub, round_ceiling, round_floor, round_nearest)
 
 # b_coeffs_upto, delta_coeffs_upto: unused here, but bench/tracer.py rebinds them here
-from .series_kernel import b_coeffs_upto, delta_coeffs_upto, dyadic_rows  # noqa: F401
+from .series_kernel import b_coeffs_upto, delta_coeff, delta_coeffs_upto, dyadic_rows  # noqa: F401
 
 __all__ = [
     "WORKING_DPS",
@@ -63,6 +61,10 @@ __all__ = [
 
 WORKING_DPS = 50
 
+# the one context: it prints, and wraps raw values as mpf values
+_CTX = MPContext()
+_CTX.dps = WORKING_DPS
+
 # how each enclosure was obtained, recorded on it
 GEOMETRIC_TAIL = "geometric-tail"
 SLOW_TAIL = "slow-convergence-tail"
@@ -70,13 +72,12 @@ EXACT_POINT = "exact"
 AGM = "agm"
 CLOSED_FORM = "closed-form"
 
-DELTA_5 = 2.288818359375e-5  # delta_5 = 3/2^17, exactly
-
 # Delta(x) comes from its series up to this x, where the two routes cost
 # about the same (0.2-0.3 ms warm), and from the AGM above it
 SERIES_MAX_X = 0.01
 PERIMETER_REL_TOL = 1e-12  # the default perimeter width, as a fraction of p
-_AGM_GUARD_BITS = 10  # see _agm_within
+_GUARD_BITS = 10  # see _within
+_RATIO_TOL = delta_coeff(5) / 10**9  # times x^5, the default width of Delta: nine digits
 
 _DOWN, _UP = round_floor, round_ceiling
 _THREE, _FOUR, _TEN = from_int(3), from_int(4), from_int(10)
@@ -90,64 +91,60 @@ class QuadratureBudgetError(RuntimeError):
     """Adaptive quadrature did not reach tolerance within its panel budget."""
 
 
-# dps tracks -log10(tol), so a sweep over tolerances or tiny x meets a new
-# precision at every step; only this many of the most recently used
-# contexts are kept, and a dropped one is rebuilt on demand
-_PRECISIONS_KEPT = 8
-
-
-@lru_cache(maxsize=_PRECISIONS_KEPT)
-def _ctx(dps: int) -> MPContext:
-    """The private context working at ``dps`` digits; its precision never changes."""
-    ctx = MPContext()
-    ctx.dps = dps
-    return ctx
-
-
-def _as_mpf(v, ctx):
-    """``v`` as a value of ``ctx``, rounded to its precision (a Fraction as num / den)."""
-    if isinstance(v, Fraction):
-        return ctx.mpf(v.numerator) / v.denominator
-    return ctx.mpf(v)
-
-
-def _dyadic_mpf(coeff: tuple[int, int], ctx, rnd=round_nearest):
-    """num / 2**exp as a value of ``ctx``, rounded once to its precision.
-
-    ``ctx.mpf(num) / 2**exp`` rounds once too (the division by a power of
-    two is exact), so both give the same bits; this way no Fraction is built.
-    ``rnd`` may direct the rounding instead.
-    """
-    num, exp = coeff
-    return ctx.make_mpf(from_man_exp(num, -exp, ctx.prec, rnd))
-
-
 def _exact_fraction(v) -> Fraction:
-    """Exact rational value of an int/float/Fraction/mpf (no rounding)."""
+    """Exact rational value of an int/float/Fraction/mpf/decimal string (no rounding)."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, (int, float)):
-        return Fraction(v)
-    if not hasattr(v, "_mpf_"):
-        v = _ctx(WORKING_DPS + 10).mpf(v)
-    sign, man, exp, _bc = v._mpf_
+    raw = getattr(v, "_mpf_", None)
+    if raw is None:
+        try:
+            return Fraction(v)
+        except OverflowError:  # an infinite float
+            raise ValueError(f"cannot take exact value of {v!r}") from None
+    sign, man, exp, _bc = raw
     if man == 0 and exp != 0:  # inf or nan
         raise ValueError(f"cannot take exact value of {v!r}")
     fr = Fraction(man) * Fraction(2) ** exp
     return -fr if sign else fr
 
 
-def _check_tol(tol) -> None:
+def _bounds(q: Fraction, prec: int):
+    """Raw (lo, hi) around q: q itself when it is binary, else q rounded
+    down and up to ``prec`` bits from one integer division, whose quotient
+    has at least ``prec`` bits and, q not being binary, a remainder."""
+    num, den = q.numerator, q.denominator
+    if den & (den - 1) == 0:
+        v = from_man_exp(num, 1 - den.bit_length())
+        return v, v
+    shift = prec + den.bit_length() - num.bit_length() + 1
+    quo = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    return from_man_exp(quo, -shift, prec, _DOWN), from_man_exp(quo + 1, -shift, prec, _UP)
+
+
+def _mag(q: Fraction) -> int:
+    """The least integer m with q < 2^m, for a rational q > 0 (exp + bc for a binary q)."""
+    num, den = q.numerator, q.denominator
+    m = num.bit_length() - den.bit_length()  # 2^(m-1) < q < 2^(m+1)
+    return m + 1 if (num << max(0, -m)) >= (den << max(0, m)) else m
+
+
+def _dyadic_mpf(coeff: tuple[int, int], prec: int, rnd):
+    """num / 2**exp as a raw value, rounded once to ``prec`` bits towards ``rnd``.
+
+    ``ctx.mpf(num) / 2**exp`` rounds once too (the division by a power of
+    two is exact), so both give the same bits; this way no Fraction is built.
+    """
+    num, exp = coeff
+    return from_man_exp(num, -exp, prec, rnd)
+
+
+def _check_tol(tol) -> Fraction:
+    """The exact value of ``tol``, refused unless positive and finite."""
     if not tol > 0:  # NaN fails every comparison, so it is refused here too
         raise ValueError("tol must be positive")
     if tol == math.inf:
         raise ValueError("tol must be finite")
-
-
-def _dps_for_tol(tol: float) -> int:
-    ctx = _ctx(15)  # a fixed precision, so int() below never depends on the caller
-    need = -ctx.log10(ctx.mpf(tol)) if tol < 1 else 0
-    return max(WORKING_DPS, int(need) + 16)
+    return _exact_fraction(tol)
 
 
 @dataclass(frozen=True)
@@ -162,14 +159,14 @@ class Enclosure:
         if self.lo > self.hi:
             raise ValueError(f"empty enclosure: [{self.lo}, {self.hi}]")
 
-    # fsub and fadd take the endpoints exactly and round once, at WORKING_DPS + 10
+    # mpf_add and mpf_sub without a precision are exact, and so is a shift
     @property
     def width(self):
-        return _ctx(WORKING_DPS + 10).fsub(self.hi, self.lo)
+        return _CTX.make_mpf(mpf_sub(self.hi._mpf_, self.lo._mpf_))
 
     @property
     def mid(self):
-        return _ctx(WORKING_DPS + 10).fadd(self.lo, self.hi) / 2
+        return _CTX.make_mpf(mpf_shift(mpf_add(self.lo._mpf_, self.hi._mpf_), -1))
 
     def contains(self, value) -> bool:
         """Exact containment: endpoints and value compared as rationals."""
@@ -177,81 +174,90 @@ class Enclosure:
         return _exact_fraction(self.lo) <= v <= _exact_fraction(self.hi)
 
     def __repr__(self) -> str:
-        nstr = _ctx(WORKING_DPS).nstr
+        nstr = _CTX.nstr
         return f"Enclosure([{nstr(self.lo, 20)}, {nstr(self.hi, 20)}], regime={self.regime!r})"
 
 
-def _scaled(enc: Enclosure, c) -> Enclosure:
-    """Enclosure times a positive mpf ``c``, rounded and padded in c's context."""
-    if c <= 0:
-        raise ValueError("scale factor must be positive")
-    ctx = c.context
-    u = ctx.mpf(10) ** (1 - ctx.dps)
-    lo = c * enc.lo
-    hi = c * enc.hi
-    pad = 8 * u * abs(hi)
-    return Enclosure(lo - pad, hi + pad, enc.regime)
+def _enclosure(lo, hi, regime: str = "") -> Enclosure:
+    """The enclosure of raw endpoints, wrapped exactly."""
+    return Enclosure(_CTX.make_mpf(lo), _CTX.make_mpf(hi), regime)
+
+
+def _product(enc: Enclosure, q: Fraction, times_pi: bool = False) -> Enclosure:
+    """``enc`` times an exact q > 0, and times pi if asked, every factor and
+    product rounded outward.  The precision is the working one, or more
+    where enc's width takes more, so that each rounding moves an end by at
+    most about 2^-_GUARD_BITS of that width."""
+    lo, hi = enc.lo._mpf_, enc.hi._mpf_
+    width = mpf_sub(hi, lo)  # exact; exp + bc is the magnitude of a raw value
+    prec = max(_CTX.prec, max(lo[2] + lo[3], hi[2] + hi[3]) - width[2] - width[3] + _GUARD_BITS + 1)
+    pi = [(mpf_pi(prec, _DOWN), mpf_pi(prec, _UP))] if times_pi else []
+    for f_lo, f_hi in [_bounds(q, prec)] + pi:
+        # a negative end moves outward with the larger factor
+        lo = mpf_mul(lo, f_hi if lo[0] else f_lo, prec, _DOWN)
+        hi = mpf_mul(hi, f_lo if hi[0] else f_hi, prec, _UP)
+    return _enclosure(lo, hi, enc.regime)
 
 
 class Ellipse:
     """Semi-axes with the derived shape parameters.
 
-    Construction normalizes a >= b (swapping if given reversed, and
-    recording the swap), computes lam = (a-b)/(a+b) and the eccentricity
-    sqrt(1 - (b/a)^2).  A degenerate b = 0 is accepted (lam = ecc = 1).
+    Construction keeps each axis exactly in ``axes`` (two Fractions, where
+    every enclosure starts), normalizes a >= b (swapping if given reversed,
+    and recording the swap) and computes, for display, lam = (a-b)/(a+b)
+    and the eccentricity sqrt(1 - (b/a)^2) at WORKING_DPS digits from the
+    mpf ``a`` and ``b`` (exact for a binary axis).  A degenerate b = 0 is
+    accepted (lam = ecc = 1).
     """
 
-    __slots__ = ("a", "b", "lam", "ecc", "swapped")
+    __slots__ = ("a", "b", "lam", "ecc", "swapped", "axes")
 
     def __init__(self, a, b):
-        ctx = _ctx(WORKING_DPS)
-        am, bm = _as_mpf(a, ctx), _as_mpf(b, ctx)
-        if not (ctx.isfinite(am) and ctx.isfinite(bm)):
-            raise ValueError("semi-axes must be finite")
-        if am < 0 or bm < 0:
+        try:
+            aq, bq = _exact_fraction(a), _exact_fraction(b)
+        except ValueError:
+            raise ValueError("semi-axes must be finite") from None
+        if aq < 0 or bq < 0:
             raise ValueError("semi-axes must be nonnegative")
-        swapped = bm > am
+        am, bm = _CTX.convert(a), _CTX.convert(b)
+        swapped = bq > aq
         if swapped:
-            am, bm = bm, am
-        if am <= 0:
+            aq, bq, am, bm = bq, aq, bm, am
+        if aq <= 0:
             raise ValueError("the major semi-axis must be positive")
-        self.a = am
-        self.b = bm
+        self.axes = (aq, bq)
+        self.a, self.b = am, bm
         self.swapped = swapped
         self.lam = (am - bm) / (am + bm)
         r = bm / am
-        self.ecc = ctx.sqrt((1 - r) * (1 + r))
+        self.ecc = _CTX.sqrt((1 - r) * (1 + r))
 
     @classmethod
     def from_eccentricity(cls, a, e) -> "Ellipse":
-        ctx = _ctx(WORKING_DPS)
-        em = _as_mpf(e, ctx)
+        em = _CTX.convert(e)
         if not 0 <= em <= 1:
             raise ValueError("eccentricity must lie in [0, 1]")
-        am = _as_mpf(a, ctx)
-        return cls(am, am * ctx.sqrt((1 - em) * (1 + em)))
+        return cls(a, _CTX.convert(a) * _CTX.sqrt((1 - em) * (1 + em)))
 
     def __repr__(self) -> str:
-        nstr = _ctx(WORKING_DPS).nstr
+        nstr = _CTX.nstr
         return f"Ellipse(a={nstr(self.a, 12)}, b={nstr(self.b, 12)})"
 
 
 def lambda_from_eccentricity(e):
     """lam = e^2 / (1 + sqrt(1 - e^2))^2; stable for small e."""
-    ctx = _ctx(WORKING_DPS)
-    em = _as_mpf(e, ctx)
+    em = _CTX.convert(e)
     if not 0 <= em <= 1:
         raise ValueError("eccentricity must lie in [0, 1]")
-    return em**2 / (1 + ctx.sqrt((1 - em) * (1 + em))) ** 2
+    return em**2 / (1 + _CTX.sqrt((1 - em) * (1 + em))) ** 2
 
 
 def eccentricity_from_lambda(lam):
     """Inverse map, from e^2 = 4 lam / (1 + lam)^2."""
-    ctx = _ctx(WORKING_DPS)
-    lm = _as_mpf(lam, ctx)
+    lm = _CTX.convert(lam)
     if not 0 <= lm <= 1:
         raise ValueError("lam must lie in [0, 1]")
-    return 2 * ctx.sqrt(lm) / (1 + lm)
+    return 2 * _CTX.sqrt(lm) / (1 + lm)
 
 
 def _kernel(x, prec: int, rnd, opp):
@@ -269,11 +275,10 @@ def eval_A(x):
     The radicand 4 - 3x stays >= 1 on the domain, so the evaluation is a
     few well-conditioned operations; the result is correct to a few ulp.
     """
-    ctx = _ctx(WORKING_DPS)
-    xm = _as_mpf(x, ctx)
+    xm = _CTX.convert(x)
     if not 0 <= xm <= 1:
         raise ValueError("x must lie in [0, 1]")
-    return ctx.make_mpf(_kernel(xm._mpf_, ctx.prec, round_nearest, round_nearest))
+    return _CTX.make_mpf(_kernel(xm._mpf_, _CTX.prec, round_nearest, round_nearest))
 
 
 def _tail_estimate(xf: float, n: int) -> float:
@@ -310,16 +315,18 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
     """Enclosure of B(x) = sum_n [C(2n,n)/(4^n (2n-1))]^2 x^n, width <= tol.
 
     Terms are generated by the exact ratio B_(n+1)/B_n = ((2n-1)/(2n+2))^2;
-    the loop stops as soon as the smaller of the geometric and the
-    slow-convergence tail bound (plus the floating-error allowance) fits
-    inside ``tol``.  Near x = 1 the geometric bound degrades like 1/(1-x)
-    and the slow-convergence bound takes over; the returned enclosure
-    records which regime closed it.  Raises ToleranceFloorError when the
-    term budget cannot reach ``tol`` (the floor at x = 1 is about
-    1/(8 pi max_terms^2)), and ValueError when ``max_terms`` < 2, a budget
-    too small for either tail bound.
+    none is negative, so the lower terms and sum round down (from x rounded
+    down) and the upper ones up, at 53 bits below tol (B < 2).  The loop
+    stops as soon as the smaller of the geometric and the slow-convergence
+    tail bound, added to the upper sum, brings the width within ``tol``.
+    Near x = 1 the geometric bound
+    degrades like 1/(1-x) and the slow-convergence bound takes over; the
+    returned enclosure records which regime closed it.  Raises
+    ToleranceFloorError when the term budget cannot reach ``tol`` (the
+    floor at x = 1 is about 1/(8 pi max_terms^2)), and ValueError when
+    ``max_terms`` < 2, a budget too small for either tail bound.
     """
-    _check_tol(tol)
+    tol_q = _check_tol(tol)
     if max_terms < 2:
         raise ValueError("max_terms must be at least 2")
     xf = float(x)
@@ -328,40 +335,31 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
             f"tol={tol} not certifiable within {max_terms} terms at x={xf} "
             f"(achievable floor here is about {_tail_estimate(xf, max_terms):.3g})"
         )
-    dps = _dps_for_tol(tol)
-    ctx = _ctx(dps)
-    xm = _as_mpf(x, ctx)
-    if not 0 <= xm <= 1:
+    q = _exact_fraction(x)
+    if not 0 <= q <= 1:
         raise ValueError("x must lie in [0, 1]")
-    tol_m = ctx.mpf(tol)
-    one_minus = 1 - xm
-    u = ctx.mpf(10) ** (1 - dps)
-    term = ctx.mpf(1)
-    s = ctx.mpf(0)
+    prec = max(53, 54 - _mag(tol_q))
+    limit = _bounds(tol_q, 53)[0]  # no larger than tol
+    (x_lo, x_hi), one_minus = _bounds(q, prec), _bounds(1 - q, prec)[0]
+    lo = hi = fone  # the term B_n x^n, rounded down and up
+    s_lo = s_hi = fzero
     n = 0
     while n <= max_terms:
-        s += term
-        nxt = term * (ctx.mpf(2 * n - 1) / (2 * n + 2)) ** 2 * xm
+        s_lo, s_hi = mpf_add(s_lo, lo, prec, _DOWN), mpf_add(s_hi, hi, prec, _UP)
+        num, den = (2 * n - 1) ** 2, from_int((2 * n + 2) ** 2)  # B_(n+1)/B_n x = num x/den
+        lo = mpf_div(mpf_mul_int(mpf_mul(lo, x_lo, prec, _DOWN), num, prec, _DOWN), den, prec, _DOWN)
+        hi = mpf_div(mpf_mul_int(mpf_mul(hi, x_hi, prec, _UP), num, prec, _UP), den, prec, _UP)
         if n < 64 or n % 16 == 0 or n == max_terms:
-            tail, regime = _tail_bound(n, nxt._mpf_, one_minus._mpf_, ctx.prec)
+            tail, regime = _tail_bound(n, hi, one_minus, prec)
             if tail is not None:
-                tail = ctx.make_mpf(tail)
-                # fp_err covers the summation; the term recurrence's own
-                # accumulated rounding (~5n*u relative on nxt) is orders
-                # below the geometric bound's intrinsic slack, since the
-                # true term ratio ((2n-1)/(2n+2))^2 x sits strictly under
-                # the x used by the bound
-                fp_err = 8 * (n + 4) * u * s
-                if tail * (1 + 16 * u) + 2 * fp_err <= tol_m:
-                    return Enclosure(
-                        s - fp_err, s + tail * (1 + 16 * u) + fp_err, regime
-                    )
-        term = nxt
+                top = mpf_add(s_hi, tail, prec, _UP)
+                if mpf_le(mpf_sub(top, s_lo), limit):  # mpf_sub without a precision is exact
+                    return _enclosure(s_lo, top, regime)
         n += 1
-    floor, _ = _tail_bound(max_terms, term._mpf_, one_minus._mpf_, ctx.prec)
+    floor, _ = _tail_bound(max_terms, hi, one_minus, prec)
     raise ToleranceFloorError(
-        f"tol={tol} not certifiable within {max_terms} terms at x={ctx.nstr(xm, 10)} "
-        f"(achievable floor here is about {ctx.nstr(ctx.make_mpf(floor), 5)})"
+        f"tol={tol} not certifiable within {max_terms} terms at x={_CTX.nstr(_CTX.convert(q), 10)} "
+        f"(achievable floor here is about {_CTX.nstr(_CTX.make_mpf(floor), 5)})"
     )
 
 
@@ -429,19 +427,20 @@ def ivory_integral(x, tol: float = 1e-12, max_panels: int = 4096) -> float:
     return total / math.pi
 
 
-def _agm_within(scale, tol, enclose):
+def _within(mag: int, tol: Fraction, enclose):
     """``enclose(prec)``, an outward-rounded (lo, hi) of raw tuples for a
-    value below ``scale``.  Rounding alone sets its width, so it starts at
-    ``_AGM_GUARD_BITS`` beyond log2(scale / tol) and doubles the precision
+    value below 2^mag.  Rounding alone sets its width, so it starts at
+    ``_GUARD_BITS`` beyond mag - log2(tol) and doubles the precision
     until hi - lo <= tol; a width that four doublings leave too wide
     (the extreme axis ratios need one) is a fault, not a tolerance floor."""
-    mag, limit = _ctx(15).mag, _ctx(15).convert(tol)._mpf_  # tol exactly
-    start = max(53, mag(scale) - mag(tol) + _AGM_GUARD_BITS)
+    limit = _bounds(tol, 53)[0]  # no larger than tol
+    start = max(53, mag - _mag(tol) + _GUARD_BITS)
     for prec in (start << k for k in range(5)):
         lo, hi = enclose(prec)
         if mpf_le(mpf_sub(hi, lo), limit):  # mpf_sub without a precision is exact
             return lo, hi
-    raise ArithmeticError(f"enclosure still wider than tol={tol} at {prec} bits")
+    raise ArithmeticError(
+        f"enclosure still wider than tol={_CTX.nstr(_CTX.convert(tol), 5)} at {prec} bits")
 
 
 def _agm_sum(a, b, t, s, prec: int):
@@ -487,18 +486,21 @@ def _agm_sum(a, b, t, s, prec: int):
     return (s_lo if mpf_lt(fzero, s_lo) else fzero, s_hi), (b_lo, a_hi)
 
 
-def _agm_perimeter(a, b, prec: int):
-    """Outward-rounded (lo, hi) of 2 pi S / M for raw semi-axes a >= b > 0."""
+def _agm_perimeter(a: Fraction, b: Fraction, prec: int):
+    """Outward-rounded (lo, hi) of 2 pi S / M for exact semi-axes a >= b > 0."""
+    (a_lo, a_hi), (b_lo, b_hi) = _bounds(a, prec), _bounds(b, prec)
 
-    def step_one(rnd):  # a_1, b_1, t_1, s_1 of _agm_sum, all rounded one way
-        d = mpf_sub(a, b, prec, rnd)
+    def step_one(a, b, d, rnd):  # a_1, b_1, t_1, s_1 of _agm_sum, all rounded one way
         square_sum = mpf_add(mpf_mul(a, a, prec, rnd), mpf_mul(b, b, prec, rnd), prec, rnd)
         return (mpf_shift(mpf_add(a, b, prec, rnd), -1),
                 mpf_sqrt(mpf_mul(a, b, prec, rnd), prec, rnd),
                 mpf_shift(mpf_mul(d, d, prec, rnd), -2),
                 mpf_shift(square_sum, -1))
 
-    (s_lo, s_hi), (m_lo, m_hi) = _agm_sum(*zip(step_one(_DOWN), step_one(_UP)), prec)
+    d_lo = mpf_sub(a_lo, b_hi, prec, _DOWN)  # of d = a - b >= 0
+    lower = step_one(a_lo, b_lo, fzero if d_lo[0] else d_lo, _DOWN)
+    upper = step_one(a_hi, b_hi, mpf_sub(a_hi, b_lo, prec, _UP), _UP)
+    (s_lo, s_hi), (m_lo, m_hi) = _agm_sum(*zip(lower, upper), prec)
     lo = mpf_mul(mpf_shift(mpf_pi(prec, _DOWN), 1), s_lo, prec, _DOWN)
     hi = mpf_mul(mpf_shift(mpf_pi(prec, _UP), 1), s_hi, prec, _UP)
     return mpf_div(lo, m_hi, prec, _DOWN), mpf_div(hi, m_lo, prec, _UP)
@@ -509,18 +511,16 @@ def perimeter(ellipse: Ellipse, tol=None) -> Enclosure:
 
     The default ``tol`` is ``PERIMETER_REL_TOL`` times 4a <= p, so relative;
     an explicit ``tol`` is an absolute width, always honored by raising the
-    precision (``_agm_within``).  A degenerate b = 0 gives p = 4a exactly.
+    precision (``_within``).  A degenerate b = 0 gives p = 4a, a point for
+    a binary a.
     """
-    if tol is None:
-        tol = PERIMETER_REL_TOL * 4 * ellipse.a  # p >= 4a
-    _check_tol(tol)
-    ctx = _ctx(WORKING_DPS)
-    a, b = ellipse.a._mpf_, ellipse.b._mpf_  # exact, a >= b
-    if b == fzero:
-        p = ctx.make_mpf(mpf_shift(a, 2))
-        return Enclosure(p, p, EXACT_POINT)
-    lo, hi = _agm_within(8 * ellipse.a, tol, lambda prec: _agm_perimeter(a, b, prec))
-    return Enclosure(ctx.make_mpf(lo), ctx.make_mpf(hi), AGM)
+    a, b = ellipse.axes  # exact, a >= b
+    tol = _check_tol(Fraction(PERIMETER_REL_TOL) * 4 * a if tol is None else tol)  # p >= 4a
+    if b == 0:
+        lo, hi = _within(_mag(a) + 2, tol, lambda prec: _bounds(4 * a, prec))
+        return _enclosure(lo, hi, EXACT_POINT)
+    lo, hi = _within(_mag(a) + 3, tol, lambda prec: _agm_perimeter(a, b, prec))
+    return _enclosure(lo, hi, AGM)
 
 
 def perimeter_ramanujan(ellipse: Ellipse):
@@ -532,72 +532,72 @@ def perimeter_ramanujan(ellipse: Ellipse):
     exposed so the identity can be checked, and they agree to a few ulp of
     working precision.
     """
-    ctx = _ctx(WORKING_DPS)
-    a, b = _as_mpf(ellipse.a, ctx), _as_mpf(ellipse.b, ctx)
-    root = ctx.sqrt(a * a + 14 * a * b + b * b)
-    return ctx.pi * ((a + b) + 3 * (a - b) ** 2 / (10 * (a + b) + root))
+    a, b = ellipse.a, ellipse.b
+    root = _CTX.sqrt(a * a + 14 * a * b + b * b)
+    return _CTX.pi * ((a + b) + 3 * (a - b) ** 2 / (10 * (a + b) + root))
 
 
-def _x5_target(c, x, factor=1):
-    """The width target c x^5 factor, formed in mpf: it may lie far below
-    the float range."""
-    ctx = _ctx(15)
-    return _as_mpf(c, ctx) * _as_mpf(x, ctx) ** 5 * factor
+def _ramanujan_enclosure(x: Fraction, s: Fraction) -> Enclosure:
+    """p_R = pi s A(x) for the exact s = a + b and x = ((a-b)/(a+b))^2,
+    rounded outward: A increases with x."""
+    x_lo, x_hi = _bounds(x, _CTX.prec)
+    kernel = _enclosure(_kernel(x_lo, _CTX.prec, _DOWN, _UP), _kernel(x_hi, _CTX.prec, _UP, _DOWN))
+    return _product(kernel, s, times_pi=True)
 
 
-def _discrepancy_series(x, limit, ctx):
+def _discrepancy_series(x: Fraction, limit, prec: int):
     """Outward-rounded (lo, hi) of sum_{n>=5} delta_n x^n, 0 < x <= SERIES_MAX_X,
-    at most ``limit`` wide, at the precision of ``ctx``.
+    at ``prec`` bits, with a tail bound of at most half of ``limit``.
 
-    No term is negative, so the lower sum rounds down and the upper sum up,
-    with delta_n and B_n from a fresh exact stream.  As 0 < delta_n < B_n
-    and B_(n+1) < B_n, ``_tail_bound`` with next term B_n x^(n+1) bounds
-    the tail.  The sum runs through n = 6 at least, so theta's rise above
-    delta_5 (delta_6 x) shows however small x is, and then ends: the tail
-    shrinks 100-fold a term, and ``_dps_for_tol`` keeps the rounding spread
-    16 digits below ``limit``.
+    No term is negative, so the lower sum rounds down, from x rounded down,
+    and the upper sum up, from x rounded up, with delta_n and B_n from a
+    fresh exact stream.  As 0 < delta_n < B_n and B_(n+1) < B_n,
+    ``_tail_bound`` with next term B_n x^(n+1) bounds the tail.  The sum
+    runs through n = 6 at least, so theta's rise above delta_5 (delta_6 x)
+    shows however small x is, and then ends: the tail shrinks 100-fold a
+    term.  ``_within`` checks that the rounding spread fits the other half.
     """
-    prec = ctx.prec
+    (x_lo, x_hi), one_minus = _bounds(x, prec), _bounds(1 - x, prec)[0]
+    half = mpf_shift(limit, -1)
     s_lo = s_hi = fzero
     xp_lo = xp_hi = fone  # x^n
-    one_minus = mpf_sub(fone, x, prec, _DOWN)
     for n, row in enumerate(dyadic_rows()):
-        d_lo, d_hi = (_dyadic_mpf(row.delta, ctx, rnd)._mpf_ for rnd in (_DOWN, _UP))
+        d_lo, d_hi = (_dyadic_mpf(row.delta, prec, rnd) for rnd in (_DOWN, _UP))
         s_lo = mpf_add(s_lo, mpf_mul(d_lo, xp_lo, prec, _DOWN), prec, _DOWN)
         s_hi = mpf_add(s_hi, mpf_mul(d_hi, xp_hi, prec, _UP), prec, _UP)
-        xp_lo, xp_hi = mpf_mul(xp_lo, x, prec, _DOWN), mpf_mul(xp_hi, x, prec, _UP)
-        next_term = mpf_mul(_dyadic_mpf(row.B, ctx, _UP)._mpf_, xp_hi, prec, _UP)
-        hi = mpf_add(s_hi, _tail_bound(n, next_term, one_minus, prec)[0], prec, _UP)
-        if n >= 6 and mpf_le(mpf_sub(hi, s_lo), limit):
-            return s_lo, hi
+        xp_lo, xp_hi = mpf_mul(xp_lo, x_lo, prec, _DOWN), mpf_mul(xp_hi, x_hi, prec, _UP)
+        next_term = mpf_mul(_dyadic_mpf(row.B, prec, _UP), xp_hi, prec, _UP)
+        tail = _tail_bound(n, next_term, one_minus, prec)[0]
+        if n >= 6 and mpf_le(tail, half):
+            return s_lo, mpf_add(s_hi, tail, prec, _UP)
 
 
-def _discrepancy_agm(x, prec: int):
+def _discrepancy_agm(x: Fraction, prec: int):
     """Outward-rounded (lo, hi) of B(x) - A(x), 0 < x <= 1, B from the AGM.
 
     The ellipse a_0 = 1 + lam, b_0 = 1 - lam with lam^2 = x has
     a_0 + b_0 = 2, so B(x) = S / M.  At step one a_1 = 1, b_1 = sqrt(1 - x),
-    c_1^2 = x and (a_0^2 + b_0^2)/2 = 1 + x: x enters only through
-    sqrt(1 - x), which is rounded outward with everything else.  At x = 1
-    the ellipse is degenerate, p = 4a, so B(1) = 4/pi (and A(1) = 14/11).
+    c_1^2 = x and (a_0^2 + b_0^2)/2 = 1 + x: x and 1 - x, each rounded
+    outward, enter only there.  A increases with x, so A(x) rounded down
+    takes x rounded down, and up, up.  At x = 1 the ellipse is degenerate,
+    p = 4a, so B(1) = 4/pi (and A(1) = 14/11).
     """
-
-    def step_one(rnd):
-        root = mpf_sqrt(mpf_sub(fone, x, prec, rnd), prec, rnd)
-        return fone, root, x, mpf_add(fone, x, prec, rnd)
-
-    if x == fone:
+    x_lo, x_hi = _bounds(x, prec)
+    if x == 1:
         b_lo = mpf_div(_FOUR, mpf_pi(prec, _UP), prec, _DOWN)
         b_hi = mpf_div(_FOUR, mpf_pi(prec, _DOWN), prec, _UP)
     else:
-        (s_lo, s_hi), (m_lo, m_hi) = _agm_sum(*zip(step_one(_DOWN), step_one(_UP)), prec)
+        y_lo, y_hi = _bounds(1 - x, prec)
+        lower = (fone, mpf_sqrt(y_lo, prec, _DOWN), x_lo, mpf_add(fone, x_lo, prec, _DOWN))
+        upper = (fone, mpf_sqrt(y_hi, prec, _UP), x_hi, mpf_add(fone, x_hi, prec, _UP))
+        (s_lo, s_hi), (m_lo, m_hi) = _agm_sum(*zip(lower, upper), prec)
         b_lo, b_hi = mpf_div(s_lo, m_hi, prec, _DOWN), mpf_div(s_hi, m_lo, prec, _UP)
-    return (mpf_sub(b_lo, _kernel(x, prec, _UP, _DOWN), prec, _DOWN),
-            mpf_sub(b_hi, _kernel(x, prec, _DOWN, _UP), prec, _UP))
+    return (mpf_sub(b_lo, _kernel(x_hi, prec, _UP, _DOWN), prec, _DOWN),
+            mpf_sub(b_hi, _kernel(x_lo, prec, _DOWN, _UP), prec, _UP))
 
 
 def discrepancy(x, tol=None) -> Enclosure:
-    """Enclosure of Delta(x) = B(x) - A(x) for 0 < x <= 1, rounded outward.
+    """Enclosure of Delta(x) = B(x) - A(x) for 0 < x <= 1, from the exact x.
 
     Up to ``SERIES_MAX_X`` it sums the difference series, free of the
     cancellation of B - A (Delta(x) ~ (3/2^17) x^5 near 0) but longer as x
@@ -606,39 +606,42 @@ def discrepancy(x, tol=None) -> Enclosure:
     The default tolerance, delta_5 x^5 / 10^9, keeps about nine significant
     digits of Delta; an explicit ``tol`` is always honored.
     """
-    xm = _as_mpf(x, _ctx(WORKING_DPS))
-    if not 0 < xm <= 1:  # in mpf: x may lie below the float range
+    q = _exact_fraction(x)
+    if not 0 < q <= 1:
         raise ValueError("x must lie in (0, 1]")
-    if tol is None:
-        tol = _x5_target(DELTA_5, xm, 1e-9)
-    _check_tol(tol)
-    ctx = _ctx(_dps_for_tol(tol))
-    xt = xm._mpf_
-    if xm <= SERIES_MAX_X:
-        lo, hi = _discrepancy_series(xt, _ctx(15).convert(tol)._mpf_, ctx)
+    tol = _check_tol(_RATIO_TOL * q**5 if tol is None else tol)
+    if q <= SERIES_MAX_X:
+        # Delta < 1: a precision that follows tol, not Delta < x^5, keeps
+        # Delta's relative width far below theta's rise above delta_5
+        limit = _bounds(tol, 53)[0]
+        lo, hi = _within(0, tol, lambda prec: _discrepancy_series(q, limit, prec))
         regime = GEOMETRIC_TAIL
     else:  # B, A < 2
-        lo, hi = _agm_within(2, tol, lambda prec: _discrepancy_agm(xt, prec))
-        regime = CLOSED_FORM if xm == 1 else AGM
-    return Enclosure(ctx.make_mpf(lo), ctx.make_mpf(hi), regime)
+        lo, hi = _within(2, tol, lambda prec: _discrepancy_agm(q, prec))
+        regime = CLOSED_FORM if q == 1 else AGM
+    return _enclosure(lo, hi, regime)
 
 
 def discrepancy_ratio(x, tol=None) -> Enclosure:
-    """Enclosure of Delta(x)/x^5, the normalized discrepancy.
+    """Enclosure of Delta(x)/x^5, the normalized discrepancy, from the exact x.
 
     This quantity decreases to delta_5 = 3/2^17 as x -> 0 and climbs to
-    4/pi - 14/11 at x = 1.  ``tol`` is the target width of the ratio; an
-    explicit ``tol`` is honored or refused, never loosened.
+    4/pi - 14/11 at x = 1.  By default Delta has its own default width,
+    delta_5 x^5 / 10^9.  An explicit ``tol`` is the width of the ratio,
+    honored and never loosened: Delta is enclosed within tol x^5 / 2, and
+    its product with 1/x^5, rounded outward at a precision that resolves
+    that width (``_product``), adds at most a few hundredths of it.
     """
-    xm = _as_mpf(x, _ctx(WORKING_DPS))
-    inner = _x5_target(DELTA_5, xm, 1e-9) if tol is None else _x5_target(tol, xm)
-    enc = discrepancy(xm, inner)  # refuses x outside (0, 1] first
-    return _scaled(enc, 1 / _as_mpf(xm, _ctx(_dps_for_tol(inner))) ** 5)
+    q = _exact_fraction(x)
+    if not 0 < q <= 1:
+        raise ValueError("x must lie in (0, 1]")
+    inner = None if tol is None else _check_tol(tol) * q**5 / 2
+    return _product(discrepancy(q, inner), 1 / q**5)
 
 
 def theta_of_lambda(lam, tol=None) -> Enclosure:
-    """Enclosure of theta(lam) = Delta(lam^2) / lam^10 for 0 < lam <= 1."""
-    lm = _as_mpf(lam, _ctx(WORKING_DPS))
-    if not 0 < lm <= 1:
+    """Enclosure of theta(lam) = Delta(lam^2) / lam^10 for 0 < lam <= 1, from the exact lam."""
+    q = _exact_fraction(lam)
+    if not 0 < q <= 1:
         raise ValueError("lam must lie in (0, 1]")
-    return discrepancy_ratio(lm * lm, tol)
+    return discrepancy_ratio(q * q, tol)

@@ -149,9 +149,9 @@ def test_subnormal_degenerate_perimeter_is_exact(capsys):
 @pytest.mark.parametrize("x", [engine.SERIES_MAX_X / 2, engine.SERIES_MAX_X,
                                2 * engine.SERIES_MAX_X])
 def test_series_and_agm_discrepancy_overlap_near_the_switch(x):
-    xt = from_float(x)
-    series = engine._discrepancy_series(xt, from_float(1e-40), engine._ctx(60))
-    agm = engine._discrepancy_agm(xt, engine._ctx(60).prec)
+    xq, prec = F(x), 203  # 60 digits
+    series = engine._discrepancy_series(xq, from_float(1e-40), prec)
+    agm = engine._discrepancy_agm(xq, prec)
     assert mpf_le(series[0], agm[1]) and mpf_le(agm[0], series[1])
 
 

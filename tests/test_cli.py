@@ -4,6 +4,7 @@
 import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -236,6 +237,27 @@ def test_python_m_ellipcert_cli_runs_the_module_once():
     assert proc.stdout == ("n,A,B,delta\n0,1/1,1/1,0/1\n1,1/4,1/4,0/1\n"
                            "2,1/64,1/64,0/1\n3,1/256,1/256,0/1\n")
     assert proc.stderr == ""
+
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_reader_ends_the_process_quietly():
+    # `ellipcert ... | head -1`: the reader leaves after one line.  The table
+    # is far larger than a pipe buffer, so the writer is still writing and
+    # meets the closed pipe; it ends by SIGPIPE, as a filter does, with no
+    # traceback and no exit 1 (the code for a failed verification)
+    src = str(Path(ellipcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ellipcert", "coeffs", "--n", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.stdout.readline() == b"n,A,B,delta\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""
 
 
 ORACLE_N = 1200

@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import MPContext, mp
+from mpmath.libmp import round_nearest
 from scipy.integrate import quad
 
 import ellipcert
@@ -430,10 +431,9 @@ def test_discrepancy_default_target_certifies_tiny_x(x):
 
 @pytest.mark.parametrize("lam", [1e-35, 1e-170, 5e-324])
 def test_theta_of_lambda_certifies_tiny_lambda(lam):
-    # x = lam^2 is formed at working precision; for lam below ~1e-162 it
-    # lies below the float range
-    lm = engine._as_mpf(lam, engine._ctx(engine.WORKING_DPS))
-    _assert_certifies_ratio(theta_of_lambda(lam), engine._exact_fraction(lm * lm), F(1))
+    # x = lam^2 is formed exactly; for lam below ~1e-162 it lies below the
+    # float range
+    _assert_certifies_ratio(theta_of_lambda(lam), F(lam) ** 2, F(1))
 
 
 @settings(max_examples=20, deadline=None)
@@ -441,8 +441,7 @@ def test_theta_of_lambda_certifies_tiny_lambda(lam):
 @example(lam=5e-324)
 @example(lam=1e-3)
 def test_theta_of_lambda_certifies_every_small_lambda(lam):
-    lm = engine._as_mpf(lam, engine._ctx(engine.WORKING_DPS))
-    _assert_certifies_ratio(theta_of_lambda(lam), engine._exact_fraction(lm * lm), F(1))
+    _assert_certifies_ratio(theta_of_lambda(lam), F(lam) ** 2, F(1))
 
 
 def test_discrepancy_ratio_never_loosens_an_explicit_tol():
@@ -454,6 +453,12 @@ def test_discrepancy_ratio_never_loosens_an_explicit_tol():
     except ToleranceFloorError:
         width = None  # refused, which is allowed
     assert width is None or width <= 1e-300 * (1 + 1e-5)
+
+
+@pytest.mark.parametrize("x, tol", [(1e-10, 1e-300), (0.5, 1e-40), (F(1, 3), 1e-20), (1.0, 1e-60)])
+def test_discrepancy_ratio_meets_an_explicit_tol_exactly(x, tol):
+    # outward rounding of Delta * x^-5 needs no allowance on top of tol
+    assert discrepancy_ratio(x, tol).width <= tol
 
 
 @pytest.mark.parametrize("x", [1e-10, 1e-70])
@@ -523,23 +528,31 @@ def exact_views():
 def test_dyadic_images_equal_the_fraction_conversion(dps, exact_views):
     # num / 2**exp rounded once equals ctx.mpf(num) / den, bit for bit
     exact_d, exact_b = exact_views
-    ctx = engine._ctx(dps)
+    ctx = MPContext()
+    ctx.dps = dps
     rows = islice(dyadic_rows(), len(exact_d))
     for n, (row, d, b) in enumerate(zip(rows, exact_d, exact_b)):
-        image = engine._dyadic_mpf(row.delta, ctx)
+        image = ctx.make_mpf(engine._dyadic_mpf(row.delta, ctx.prec, round_nearest))
         assert image._mpf_ == (ctx.mpf(d.numerator) / d.denominator)._mpf_, n
-        image = engine._dyadic_mpf(row.B, ctx)
+        image = ctx.make_mpf(engine._dyadic_mpf(row.B, ctx.prec, round_nearest))
         assert image._mpf_ == (ctx.mpf(b.numerator) / b.denominator)._mpf_, n
 
 
-def test_per_precision_caches_stay_bounded():
+def test_discrepancy_sweep_builds_no_context(monkeypatch):
     # the default target of Delta(10^-k) needs about 5k + 30 digits, so this
-    # sweep meets 50 precisions; only the most recently used few are kept
-    misses = engine._ctx.cache_info().misses
+    # sweep meets 50 precisions; every loop takes its precision in bits, so
+    # none of them builds a context
+    built = []
+    init = MPContext.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MPContext, "__init__", counting_init)
     for k in range(5, 55):
         discrepancy(10.0**-k)
-    assert engine._ctx.cache_info().misses - misses >= 50
-    assert engine._ctx.cache_info().currsize <= engine._PRECISIONS_KEPT
+    assert not built
 
 
 def test_cold_discrepancy_at_one_holds_no_exact_table(traced_peak_mb):

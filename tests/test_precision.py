@@ -223,3 +223,85 @@ def test_series_kernel_holds_no_table_or_lock():
 
 def test_engine_holds_no_table_or_lock():
     assert not _held_state((SRC / "engine.py").read_text(encoding="utf-8"))
+
+
+# -- the guard: no hand-chosen rounding allowance, and one context --
+
+_DIGIT_COUNTS = {"dps", "WORKING_DPS"}
+_CACHES = {"lru_cache", "cache"}
+
+
+def _called(node, name: str) -> bool:
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and (
+        (isinstance(func, ast.Name) and func.id == name)
+        or (isinstance(func, ast.Attribute) and func.attr == name))
+
+
+def _names(node) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _is_slack(value) -> bool:
+    """A literal absolute allowance such as 1e-200 or "1e-200"."""
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            return False
+    return isinstance(value, float) and 0 < value <= 1e-100
+
+
+def _hand_pads(source: str) -> list[str]:
+    """Each power of 10 whose exponent names a digit count (an ulp pad),
+    each literal slack, each cached function that builds a context, and
+    each ``MPContext()`` call after the first."""
+    found = []
+    contexts = 0
+    for node in ast.walk(ast.parse(source)):
+        line = getattr(node, "lineno", 0)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            ten = any(isinstance(n, ast.Constant) and n.value == 10 for n in ast.walk(node.left))
+            if ten and _names(node.right) & _DIGIT_COUNTS:
+                found.append(f"{line}: 10 ** digits")
+        elif isinstance(node, ast.Constant) and _is_slack(node.value):
+            found.append(f"{line}: {node.value!r}")
+        elif isinstance(node, ast.FunctionDef) and any(
+                _names(d) & _CACHES for d in node.decorator_list) and any(
+                _called(n, "MPContext") for n in ast.walk(node)):
+            found.append(f"{line}: cached {node.name}")
+        elif _called(node, "MPContext"):
+            contexts += 1
+            if contexts > 1:
+                found.append(f"{line}: another MPContext()")
+    return found
+
+
+def test_pad_guard_flags_each_kind_of_use():
+    samples = [
+        "u = ctx.mpf(10) ** (1 - ctx.dps)\n",
+        "u = mpf(10) ** (1 - dps)\n",
+        "pad = 10 ** (20 - WORKING_DPS)\n",
+        "slack = ctx.mpf('1e-200')\n",
+        "slack = 1e-200\n",
+        "@lru_cache(maxsize=8)\ndef _ctx(dps):\n    ctx = MPContext()\n    return ctx\n",
+        "@functools.cache\ndef f():\n    return mpmath.MPContext()\n",
+        "a = MPContext()\nb = MPContext()\n",
+    ]
+    for source in samples:
+        assert _hand_pads(source), source
+    assert not _hand_pads(
+        "CTX = MPContext()\nCTX.dps = 50\nbig = 10 ** 9\ntol = 1e-12\nq = 10 ** -digits\n"
+        "@lru_cache\ndef f(n):\n    return n\n")
+
+
+def test_package_has_no_hand_pads_and_one_context():
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) >= 6
+    sources = {path.name: path.read_text(encoding="utf-8") for path in files}
+    uses = {name: _hand_pads(source) for name, source in sources.items()}
+    assert not {name: found for name, found in uses.items() if found}
+    calls = [n for source in sources.values() for n in ast.walk(ast.parse(source))
+             if _called(n, "MPContext")]
+    assert len(calls) == 1
