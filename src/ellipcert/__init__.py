@@ -12,10 +12,12 @@ Four layers, bottom up:
   * ``bounds`` -- the optimal error constants and per-ellipse error
     reports.
 
-The two exact layers need only the standard library; mpmath comes in with
-``engine``.  Importing the package loads no layer: each name below is
-imported from its layer on first use (PEP 562), so a caller of the exact
-layers never pays for the numeric ones.
+Every layer needs only the standard library: ``engine`` and ``bounds``
+compute on the package's own directed-rounding binary arithmetic
+(``_dyadic``), and return exact ``Dyadic`` values, Fractions that mpmath
+also reads as mpf values.  Importing the package loads no layer: each
+name below is imported from its layer on first use (PEP 562), so a caller
+of the exact layers never pays for the numeric ones.
 """
 
 from importlib import import_module

@@ -1,0 +1,516 @@
+"""Binary floating point with directed rounding, on raw tuples, standard library only.
+
+A raw value is a tuple (sign, man, exp, bc) worth (-1)^sign * man * 2^exp,
+with man odd and bc its bit length; zero is (0, 0, 0, 0).  That is the
+normalized format of ``mpmath.libmp``, and every function here keeps the
+libmp name, arguments and result bits, so values pass between the two
+unchanged and the tests hold each operation to libmp bit for bit.
+
+Each operation given a precision rounds once to ``prec`` bits in the
+direction ``rnd``: ``round_floor``, ``round_ceiling``, ``round_nearest``
+(ties to even), ``round_down`` or ``round_up`` (towards or away from zero).
+Without a precision, ``mpf_add``, ``mpf_sub`` and ``mpf_mul`` are exact, and
+``mpf_shift`` always is.  Add, sub, mul, div, sqrt and ``mpf_mul_int`` are
+correctly rounded (add as libmp adds: an operand far below the other's top
+bit counts only as a sticky bit).  ``mpf_pow_int`` follows libmp's binary
+powering, which is not correctly rounded once bc * n >= 1000.
+
+pi, ln 2 and ln 10 come from integer series (Machin's formula, atanh)
+with an error bound, exact to the floor at the precision asked; ``to_str``
+prints a value as libmp's ``to_str`` (mpmath's ``nstr``) does, and
+``Dyadic`` is the exact value type the package returns.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+round_nearest, round_floor, round_ceiling, round_down, round_up = "n", "f", "c", "d", "u"
+
+fzero = (0, 0, 0, 0)
+fone = (0, 1, 0, 1)
+_TEN = (0, 5, 1, 3)
+
+# whether a right shift of the magnitude (its floor) rounds in direction
+# rnd, for sign 0 and for sign 1
+_SHIFTS_DOWN = {round_floor: (1, 0), round_ceiling: (0, 1), round_down: (1, 1), round_up: (0, 0)}
+_RECIPROCAL = {round_down: round_up, round_up: round_down, round_floor: round_ceiling,
+               round_ceiling: round_floor, round_nearest: round_nearest}
+
+
+def dps_to_prec(n: int) -> int:
+    """The bits that hold n decimal digits: 169 for 50."""
+    return max(1, int(round((int(n) + 1) * 3.3219280948873626)))
+
+
+def _round(sign, man, exp, bc, prec, rnd):
+    """(-1)^sign man 2^exp, man > 0 with bc bits, rounded to prec bits and
+    stripped of trailing zero bits."""
+    if not man:
+        return fzero
+    n = bc - prec
+    if n > 0:
+        if rnd == round_nearest:
+            t = man >> (n - 1)
+            if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+                man = (t >> 1) + 1
+            else:
+                man = t >> 1
+        elif _SHIFTS_DOWN[rnd][sign]:
+            man >>= n
+        else:
+            man = -(-man >> n)
+        exp += n
+    if not man & 1:
+        t = (man & -man).bit_length() - 1
+        man >>= t
+        exp += t
+    return sign, man, exp, man.bit_length()
+
+
+def from_man_exp(man: int, exp: int, prec: int = 0, rnd=round_down):
+    """man * 2^exp for a signed integer man, exact or rounded to prec bits."""
+    sign = 0
+    if man < 0:
+        sign, man = 1, -man
+    if not prec:
+        prec = man.bit_length()
+    return _round(sign, man, exp, man.bit_length(), prec, rnd)
+
+
+def from_int(n: int, prec: int = 0, rnd=round_down):
+    return from_man_exp(n, 0, prec, rnd)
+
+
+def from_float(x: float):
+    """A finite float, exactly."""
+    num, den = x.as_integer_ratio()
+    return from_man_exp(num, 1 - den.bit_length())
+
+
+def from_rational(p: int, q: int, prec: int, rnd=round_down):
+    return mpf_div(from_int(p), from_int(q), prec, rnd)
+
+
+def from_str(text: str, prec: int, rnd=round_down):
+    """A decimal literal or "p/q", as libmp's ``from_str`` reads it: rounded
+    once, except that an exponent beyond 10^400 goes through a power of ten."""
+    x = text.lower().strip()
+    if "/" in x:
+        p, q = x.split("/")
+        return from_rational(int(p), int(q), prec, rnd)
+    float(x)  # refuses what is not a float literal
+    parts = x.split("e")
+    exp = int(parts[1]) if len(parts) == 2 else 0
+    whole, _, frac = parts[0].partition(".")
+    frac = frac.rstrip("0")
+    exp -= len(frac)
+    man = int(whole + frac)
+    if abs(exp) > 400:
+        return mpf_mul(from_int(man, prec + 10), mpf_pow_int(_TEN, exp, prec + 10), prec, rnd)
+    if exp >= 0:
+        return from_int(man * 10**exp, prec, rnd)
+    return from_rational(man, 10**-exp, prec, rnd)
+
+
+def mpf_pos(s, prec: int = 0, rnd=round_down):
+    """s rounded to prec bits; s itself without a precision."""
+    if not prec:
+        return s
+    sign, man, exp, bc = s
+    return _round(sign, man, exp, bc, prec, rnd)
+
+
+def mpf_shift(s, n: int):
+    """s * 2^n, exactly."""
+    sign, man, exp, bc = s
+    return (sign, man, exp + n, bc) if man else s
+
+
+def mpf_add(s, t, prec: int = 0, rnd=round_down, _sub: int = 0):
+    """s + t, exact without a precision."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    tsign ^= _sub
+    if not sman:
+        return mpf_pos((tsign, tman, texp, tbc), prec or tbc, rnd) if tman else fzero
+    if not tman:
+        return mpf_pos(s, prec or sbc, rnd)
+    if sexp < texp:  # s is the one with the larger exponent from here on
+        ssign, sman, sexp, sbc, tsign, tman, texp, tbc = tsign, tman, texp, tbc, ssign, sman, sexp, sbc
+    offset = sexp - texp
+    if offset > 100 and prec and sbc + sexp - tbc - texp > prec + 4:
+        # t lies wholly below the rounding position: it counts as a sticky bit
+        man = (sman << (prec + 4)) + (1 if tsign == ssign else -1)
+        return _round(ssign, man, sexp - prec - 4, man.bit_length(), prec, rnd)
+    if ssign == tsign:
+        man, sign = tman + (sman << offset), ssign
+    else:
+        man = (sman << offset) - tman
+        sign = ssign
+        if man < 0:
+            man, sign = -man, 1 - ssign
+    bc = man.bit_length()
+    return _round(sign, man, texp, bc, prec or bc, rnd)
+
+
+def mpf_sub(s, t, prec: int = 0, rnd=round_down):
+    """s - t, exact without a precision."""
+    return mpf_add(s, t, prec, rnd, 1)
+
+
+def mpf_mul(s, t, prec: int = 0, rnd=round_down):
+    """s * t, exact without a precision."""
+    ssign, sman, sexp, _ = s
+    tsign, tman, texp, _ = t
+    man = sman * tman
+    if not man:
+        return fzero
+    bc = man.bit_length()
+    return _round(ssign ^ tsign, man, sexp + texp, bc, prec or bc, rnd)
+
+
+def mpf_mul_int(s, n: int, prec: int, rnd=round_down):
+    """s * n for an integer n."""
+    sign, man, exp, _ = s
+    if n < 0:
+        sign, n = 1 - sign, -n
+    man *= n
+    return _round(sign, man, exp, man.bit_length(), prec, rnd)
+
+
+def mpf_div(s, t, prec: int, rnd=round_down):
+    """s / t for t != 0: quotient bits beyond prec + 4, and a sticky bit."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    if not tman:
+        raise ZeroDivisionError("division by zero")
+    if not sman:
+        return fzero
+    sign = ssign ^ tsign
+    if tman == 1:
+        return _round(sign, sman, sexp - texp, sbc, prec, rnd)
+    extra = max(prec - sbc + tbc + 5, 5)
+    quot, rem = divmod(sman << extra, tman)
+    if rem:
+        quot = (quot << 1) + 1
+        extra += 1
+    return _round(sign, quot, sexp - texp - extra, quot.bit_length(), prec, rnd)
+
+
+def mpf_sqrt(s, prec: int, rnd=round_down):
+    """The square root of s >= 0."""
+    sign, man, exp, bc = s
+    if sign:
+        raise ValueError("square root of a negative number")
+    if not man:
+        return s
+    if exp & 1:
+        exp -= 1
+        man <<= 1
+        bc += 1
+    elif man == 1:
+        return _round(sign, man, exp // 2, bc, prec, rnd)
+    shift = max(4, 2 * prec - bc + 4)
+    shift += shift & 1
+    root = math.isqrt(man << shift)
+    if rnd not in (round_floor, round_down) and root * root != man << shift:
+        root = (root << 1) + 1  # a sticky bit below the floor
+        shift += 2
+    return from_man_exp(root, (exp - shift) // 2, prec, rnd)
+
+
+def mpf_pow_int(s, n: int, prec: int, rnd=round_down):
+    """s^n for an integer n, by libmp's algorithm: exact, then rounded, while
+    bc * n < 1000; beyond that binary powering at prec + 4 bitlength(n) + 4
+    bits, each step truncated in one direction."""
+    sign, man, exp, bc = s
+    if n == 0:
+        return fone
+    if n == 1:
+        return mpf_pos(s, prec, rnd)
+    if not man:
+        if n < 0:
+            raise ZeroDivisionError("zero to a negative power")
+        return fzero
+    if n == 2:
+        man *= man
+        return _round(0, man, exp + exp, man.bit_length(), prec, rnd)
+    if n == -1:
+        return mpf_div(fone, s, prec, rnd)
+    if n < 0:
+        inverse = mpf_pow_int(s, -n, prec + 5, _RECIPROCAL[rnd])
+        return mpf_div(fone, inverse, prec, rnd)
+    result_sign = sign & n
+    if man == 1:
+        return (result_sign, 1, exp * n, 1)
+    if bc * n < 1000:
+        man **= n
+        return _round(result_sign, man, exp * n, man.bit_length(), prec, rnd)
+    rounds_down = rnd == round_nearest or _SHIFTS_DOWN[rnd][result_sign]
+    wp = prec + 4 * n.bit_length() + 4
+    pm, pe = 1, 0
+    while True:
+        if n & 1:
+            pm *= man
+            pe += exp
+            pbc = pm.bit_length()
+            if pbc > wp:
+                cut = pbc - wp
+                pm = pm >> cut if rounds_down else -(-pm >> cut)
+                pe += cut
+            n -= 1
+            if not n:
+                break
+        man *= man
+        exp += exp
+        bc = man.bit_length()
+        if bc > wp:
+            cut = bc - wp
+            man = man >> cut if rounds_down else -(-man >> cut)
+            exp += cut
+        n //= 2
+    return _round(result_sign, pm, pe, pm.bit_length(), prec, rnd)
+
+
+def mpf_cmp(s, t) -> int:
+    """-1, 0 or 1 as s <, = or > t, exactly."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    if not sman or not tman:
+        if not sman and not tman:
+            return 0
+        return 2 * tsign - 1 if not sman else 1 - 2 * ssign
+    if ssign != tsign:
+        return 1 - 2 * ssign
+    if sexp == texp and sman == tman:
+        return 0
+    a, b = sbc + sexp, tbc + texp
+    if a == b:
+        return -1 if mpf_sub(s, t, 5, round_floor)[0] else 1
+    return (1 if a > b else -1) * (1 - 2 * ssign)
+
+
+def mpf_lt(s, t) -> bool:
+    return mpf_cmp(s, t) < 0
+
+
+def mpf_le(s, t) -> bool:
+    return mpf_cmp(s, t) <= 0
+
+
+# -- constants: floor(c * 2^prec), exactly, from integer series -----------
+
+
+def _arctan_series(x: int, one: int, alternate: bool):
+    """sum_k (+-1)^k one / ((2k+1) x^(2k+1)) in integers, for x >= 3: atan(1/x)
+    or atanh(1/x) times one, within 3 (terms + 1)."""
+    x2 = x * x
+    power = one // x
+    total, k = power, 1
+    while power:
+        power //= x2
+        term = power // (2 * k + 1)
+        total += -term if alternate and k & 1 else term
+        k += 1
+    return total, 3 * (k + 1)
+
+
+def _pi_series(one: int):
+    a, err_a = _arctan_series(5, one, True)
+    b, err_b = _arctan_series(239, one, True)
+    return 16 * a - 4 * b, 16 * err_a + 4 * err_b
+
+
+def _ln2_series(one: int):
+    a, err = _arctan_series(3, one, False)
+    return 2 * a, 2 * err
+
+
+def _ln10_series(one: int):
+    two, err_two = _ln2_series(one)
+    a, err_a = _arctan_series(9, one, False)  # ln(5/4) = 2 atanh(1/9)
+    return 3 * two + 2 * a, 3 * err_two + 2 * err_a
+
+
+_SERIES = {"pi": _pi_series, "ln2": _ln2_series, "ln10": _ln10_series}
+
+
+@lru_cache(maxsize=64)
+def _floor_at(name: str, prec: int) -> int:
+    """floor(c 2^prec) for the constant ``name``: the series at more bits,
+    with guard bits added until its error bound settles the floor."""
+    guard = 16 + prec.bit_length()
+    while True:
+        value, err = _SERIES[name](1 << (prec + guard))
+        lo, hi = (value - err) >> guard, (value + err) >> guard
+        if lo == hi:
+            return lo
+        guard += 32
+
+
+def _fixed(name: str, prec: int) -> int:
+    """floor(c 2^prec), from the cached floor at the next multiple of 256 bits."""
+    top = -(-prec // 256) * 256
+    return _floor_at(name, top) >> (top - prec)
+
+
+def _constant(name: str, prec: int, rnd):
+    """The constant rounded to prec bits, as libmp rounds its constants:
+    the floor at prec + 20 bits, plus one towards ceiling or up."""
+    wp = prec + 20
+    v = _fixed(name, wp)
+    if rnd in (round_up, round_ceiling):
+        v += 1
+    return _round(0, v, -wp, v.bit_length(), prec, rnd)
+
+
+def mpf_pi(prec: int, rnd=round_down):
+    return _constant("pi", prec, rnd)
+
+
+# -- printing -----------------------------------------------------------------
+
+
+def to_int(s) -> int:
+    """s truncated towards zero."""
+    sign, man, exp, _ = s
+    v = man << exp if exp >= 0 else man >> -exp
+    return -v if sign else v
+
+
+def _to_digits_exp(s, dps: int):
+    """(sign, digits, exponent) of s != 0: its decimal digits, truncated,
+    at least dps of them, with the exponent of the first."""
+    sign, man, exp, bc = s
+    bitprec = int(dps * math.log(10, 2)) + 10
+    exponent = 0
+    if abs(exp + bc) > 3500:  # divide by the power of ten nearest the value first
+        expprec = abs(exp).bit_length() + 5
+        tmp = mpf_mul(from_int(exp), _constant("ln2", expprec, round_down))
+        b = to_int(mpf_div(tmp, _constant("ln10", expprec, round_down), expprec))
+        _, man, exp, bc = mpf_div((0, man, exp, bc), mpf_pow_int(_TEN, b, bitprec), bitprec)
+        exponent = b
+    fixprec = max(bitprec - exp - bc, 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    offset = exp + fixprec
+    fixed = man << offset if offset >= 0 else man >> -offset
+    digits = str(fixed * 10**fixdps >> fixprec)
+    return "-" if sign else "", digits, exponent + len(digits) - fixdps - 1
+
+
+def to_str(s, dps: int) -> str:
+    """s with dps significant digits, as mpmath's ``nstr(x, dps)`` prints it:
+    digits truncated at dps + 3, rounded half up on the next digit, fixed
+    point while the leading digit's decimal exponent lies strictly between
+    min(-(dps // 3), -5) and dps, trailing zeros stripped."""
+    if not s[1]:
+        return "0.0"
+    sign, digits, exponent = _to_digits_exp(s, dps + 3)
+    if len(digits) > dps and digits[dps] in "56789":
+        digits = digits[:dps]
+        i = dps - 1
+        while i >= 0 and digits[i] == "9":
+            i -= 1
+        if i >= 0:
+            digits = digits[:i] + str(int(digits[i]) + 1) + "0" * (dps - i - 1)
+        else:
+            digits = "1" + "0" * (dps - 1)
+            exponent += 1
+    else:
+        digits = digits[:dps]
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+            split = 1
+        else:
+            split = exponent + 1
+            if split > dps:
+                digits += "0" * (split - dps)
+        exponent = 0
+    else:
+        split = 1
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits[-1] == ".":
+        digits += "0"
+    if exponent == 0:
+        return sign + digits
+    return f"{sign}{digits}e{'+' if exponent > 0 else ''}{exponent}"
+
+
+# -- the returned value type ----------------------------------------------
+
+
+def _exact(value):
+    """A Fraction result as the package's exact type: a Dyadic when its
+    denominator is a power of two, else an _Exact."""
+    if type(value) is not Fraction:
+        return value  # a float, a complex, NotImplemented, ...
+    den = value.denominator
+    return Dyadic(value) if den & (den - 1) == 0 else _Exact(value)
+
+
+def _closed(operator):
+    return lambda a, *b: _exact(operator(a, *b))
+
+
+class _Exact(Fraction):
+    """A Fraction whose arithmetic stays in the exact types and that mpmath
+    takes as a rational (``_mpmath_``), rounded at its own precision."""
+
+    __slots__ = ()
+
+    __add__, __radd__ = _closed(Fraction.__add__), _closed(Fraction.__radd__)
+    __sub__, __rsub__ = _closed(Fraction.__sub__), _closed(Fraction.__rsub__)
+    __mul__, __rmul__ = _closed(Fraction.__mul__), _closed(Fraction.__rmul__)
+    __truediv__, __rtruediv__ = _closed(Fraction.__truediv__), _closed(Fraction.__rtruediv__)
+    __pow__ = _closed(Fraction.__pow__)
+    __neg__, __pos__, __abs__ = (_closed(Fraction.__neg__), _closed(Fraction.__pos__),
+                                 _closed(Fraction.__abs__))
+
+    def _mpmath_(self, prec, rounding):
+        return Fraction(self)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, float, Fraction)) or not hasattr(other, "_mpf_"):
+            return Fraction.__eq__(self, other)
+        return NotImplemented  # left to a binary float type, which reads _mpf_ or _mpmath_
+
+    __hash__ = Fraction.__hash__
+
+
+class Dyadic(_Exact):
+    """An exact binary value: a Fraction whose ``_mpf_`` is its raw tuple.
+
+    Arithmetic and comparisons are a Fraction's, and their exact results
+    are a Dyadic again when binary (a quotient may not be).  Against an
+    object that carries a raw value of its own (an mpmath mpf) the
+    operation is left to that object, which reads ``_mpf_`` and so takes
+    this value exactly.
+    """
+
+    __slots__ = ("_raw",)
+
+    def __new__(cls, numerator=0, denominator=None):
+        self = super().__new__(cls, numerator, denominator)
+        den = self.denominator
+        if den & (den - 1):
+            raise ValueError(f"{numerator!r} is not a binary fraction")
+        self._raw = from_man_exp(self.numerator, 1 - den.bit_length())
+        return self
+
+    @classmethod
+    def from_raw(cls, raw) -> "Dyadic":
+        sign, man, exp, _ = raw
+        if exp >= 0:
+            self = Fraction.__new__(cls, -man << exp if sign else man << exp)
+        else:
+            self = Fraction.__new__(cls, -man if sign else man, 1 << -exp)
+        self._raw = raw
+        return self
+
+    @property
+    def _mpf_(self):
+        return self._raw

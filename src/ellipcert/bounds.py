@@ -26,16 +26,29 @@ labeled values are exposed here and never silently interchanged.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
+from ._dyadic import (Dyadic, from_int, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_pi,
+                      mpf_shift, mpf_sub, round_ceiling, round_floor, round_nearest)
 from .engine import (
+    _PREC,
     Ellipse,
     Enclosure,
     EXACT_POINT,
-    _CTX,
+    _add,
+    _convert,
+    _div,
+    _enclosure,
+    _mul,
+    _mul_int,
+    _pi,
+    _pow,
+    _point_str,
     _product,
     _ramanujan_enclosure,
+    _sub,
+    _value,
     discrepancy,
     perimeter,
     perimeter_ramanujan,
@@ -69,9 +82,32 @@ _BOUND_FORM_NOTE = (
 )
 
 
+_THETA_LOWER = (0, 3, -17, 2)  # THETA_LOWER as a raw value
+_FOUR, _SEVEN, _ELEVEN, _FOURTEEN, _TWENTY_TWO = (from_int(n) for n in (4, 7, 11, 14, 22))
+
+
+def _theta_upper_at(rnd, opp):
+    """4/pi - 14/11 at working precision, rounded towards ``rnd``, with pi
+    and 14/11 rounded towards ``opp``: outward for opposite directions,
+    the nearest-rounded value for both nearest."""
+    four_over_pi = mpf_div(_FOUR, mpf_pi(_PREC, opp), _PREC, rnd)
+    return mpf_sub(four_over_pi, mpf_div(_FOURTEEN, _ELEVEN, _PREC, opp), _PREC, rnd)
+
+
+def _theta_upper_enclosure() -> Enclosure:
+    """Outward enclosure of the attained bound 4/pi - 14/11."""
+    return _enclosure(_theta_upper_at(round_floor, round_ceiling),
+                      _theta_upper_at(round_ceiling, round_floor))
+
+
 def theta_upper():
     """The sharp upper bound 4/pi - 14/11 for theta, at working precision."""
-    return 4 / _CTX.pi - _CTX.mpf(14) / 11
+    return _value(_theta_upper_at(round_nearest, round_nearest))
+
+
+def _pi_gap():
+    """22/7 - pi at working precision."""
+    return _sub(_div(_TWENTY_TWO, _SEVEN), _pi())
 
 
 def scaled_theta_upper():
@@ -80,7 +116,7 @@ def scaled_theta_upper():
     This is the pi*theta version of the upper constant; see the module
     docstring for why both labels exist.
     """
-    return (_CTX.mpf(14) / 11) * (_CTX.mpf(22) / 7 - _CTX.pi)
+    return _value(_mul(_div(_FOURTEEN, _ELEVEN), _pi_gap()))
 
 
 def theta_bounds() -> tuple[Fraction, object]:
@@ -93,13 +129,12 @@ def delta_e_bounds():
 
     Both equal pi/2^19 times the corresponding theta bound.
     """
-    lower = 3 * _CTX.pi / 2**36
-    upper = (_CTX.mpf(7) / 11) * (_CTX.mpf(22) / 7 - _CTX.pi) / 2**18
-    return lower, upper
+    lower = _div(_mul_int(_pi(), 3), from_int(2**36))
+    upper = _div(_mul(_div(_SEVEN, _ELEVEN), _pi_gap()), from_int(2**18))
+    return _value(lower), _value(upper)
 
 
-@dataclass
-class ErrorReport:
+class ErrorReport(NamedTuple):
     """Everything certified about one ellipse's approximation error.
 
     ``epsilon_enclosure`` brackets the true defect p - p_R;
@@ -125,7 +160,7 @@ class ErrorReport:
 
     def to_json_dict(self) -> dict:
         def real(v) -> str:
-            return _CTX.nstr(_CTX.mpf(v), 25)
+            return _point_str(v, 25)
 
         def enc(e: Enclosure) -> dict:
             return {"lo": real(e.lo), "hi": real(e.hi), "regime": e.regime}
@@ -174,7 +209,7 @@ def error_report(ellipse: Ellipse, tol: float | None = None) -> ErrorReport:
     a, b, lam, ecc = ellipse.a, ellipse.b, ellipse.lam, ellipse.ecc
     aq, bq = ellipse.axes
     if aq == bq:
-        zero, theta_point = _CTX.mpf(0), _CTX.convert(THETA_LOWER)  # dyadic: exact
+        zero, theta_point = Dyadic(0), Dyadic(THETA_LOWER)
         eps = Enclosure(zero, zero, EXACT_POINT)
         theta = Enclosure(theta_point, theta_point, EXACT_POINT)
         lower = upper = ram = zero
@@ -183,11 +218,11 @@ def error_report(ellipse: Ellipse, tol: float | None = None) -> ErrorReport:
         d_enc = discrepancy(x)
         eps = _product(d_enc, aq + bq, times_pi=True)
         theta = _product(d_enc, 1 / x**5)
-        prefactor = _CTX.pi * (a + b)
-        lam10 = lam**10
-        lower = prefactor * _CTX.convert(THETA_LOWER) * lam10
-        upper = prefactor * theta_upper() * lam10
-        ram = 3 * a * ecc**20 / 2**36
+        # the point values, each operation rounded to nearest at working precision
+        prefactor, lam10 = _mul(_pi(), _add(a._mpf_, b._mpf_)), _pow(lam._mpf_, 10)
+        lower, upper = (_value(_mul(_mul(prefactor, c), lam10))
+                        for c in (_THETA_LOWER, theta_upper()._mpf_))
+        ram = _value(_div(_mul(_mul_int(a._mpf_, 3), _pow(ecc._mpf_, 20)), from_int(2**36)))
     delta_e = _delta_e(theta)
 
     if aq != bq:
@@ -195,11 +230,11 @@ def error_report(ellipse: Ellipse, tol: float | None = None) -> ErrorReport:
         # whose factor is exactly 2^19 (a-b)^10 / (a+b)^9
         form = 2**DELTA_E_EXPONENT * (aq - bq) ** 10 / (aq + bq) ** 9
         e_form = _product(delta_e, form)
-        if not (e_form.lo <= eps.hi and eps.lo <= e_form.hi):  # mpf comparisons are exact
+        if not (e_form.lo <= eps.hi and eps.lo <= e_form.hi):  # exact comparisons
             raise ArithmeticError(f"epsilon parameterizations disagree: {e_form} vs {eps}")
         r_enc = _ramanujan_enclosure(x, aq + bq)
-        p_form = Enclosure(_CTX.fsub(p_enc.lo, r_enc.hi, exact=True),
-                           _CTX.fsub(p_enc.hi, r_enc.lo, exact=True))
+        p_form = _enclosure(mpf_sub(p_enc.lo._mpf_, r_enc.hi._mpf_),  # exact differences
+                            mpf_sub(p_enc.hi._mpf_, r_enc.lo._mpf_))
         if not (p_form.lo <= eps.hi and eps.lo <= p_form.hi):
             raise ArithmeticError(f"epsilon enclosure inconsistent with p - p_R: {eps} vs {p_form}")
 
@@ -214,40 +249,45 @@ def error_report(ellipse: Ellipse, tol: float | None = None) -> ErrorReport:
     )
 
 
-def _verdict_between(enc: Enclosure, lower, upper, attained_upper: bool, margin: float):
+def _verdict_between(enc: Enclosure, lower, upper, margin: float):
     """Strictness-aware containment verdicts for an enclosure.
 
     Strict inequalities pass only when the midpoint clears the bound by
     more than ``margin`` times the width, and fail only when the whole
     enclosure clears it; anything in between is reported inconclusive
-    rather than silently passed or failed.  When the upper endpoint is
-    attained (b = 0), the upper comparison is a plain <= on the
-    midpoint.  Every verdict is exact: the sums below are formed without
-    rounding (``exact=True``; doubling is exact too) and mpf comparisons
-    are exact, so a gap far below the working precision still decides.
+    rather than silently passed or failed.  An attained upper bound (b = 0,
+    lam = 1) comes as an outward ``Enclosure`` of the bound: the value
+    equals it there, so the upper verdict is pass when the enclosure's
+    lower end is at most the bound's upper end, and fail otherwise.
+    Every verdict is exact: the sums below are formed without rounding
+    (doubling is exact too) and the comparisons are exact, so a gap far
+    below the working precision still decides.
     """
-    lo, hi = enc.lo, enc.hi
-    # twice the midpoint, the bounds and the guard margin * width
-    mid2, lower2, upper2 = _CTX.fadd(lo, hi, exact=True), _CTX.ldexp(lower, 1), _CTX.ldexp(upper, 1)
-    guard2 = _CTX.fmul(2 * margin, _CTX.fsub(hi, lo, exact=True), exact=True)
+    lo, hi = enc.lo._mpf_, enc.hi._mpf_
+    lower = _convert(lower)
+    # twice the midpoint, the lower bound and the guard margin * width
+    mid2, lower2 = mpf_add(lo, hi), mpf_shift(lower, 1)
+    guard2 = mpf_mul(_convert(2 * margin), mpf_sub(hi, lo))
 
     def clears(a2, b2) -> bool:  # a - b > margin * width
-        return _CTX.fsub(a2, b2, exact=True) > guard2
+        return mpf_lt(guard2, mpf_sub(a2, b2))
 
-    if hi < lower:  # enclosure entirely below the lower bound
+    if mpf_lt(hi, lower):  # enclosure entirely below the lower bound
         low = "fail"
     elif clears(mid2, lower2):
         low = "pass"
     else:
         low = "inconclusive"
-    if attained_upper:
-        up = "pass" if mid2 <= upper2 else ("fail" if lo > upper else "inconclusive")
-    elif lo > upper:  # enclosure entirely above the upper bound
-        up = "fail"
-    elif clears(upper2, mid2):
-        up = "pass"
+    if isinstance(upper, Enclosure):
+        up = "pass" if mpf_le(lo, upper.hi._mpf_) else "fail"
     else:
-        up = "inconclusive"
+        upper = _convert(upper)
+        if mpf_lt(upper, lo):  # enclosure entirely above the upper bound
+            up = "fail"
+        elif clears(mpf_shift(upper, 1), mid2):
+            up = "pass"
+        else:
+            up = "inconclusive"
     return low, up
 
 
@@ -256,17 +296,21 @@ def containment_check(report: ErrorReport, margin: float = 10.0) -> dict:
 
     Returns verdict strings ("pass" / "fail" / "inconclusive" /
     "not-applicable") for each side of each quantity, plus an overall
-    ``ok`` that is False only on a definite failure.
+    ``ok`` that is False only on a definite failure.  For b = 0 the upper
+    bounds are attained; they are then decided against outward
+    enclosures, theta's 4/pi - 14/11 and epsilon's pi (a + b) times it.
     """
     keys = ("epsilon_lower", "epsilon_upper", "theta_lower", "theta_upper")
     if report.lam == 0:
         verdicts = dict.fromkeys(keys, "not-applicable")
     else:
-        attained = report.b == 0  # exact: b rounds to 0 only when it is 0
-        eps, theta = report.epsilon_enclosure, report.theta
-        eps_v = _verdict_between(eps, report.lower_bound, report.upper_bound, attained, margin)
-        theta_v = _verdict_between(theta, _CTX.convert(THETA_LOWER),
-                                   theta_upper(), attained, margin)
+        if report.b == 0:  # exact: b rounds to 0 only when it is 0
+            theta_up = _theta_upper_enclosure()
+            eps_up = _product(theta_up, report.a + report.b, times_pi=True)
+        else:
+            theta_up, eps_up = theta_upper(), report.upper_bound
+        eps_v = _verdict_between(report.epsilon_enclosure, report.lower_bound, eps_up, margin)
+        theta_v = _verdict_between(report.theta, THETA_LOWER, theta_up, margin)
         verdicts = dict(zip(keys, eps_v + theta_v))
     verdicts["ok"] = all(v != "fail" for v in verdicts.values())
     return verdicts

@@ -16,17 +16,21 @@ from importlib import import_module
 
 # name -> the layer that defines it.  A command binds the names of the
 # layers it uses just before it runs (`_load`), so `coeffs` never imports
-# the numeric layers or mpmath; module `__getattr__` resolves any of them
+# the numeric layers; module `__getattr__` resolves any of them
 # from outside.  A name already bound here -- rebound by a caller to wrap
 # or replace it -- is left as it is, and is what the command calls.
 _LAYER_NAMES = {
     **dict.fromkeys((
-        "THETA_LOWER", "_delta_e", "_verdict_between", "containment_check",
-        "delta_e_bounds", "error_report", "scaled_theta_upper", "theta_upper",
+        "THETA_LOWER", "_delta_e", "_theta_upper_enclosure", "_verdict_between",
+        "containment_check", "delta_e_bounds", "error_report", "scaled_theta_upper",
+        "theta_upper",
     ), "bounds"),
     **dict.fromkeys((
-        "Ellipse", "QuadratureBudgetError", "_CTX", "eval_B", "ivory_integral",
-        "lambda_from_eccentricity", "theta_of_lambda",
+        "Ellipse", "Enclosure", "QuadratureBudgetError", "_lambda_enclosure", "_point_str",
+        "eval_B", "ivory_integral", "lambda_from_eccentricity", "theta_of_lambda",
+        # raw operations rounded to nearest at working precision, a value's raw
+        # tuple so rounded, and the value of a raw tuple
+        "_add", "_div", "_mul", "_pi", "_point", "_sub", "_value",
     ), "engine"),
     "verify_fundamental_lemma": "lemma",
     # the three *_coeffs_upto names are unused here but stay reachable:
@@ -58,7 +62,7 @@ __all__ = ["cli_main", "main"]
 
 
 def _fmt(v, digits: int = 20) -> str:
-    return _CTX.nstr(_CTX.mpf(_CTX.convert(v)), digits)  # rounded to working precision first
+    return _point_str(v, digits)  # rounded to working precision first
 
 
 def _enc_str(enc) -> str:
@@ -172,19 +176,30 @@ def _cmd_perimeter(args) -> int:
     return 0
 
 
+def _theta_at(lam, lam_enc):
+    """theta at lam, or, given an outward enclosure of lam, the hull of
+    theta at its two ends: theta increases on (0, 1]."""
+    if lam_enc is None:
+        return theta_of_lambda(lam)
+    low = theta_of_lambda(lam_enc.lo)
+    high = low if lam_enc.hi == lam_enc.lo else theta_of_lambda(lam_enc.hi)
+    return Enclosure(low.lo, high.hi, high.regime)
+
+
 def _cmd_bounds(args) -> int:
     _load("series_kernel", "engine", "bounds")
-    lam = args.lam
+    lam, lam_enc = args.lam, None
     if lam is None and args.e is not None:
-        lam = lambda_from_eccentricity(args.e)
+        lam = lambda_from_eccentricity(args.e)  # the label; theta comes from lam_enc
+        lam_enc = _lambda_enclosure(args.e)
     if lam is not None:  # everything that can refuse the arguments runs before printing
         if not 0 <= lam <= 1:
             raise ValueError("lambda must lie in [0, 1]")
-    enc = theta_of_lambda(lam) if lam else None
+    enc = _theta_at(lam, lam_enc) if lam else None
     lo, up = THETA_LOWER, theta_upper()
     pi_up = scaled_theta_upper()
     de_lo, de_up = delta_e_bounds()
-    identity_gap = abs(pi_up - _CTX.pi * up)
+    identity_gap = abs(_value(_sub(pi_up._mpf_, _mul(_pi(), up._mpf_))))
     print(f"theta lower (exact)   = {rational_str(lo)} = {_fmt(lo)}")
     print(f"theta upper           = {_fmt(up)}   (4/pi - 14/11)")
     print(f"pi*theta upper        = {_fmt(pi_up)}   ((14/11)*(22/7 - pi))")
@@ -197,8 +212,8 @@ def _cmd_bounds(args) -> int:
     if enc is None:
         print("lambda = 0: theta takes its limit value 3/2^17; nothing to check")
         return 0
-    low_v, up_v = _verdict_between(enc, _CTX.convert(lo), up, attained_upper=(lam == 1),
-                                   margin=10.0)
+    upper = _theta_upper_enclosure() if lam == 1 else up  # attained at lam = 1
+    low_v, up_v = _verdict_between(enc, lo, upper, margin=10.0)
     delta = _delta_e(enc)
     print(f"theta({_fmt(lam, 8)}) in {_enc_str(enc)}")
     print(f"delta_e value in [{_fmt(delta.lo)}, {_fmt(delta.hi)}]")
@@ -221,8 +236,8 @@ def _cmd_ivory_check(args) -> int:
         return 1
     series_tol = max(args.tol, 5e-9 if x > 0.999 else 1e-12)
     enc = eval_B(x, series_tol)
-    residual = _CTX.mpf(quad) - enc.mid
-    combined = _CTX.mpf(args.tol) + _CTX.mpf(enc.width) / 2
+    residual = _value(_sub(_point(quad), enc.mid._mpf_))
+    combined = _value(_add(_point(args.tol), _div(_point(enc.width), _point(2))))
     print(f"quadrature = {quad!r}")
     print(f"series     in {_enc_str(enc)}")
     print(f"residual   = {_fmt(residual, 6)}   (combined tolerance {_fmt(combined, 6)})")

@@ -1,14 +1,17 @@
 """Certified evaluation of the perimeter and its defect, plus the quadrature oracle.
 
 Every enclosure is computed from the exact input (``_exact_fraction``:
-nothing is rounded on entry) on raw ``mpmath.libmp`` tuples, at a
-precision in bits, each operation rounded outward (``round_floor``
-towards a lower end, ``round_ceiling`` towards an upper one), so none
-needs an error allowance; an input that is not binary is rounded outward
-too (``_bounds``).  ``_CTX``, the one ``MPContext``, never changes: it
-prints, wraps raw values as mpf values and evaluates the point values at
-``WORKING_DPS`` digits.  The global ``mp`` is never read or changed, so
-neither the caller's precision nor other threads change a result.
+nothing is rounded on entry) on raw tuples of the package's own binary
+arithmetic (``_dyadic``), at a precision in bits, each operation rounded
+outward (``round_floor`` towards a lower end, ``round_ceiling`` towards an
+upper one), so none needs an error allowance; an input that is not binary
+is rounded outward too (``_bounds``).  The point values (``Ellipse.lam``
+and ``ecc``, ``eval_A``, ``perimeter_ramanujan``, the lambda/eccentricity
+maps) round to nearest at ``WORKING_DPS`` digits, 169 bits.  Every
+operation names its precision and rounding, so neither a caller's
+settings (mpmath's ``mp.dps`` included) nor other threads change a result.
+Every value returned is exact, a ``Dyadic``: a Fraction that also carries
+its raw tuple as ``_mpf_``, which mpmath reads as an mpf.
 
 The perimeter is the Gauss-Legendre AGM sum (``_agm_sum``); Delta(x) =
 B(x) - A(x) is the positive series sum_{n>=5} delta_n x^n up to
@@ -30,13 +33,13 @@ code path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import MPContext
-from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div,
-                          mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_shift, mpf_sqrt,
-                          mpf_sub, round_ceiling, round_floor, round_nearest)
+from ._dyadic import (Dyadic, dps_to_prec, fone, from_float, from_int, from_man_exp,
+                      from_rational, from_str, fzero, mpf_add, mpf_cmp, mpf_div, mpf_le,
+                      mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_pos, mpf_pow_int, mpf_shift,
+                      mpf_sqrt, mpf_sub, round_ceiling, round_down, round_floor, round_nearest,
+                      to_str)
 
 # b_coeffs_upto, delta_coeffs_upto: unused here, but bench/tracer.py rebinds them here
 from .series_kernel import b_coeffs_upto, delta_coeff, delta_coeffs_upto, dyadic_rows  # noqa: F401
@@ -60,10 +63,7 @@ __all__ = [
 ]
 
 WORKING_DPS = 50
-
-# the one context: it prints, and wraps raw values as mpf values
-_CTX = MPContext()
-_CTX.dps = WORKING_DPS
+_PREC = dps_to_prec(WORKING_DPS)  # 169 bits: the precision of every point value
 
 # how each enclosure was obtained, recorded on it
 GEOMETRIC_TAIL = "geometric-tail"
@@ -147,26 +147,94 @@ def _check_tol(tol) -> Fraction:
     return _exact_fraction(tol)
 
 
-@dataclass(frozen=True)
+def _value(raw) -> Dyadic:
+    return Dyadic.from_raw(raw)
+
+
+def _convert(v):
+    """The raw value of v as mpmath's ``convert`` takes it: exactly for an
+    int, a float or a value that carries a raw tuple (``_mpf_``); a Fraction
+    rounded towards zero, and a decimal string to nearest, at ``_PREC`` bits."""
+    raw = getattr(v, "_mpf_", None)
+    if raw is not None:
+        return raw
+    if isinstance(v, int):
+        return from_int(v)
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"{v!r} is not finite")
+        return from_float(v)
+    if isinstance(v, Fraction):
+        return from_rational(v.numerator, v.denominator, _PREC, round_down)
+    if isinstance(v, str) or type(v).__module__ == "decimal":
+        return from_str(str(v), _PREC, round_nearest)
+    raise TypeError(f"cannot convert {v!r} to a binary value")
+
+
+def _unit(v, message: str):
+    """The raw value of v (``_convert``), refused with ``message`` unless it
+    is a number in [0, 1]."""
+    try:
+        raw = _convert(v)
+    except ValueError:
+        raise ValueError(message) from None
+    if (not raw[1] and raw[2]) or raw[0] or mpf_cmp(raw, fone) > 0:  # inf, nan, < 0, > 1
+        raise ValueError(message)
+    return raw
+
+
+def _point(v):
+    """v rounded to nearest at working precision, as mpmath's ``mpf(v)``."""
+    return mpf_pos(_convert(v), _PREC, round_nearest)
+
+
+def _point_str(v, digits: int) -> str:
+    """v with ``digits`` significant digits, first rounded to nearest at
+    working precision: as mpmath prints ``nstr(mpf(convert(v)), digits)``."""
+    return to_str(_point(v), digits)
+
+
 class Enclosure:
-    """Closed interval [lo, hi] certified to contain a true real value."""
+    """Closed interval [lo, hi] certified to contain a true real value.
 
-    lo: object  # mpf
-    hi: object  # mpf
-    regime: str = ""
+    Immutable; ``==`` and the hash compare (lo, hi, regime).
+    """
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty enclosure: [{self.lo}, {self.hi}]")
+    __slots__ = ("lo", "hi", "regime")
+
+    def __init__(self, lo, hi, regime: str = ""):
+        if lo > hi:
+            raise ValueError(f"empty enclosure: [{lo}, {hi}]")
+        setattr_ = object.__setattr__
+        setattr_(self, "lo", lo)
+        setattr_(self, "hi", hi)
+        setattr_(self, "regime", regime)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Enclosure, (self.lo, self.hi, self.regime)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi, self.regime) == (other.lo, other.hi, other.regime)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi, self.regime))
 
     # mpf_add and mpf_sub without a precision are exact, and so is a shift
     @property
     def width(self):
-        return _CTX.make_mpf(mpf_sub(self.hi._mpf_, self.lo._mpf_))
+        return _value(mpf_sub(self.hi._mpf_, self.lo._mpf_))
 
     @property
     def mid(self):
-        return _CTX.make_mpf(mpf_shift(mpf_add(self.lo._mpf_, self.hi._mpf_), -1))
+        return _value(mpf_shift(mpf_add(self.lo._mpf_, self.hi._mpf_), -1))
 
     def contains(self, value) -> bool:
         """Exact containment: endpoints and value compared as rationals."""
@@ -174,13 +242,13 @@ class Enclosure:
         return _exact_fraction(self.lo) <= v <= _exact_fraction(self.hi)
 
     def __repr__(self) -> str:
-        nstr = _CTX.nstr
-        return f"Enclosure([{nstr(self.lo, 20)}, {nstr(self.hi, 20)}], regime={self.regime!r})"
+        lo, hi = to_str(_convert(self.lo), 20), to_str(_convert(self.hi), 20)
+        return f"Enclosure([{lo}, {hi}], regime={self.regime!r})"
 
 
 def _enclosure(lo, hi, regime: str = "") -> Enclosure:
     """The enclosure of raw endpoints, wrapped exactly."""
-    return Enclosure(_CTX.make_mpf(lo), _CTX.make_mpf(hi), regime)
+    return Enclosure(_value(lo), _value(hi), regime)
 
 
 def _product(enc: Enclosure, q: Fraction, times_pi: bool = False) -> Enclosure:
@@ -190,7 +258,7 @@ def _product(enc: Enclosure, q: Fraction, times_pi: bool = False) -> Enclosure:
     most about 2^-_GUARD_BITS of that width."""
     lo, hi = enc.lo._mpf_, enc.hi._mpf_
     width = mpf_sub(hi, lo)  # exact; exp + bc is the magnitude of a raw value
-    prec = max(_CTX.prec, max(lo[2] + lo[3], hi[2] + hi[3]) - width[2] - width[3] + _GUARD_BITS + 1)
+    prec = max(_PREC, max(lo[2] + lo[3], hi[2] + hi[3]) - width[2] - width[3] + _GUARD_BITS + 1)
     pi = [(mpf_pi(prec, _DOWN), mpf_pi(prec, _UP))] if times_pi else []
     for f_lo, f_hi in [_bounds(q, prec)] + pi:
         # a negative end moves outward with the larger factor
@@ -199,15 +267,58 @@ def _product(enc: Enclosure, q: Fraction, times_pi: bool = False) -> Enclosure:
     return _enclosure(lo, hi, enc.regime)
 
 
+# the point values: each operation rounded to nearest at _PREC bits, in the
+# order the formula in the docstring reads
+
+
+def _add(s, t):
+    return mpf_add(s, t, _PREC, round_nearest)
+
+
+def _sub(s, t):
+    return mpf_sub(s, t, _PREC, round_nearest)
+
+
+def _mul(s, t):
+    return mpf_mul(s, t, _PREC, round_nearest)
+
+
+def _div(s, t):
+    return mpf_div(s, t, _PREC, round_nearest)
+
+
+def _sqrt(s):
+    return mpf_sqrt(s, _PREC, round_nearest)
+
+
+def _pi():
+    return mpf_pi(_PREC, round_nearest)
+
+
+def _pow(s, n: int):
+    return mpf_pow_int(s, n, _PREC, round_nearest)
+
+
+def _mul_int(s, n: int):
+    return mpf_mul_int(s, n, _PREC, round_nearest)
+
+
+def _cofactor(r, rnd=round_nearest):
+    """sqrt((1 - r)(1 + r)) = sqrt(1 - r^2), each operation rounded towards rnd."""
+    square = mpf_mul(mpf_sub(fone, r, _PREC, rnd), mpf_add(fone, r, _PREC, rnd), _PREC, rnd)
+    return mpf_sqrt(square, _PREC, rnd)
+
+
 class Ellipse:
     """Semi-axes with the derived shape parameters.
 
     Construction keeps each axis exactly in ``axes`` (two Fractions, where
     every enclosure starts), normalizes a >= b (swapping if given reversed,
     and recording the swap) and computes, for display, lam = (a-b)/(a+b)
-    and the eccentricity sqrt(1 - (b/a)^2) at WORKING_DPS digits from the
-    mpf ``a`` and ``b`` (exact for a binary axis).  A degenerate b = 0 is
-    accepted (lam = ecc = 1).
+    and the eccentricity sqrt((1 - b/a)(1 + b/a)) at WORKING_DPS digits
+    from ``a`` and ``b``: each axis exactly when it is binary, a Fraction
+    rounded towards zero and a decimal string to nearest at 169 bits
+    (``_convert``).  A degenerate b = 0 is accepted (lam = ecc = 1).
     """
 
     __slots__ = ("a", "b", "lam", "ecc", "swapped", "axes")
@@ -219,45 +330,58 @@ class Ellipse:
             raise ValueError("semi-axes must be finite") from None
         if aq < 0 or bq < 0:
             raise ValueError("semi-axes must be nonnegative")
-        am, bm = _CTX.convert(a), _CTX.convert(b)
+        am, bm = _convert(a), _convert(b)
         swapped = bq > aq
         if swapped:
             aq, bq, am, bm = bq, aq, bm, am
         if aq <= 0:
             raise ValueError("the major semi-axis must be positive")
         self.axes = (aq, bq)
-        self.a, self.b = am, bm
+        self.a, self.b = _value(am), _value(bm)
         self.swapped = swapped
-        self.lam = (am - bm) / (am + bm)
-        r = bm / am
-        self.ecc = _CTX.sqrt((1 - r) * (1 + r))
+        self.lam = _value(_div(_sub(am, bm), _add(am, bm)))
+        self.ecc = _value(_cofactor(_div(bm, am)))
 
     @classmethod
     def from_eccentricity(cls, a, e) -> "Ellipse":
-        em = _CTX.convert(e)
-        if not 0 <= em <= 1:
-            raise ValueError("eccentricity must lie in [0, 1]")
-        return cls(a, _CTX.convert(a) * _CTX.sqrt((1 - em) * (1 + em)))
+        """The ellipse with major semi-axis a and b = a sqrt((1 - e)(1 + e))."""
+        em = _unit(e, "eccentricity must lie in [0, 1]")
+        try:
+            _exact_fraction(a)
+        except ValueError:
+            raise ValueError("semi-axes must be finite") from None
+        return cls(a, _value(_mul(_convert(a), _cofactor(em))))
 
     def __repr__(self) -> str:
-        nstr = _CTX.nstr
-        return f"Ellipse(a={nstr(self.a, 12)}, b={nstr(self.b, 12)})"
+        return f"Ellipse(a={to_str(self.a._mpf_, 12)}, b={to_str(self.b._mpf_, 12)})"
+
+
+def _lambda_at(e, rnd, opp):
+    """lam = e^2 / (1 + sqrt((1 - e)(1 + e)))^2 of a raw e in [0, 1] at
+    working precision, rounded towards ``rnd`` with the denominator rounded
+    towards ``opp``.  lam increases with e (and 1 - e^2 falls), so with
+    opposite directions the result bounds lam on that side."""
+    den = mpf_pow_int(mpf_add(fone, _cofactor(e, opp), _PREC, opp), 2, _PREC, opp)
+    return mpf_div(mpf_pow_int(e, 2, _PREC, rnd), den, _PREC, rnd)
 
 
 def lambda_from_eccentricity(e):
-    """lam = e^2 / (1 + sqrt(1 - e^2))^2; stable for small e."""
-    em = _CTX.convert(e)
-    if not 0 <= em <= 1:
-        raise ValueError("eccentricity must lie in [0, 1]")
-    return em**2 / (1 + _CTX.sqrt((1 - em) * (1 + em))) ** 2
+    """lam = e^2 / (1 + sqrt((1 - e)(1 + e)))^2; stable for small e."""
+    em = _unit(e, "eccentricity must lie in [0, 1]")
+    return _value(_lambda_at(em, round_nearest, round_nearest))
+
+
+def _lambda_enclosure(e) -> Enclosure:
+    """Outward enclosure of lam(e) from the exact e in [0, 1]."""
+    _unit(e, "eccentricity must lie in [0, 1]")
+    e_lo, e_hi = _bounds(_exact_fraction(e), _PREC)
+    return _enclosure(_lambda_at(e_lo, _DOWN, _UP), _lambda_at(e_hi, _UP, _DOWN))
 
 
 def eccentricity_from_lambda(lam):
-    """Inverse map, from e^2 = 4 lam / (1 + lam)^2."""
-    lm = _CTX.convert(lam)
-    if not 0 <= lm <= 1:
-        raise ValueError("lam must lie in [0, 1]")
-    return 2 * _CTX.sqrt(lm) / (1 + lm)
+    """Inverse map, from e^2 = 4 lam / (1 + lam)^2: e = 2 sqrt(lam) / (1 + lam)."""
+    lm = _unit(lam, "lam must lie in [0, 1]")
+    return _value(_div(_mul_int(_sqrt(lm), 2), _add(fone, lm)))
 
 
 def _kernel(x, prec: int, rnd, opp):
@@ -275,10 +399,8 @@ def eval_A(x):
     The radicand 4 - 3x stays >= 1 on the domain, so the evaluation is a
     few well-conditioned operations; the result is correct to a few ulp.
     """
-    xm = _CTX.convert(x)
-    if not 0 <= xm <= 1:
-        raise ValueError("x must lie in [0, 1]")
-    return _CTX.make_mpf(_kernel(xm._mpf_, _CTX.prec, round_nearest, round_nearest))
+    xm = _unit(x, "x must lie in [0, 1]")
+    return _value(_kernel(xm, _PREC, round_nearest, round_nearest))
 
 
 def _tail_estimate(xf: float, n: int) -> float:
@@ -358,8 +480,8 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
         n += 1
     floor, _ = _tail_bound(max_terms, hi, one_minus, prec)
     raise ToleranceFloorError(
-        f"tol={tol} not certifiable within {max_terms} terms at x={_CTX.nstr(_CTX.convert(q), 10)} "
-        f"(achievable floor here is about {_CTX.nstr(_CTX.make_mpf(floor), 5)})"
+        f"tol={tol} not certifiable within {max_terms} terms at x={to_str(_convert(q), 10)} "
+        f"(achievable floor here is about {to_str(floor, 5)})"
     )
 
 
@@ -440,7 +562,7 @@ def _within(mag: int, tol: Fraction, enclose):
         if mpf_le(mpf_sub(hi, lo), limit):  # mpf_sub without a precision is exact
             return lo, hi
     raise ArithmeticError(
-        f"enclosure still wider than tol={_CTX.nstr(_CTX.convert(tol), 5)} at {prec} bits")
+        f"enclosure still wider than tol={to_str(_convert(tol), 5)} at {prec} bits")
 
 
 def _agm_sum(a, b, t, s, prec: int):
@@ -532,16 +654,18 @@ def perimeter_ramanujan(ellipse: Ellipse):
     exposed so the identity can be checked, and they agree to a few ulp of
     working precision.
     """
-    a, b = ellipse.a, ellipse.b
-    root = _CTX.sqrt(a * a + 14 * a * b + b * b)
-    return _CTX.pi * ((a + b) + 3 * (a - b) ** 2 / (10 * (a + b) + root))
+    a, b = ellipse.a._mpf_, ellipse.b._mpf_
+    root = _sqrt(_add(_add(_mul(a, a), _mul(_mul_int(a, 14), b)), _mul(b, b)))
+    s = _add(a, b)
+    fraction = _div(_mul_int(_pow(_sub(a, b), 2), 3), _add(_mul_int(s, 10), root))
+    return _value(_mul(_pi(), _add(s, fraction)))
 
 
 def _ramanujan_enclosure(x: Fraction, s: Fraction) -> Enclosure:
     """p_R = pi s A(x) for the exact s = a + b and x = ((a-b)/(a+b))^2,
     rounded outward: A increases with x."""
-    x_lo, x_hi = _bounds(x, _CTX.prec)
-    kernel = _enclosure(_kernel(x_lo, _CTX.prec, _DOWN, _UP), _kernel(x_hi, _CTX.prec, _UP, _DOWN))
+    x_lo, x_hi = _bounds(x, _PREC)
+    kernel = _enclosure(_kernel(x_lo, _PREC, _DOWN, _UP), _kernel(x_hi, _PREC, _UP, _DOWN))
     return _product(kernel, s, times_pi=True)
 
 

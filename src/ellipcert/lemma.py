@@ -28,10 +28,10 @@ term sum for n <= 50.  No two sides of a comparison share a recurrence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .series_kernel import a_coeff_explicit, a_series_via_composition, b_coeff, rational_str
 
@@ -162,8 +162,7 @@ def g_min_analysis() -> tuple[Decimal, Decimal]:
     return location, closed
 
 
-@dataclass
-class LemmaCertificate:
+class LemmaCertificate(NamedTuple):
     """Structured record of which claims were verified and over what range.
 
     Booleans are decided by exact rational comparisons; the g-minimum

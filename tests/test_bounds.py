@@ -87,6 +87,23 @@ def test_error_report_degenerate_endpoint():
     assert verdicts["epsilon_upper"] == "pass"
 
 
+@pytest.mark.parametrize("quantity", ["discrepancy", "theta_of_lambda"])
+def test_attained_upper_bound_decided_against_its_enclosure(quantity):
+    # Delta(1) = theta(1) = 4/pi - 14/11 is the bound itself: any enclosure of
+    # it passes against an outward enclosure of the bound, however narrow
+    from ellipcert import bounds, engine
+
+    bound = bounds._theta_upper_enclosure()
+    with mp.workdps(80):
+        assert bound.contains(4 / mp.pi - mp.mpf(14) / 11)
+    for divisor in (1, 2, 3, 1000):
+        enc = getattr(engine, quantity)(1, engine._RATIO_TOL / divisor)
+        verdicts = bounds._verdict_between(enc, bounds.THETA_LOWER, bound, margin=10.0)
+        assert verdicts == ("pass", "pass"), divisor
+    above = engine.Enclosure(bound.hi + F(1, 2**200), bound.hi + F(1, 2**199))
+    assert bounds._verdict_between(above, bounds.THETA_LOWER, bound, margin=10.0)[1] == "fail"
+
+
 def test_error_report_half_eccentricity():
     rep = error_report(Ellipse.from_eccentricity(1, 0.5))
     with mp.workdps(50):

@@ -302,6 +302,28 @@ def test_coeffs_table_unaffected_by_the_int_digit_limit(capsys, int_digit_cap):
     assert len(out.splitlines()) == 602
 
 
+def test_bounds_e_certifies_theta_at_lambda_itself(monkeypatch, capsys):
+    # theta is enclosed at both ends of an outward enclosure of lam(e), not
+    # at lam(e) rounded to the working precision
+    import ellipcert.cli as cli_mod
+
+    real = cli_mod.theta_of_lambda
+    args = []
+
+    def spy(lam, *rest):
+        args.append(lam)
+        return real(lam, *rest)
+
+    monkeypatch.setattr(cli_mod, "theta_of_lambda", spy)
+    rc, out, _err = run(["bounds", "--e", "0.5"], capsys)
+    assert rc == 0 and "theta(0.07179677)" in out
+    with mp.workdps(200):
+        e = mp.mpf(0.5)
+        lam = e**2 / (1 + mp.sqrt((1 - e) * (1 + e))) ** 2
+        assert min(args) < lam < max(args)
+        assert max(args) - min(args) < mp.mpf(2) ** -160
+
+
 def test_cli_output_independent_of_ambient_precision(capsys):
     # the package owns its precision, so a hostile global one changes nothing
     commands = (

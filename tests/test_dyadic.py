@@ -1,0 +1,173 @@
+"""The package's binary arithmetic (``_dyadic``) against ``mpmath.libmp``, bit
+for bit: each operation in each rounding mode, pi, the powers the point
+values take, the printer, and the exact value type against mpf values."""
+
+import pickle
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath import libmp, mp, mpf, nstr
+
+from ellipcert import _dyadic as dy
+from ellipcert import engine
+from ellipcert._dyadic import Dyadic
+
+MODES = st.sampled_from(["f", "c", "n"])
+ALL_MODES = st.sampled_from(["f", "c", "n", "d", "u"])
+PRECS = st.integers(2, 4000)
+
+
+@st.composite
+def raws(draw, max_mag=1100, max_bits=4000):
+    """A signed raw value of magnitude between 2^-max_mag and 2^max_mag,
+    with a mantissa of 1 to max_bits bits; zero now and then."""
+    if draw(st.integers(0, 30)) == 0:
+        return libmp.fzero
+    bits = draw(st.integers(1, max_bits))
+    man = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    mag = draw(st.integers(-max_mag, max_mag))
+    sign = draw(st.booleans())
+    return libmp.from_man_exp(-man if sign else man, mag - bits)
+
+
+@st.composite
+def close_pairs(draw):
+    """Two raw values, the second near the first, so that a sum cancels."""
+    s = draw(raws())
+    nudge = draw(st.integers(-(1 << 40), 1 << 40))
+    t = libmp.mpf_add(libmp.mpf_neg(s), libmp.from_man_exp(nudge, s[2] + draw(st.integers(-60, 60))))
+    return s, t
+
+
+PAIRS = st.one_of(st.tuples(raws(), raws()), close_pairs())
+
+
+@settings(max_examples=400, deadline=None)
+@given(PAIRS, PRECS, ALL_MODES)
+def test_add_sub_mul_div_match_libmp(pair, prec, rnd):
+    s, t = pair
+    for op in ("mpf_add", "mpf_sub", "mpf_mul"):
+        assert getattr(dy, op)(s, t, prec, rnd) == getattr(libmp, op)(s, t, prec, rnd), op
+    if t[1]:
+        assert dy.mpf_div(s, t, prec, rnd) == libmp.mpf_div(s, t, prec, rnd)
+    n = t[1] % 100_003 * (-1) ** t[0]
+    assert dy.mpf_mul_int(s, n, prec, rnd) == libmp.mpf_mul_int(s, n, prec, rnd)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raws(), PRECS, ALL_MODES)
+def test_sqrt_rounding_and_conversions_match_libmp(s, prec, rnd):
+    s = libmp.mpf_abs(s)
+    assert dy.mpf_sqrt(s, prec, rnd) == libmp.mpf_sqrt(s, prec, rnd)
+    assert dy.mpf_pos(s, prec, rnd) == libmp.mpf_pos(s, prec, rnd)
+    sign, man, exp, _ = s
+    man = -man if sign else man
+    wide = (man << 3, exp - 3)  # with trailing zero bits to strip
+    assert dy.from_man_exp(*wide, prec, rnd) == libmp.from_man_exp(*wide, prec, rnd)
+    assert dy.from_int(man, prec, rnd) == libmp.from_int(man, prec, rnd)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAIRS, st.integers(-5000, 5000))
+def test_exact_operations_and_comparison_match_libmp(pair, n):
+    s, t = pair
+    assert dy.mpf_add(s, t) == libmp.mpf_add(s, t)
+    assert dy.mpf_sub(s, t) == libmp.mpf_sub(s, t)
+    assert dy.mpf_mul(s, t) == libmp.mpf_mul(s, t)
+    assert dy.mpf_shift(s, n) == libmp.mpf_shift(s, n)
+    assert dy.mpf_cmp(s, t) == libmp.mpf_cmp(s, t)
+    assert dy.mpf_lt(s, t) == libmp.mpf_lt(s, t) and dy.mpf_le(s, t) == libmp.mpf_le(s, t)
+    assert dy.mpf_cmp(s, s) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(PRECS, MODES)
+@example(169, "f")
+@example(169, "c")
+@example(2, "n")
+def test_pi_matches_libmp_in_every_direction(prec, rnd):
+    assert dy.mpf_pi(prec, rnd) == libmp.mpf_pi(prec, rnd)
+
+
+def test_pi_brackets_itself():
+    for prec in (53, 169, 1000):
+        lo, hi = dy.mpf_pi(prec, "f"), dy.mpf_pi(prec, "c")
+        assert dy.mpf_lt(lo, hi)
+        assert dy.mpf_sub(hi, lo) == (0, 1, 2 - prec, 1)  # one ulp of a value in [2, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raws(max_mag=4, max_bits=169), st.sampled_from([2, 3, 10, 20]), ALL_MODES)
+def test_pow_int_matches_libmp_at_working_precision(s, n, rnd):
+    # bc * n >= 1000 (lam**10 and ecc**20 of a 169-bit value) is binary powering
+    assert dy.mpf_pow_int(s, n, 169, rnd) == libmp.mpf_pow_int(s, n, 169, rnd)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raws(max_mag=40, max_bits=60), st.integers(-700, 700), PRECS, ALL_MODES)
+def test_pow_int_of_any_exponent_matches_libmp(s, n, prec, rnd):
+    if not s[1] and n < 0:
+        return
+    assert dy.mpf_pow_int(s, n, prec, rnd) == libmp.mpf_pow_int(s, n, prec, rnd)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(raws(), raws(max_mag=20000, max_bits=200)), st.sampled_from([6, 20, 25]))
+@example(libmp.fzero, 20)
+@example(libmp.from_man_exp(-999999, 0), 6)
+@example(libmp.from_man_exp(1, -4000), 25)
+@example(libmp.from_man_exp(12345, 3600), 20)
+def test_printer_matches_nstr(s, digits):
+    assert dy.to_str(s, digits) == nstr(mp.make_mpf(s), digits)
+
+
+@pytest.mark.parametrize("text", ["0.1", "-2.5e-3", "1e-450", "7e401", "3/7", "123.4500"])
+def test_decimal_strings_read_as_libmp_reads_them(text):
+    for rnd in ("n", "d"):
+        assert dy.from_str(text, 169, rnd) == libmp.from_str(text, 169, rnd)
+
+
+def test_fifty_digits_are_169_bits():
+    assert dy.dps_to_prec(50) == libmp.dps_to_prec(50) == 169
+    assert engine._PREC == 169
+
+
+# -- the exact value type against mpf values ----------------------------------
+
+
+def test_dyadic_is_exact_and_carries_its_raw_value():
+    raw = libmp.from_man_exp(3 * 2**200 + 1, -250)
+    x = Dyadic.from_raw(raw)
+    assert x == F(3 * 2**200 + 1, 2**250) and x._mpf_ == raw
+    assert Dyadic(F(5, 8))._mpf_ == libmp.from_man_exp(5, -3)
+    assert Dyadic(-12)._mpf_ == libmp.from_int(-12)
+    assert pickle.loads(pickle.dumps(x)) == x
+    with pytest.raises(ValueError):
+        Dyadic(F(1, 3))
+
+
+def test_dyadic_meets_mpf_values_exactly_on_either_side():
+    x = Dyadic.from_raw(libmp.from_man_exp(2**300 + 1, -300))  # 1 + 2^-300
+    with mp.workdps(15):  # far below x's 301 bits
+        one = mpf(1)
+        assert one < x and x > one and not x == one and not one == x and x != one
+        assert x == mp.make_mpf(x._mpf_) and mp.make_mpf(x._mpf_) == x
+        assert mp.mpf(x) == 1  # mpf() rounds to the working precision
+        assert nstr(x, 5) == "1.0"
+        assert isinstance(x - one, type(one)) and isinstance(one - x, type(one))
+        assert isinstance(x * one, type(one)) and isinstance(one / x, type(one))
+    with mp.workdps(100):
+        assert x - one == mp.ldexp(1, -300) and one - x == -mp.ldexp(1, -300)
+
+
+def test_exact_results_keep_working_against_mpf_values():
+    a, b = Dyadic(3), Dyadic(F(1, 4))
+    assert type(a + b) is Dyadic and type(a * b - 1) is Dyadic and type(-a) is Dyadic
+    quotient = a / Dyadic(7)  # not binary, still exact
+    assert quotient == F(3, 7) and not hasattr(quotient, "_mpf_")
+    with mp.workdps(30):
+        assert abs(quotient - mpf(3) / 7) < mpf("1e-28")
+        assert mpf(3) / 7 - quotient < mpf("1e-28")
+        assert (a + b) - mpf("3.25") == 0

@@ -1,6 +1,7 @@
 """Each command imports only the layers it uses: the package import and the
-exact commands never load mpmath or the numeric layers, while every public
-and every rebindable name still resolves on demand."""
+exact commands never load the numeric layers, no command loads mpmath,
+dataclasses or inspect, and every public and every rebindable name still
+resolves on demand."""
 
 import importlib.util
 import os
@@ -8,11 +9,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ellipcert
 import ellipcert.cli as cli
 
 ROOT = Path(ellipcert.__file__).resolve().parents[2]
 NUMERIC = ("mpmath", "ellipcert.engine", "ellipcert.bounds")
+# modules no command needs: mpmath, and dataclasses, whose import takes inspect
+HEAVY = ("mpmath", "dataclasses", "inspect")
 
 
 def _fresh(script: str) -> subprocess.CompletedProcess:
@@ -48,6 +53,24 @@ assert "p        in [9.68844822054766" in out.getvalue(), out.getvalue()
 print("ok")
 """
     assert _fresh(script).stdout == "ok\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["perimeter", "--a", "2", "--b", "1"],
+    ["bounds", "--lambda", "0.5"],
+    ["bounds", "--e", "0.5"],
+    ["ivory-check", "--x", "0.5"],
+    ["verify-lemma", "--max-n", "20"],
+], ids=lambda argv: f"{argv[0]}-{argv[1].lstrip('-')}")
+def test_commands_leave_mpmath_dataclasses_and_inspect_unloaded(argv):
+    script = f"""
+import contextlib, io, sys
+import ellipcert.cli as cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert cli.cli_main({argv!r}) == 0
+print([m for m in {HEAVY!r} if m in sys.modules])
+"""
+    assert _fresh(script).stdout == "[]\n"
 
 
 def test_every_public_name_resolves_and_is_listed():

@@ -225,7 +225,7 @@ def test_engine_holds_no_table_or_lock():
     assert not _held_state((SRC / "engine.py").read_text(encoding="utf-8"))
 
 
-# -- the guard: no hand-chosen rounding allowance, and one context --
+# -- the guard: no hand-chosen rounding allowance, and no mpmath --
 
 _DIGIT_COUNTS = {"dps", "WORKING_DPS"}
 _CACHES = {"lru_cache", "cache"}
@@ -296,12 +296,25 @@ def test_pad_guard_flags_each_kind_of_use():
         "@lru_cache\ndef f(n):\n    return n\n")
 
 
-def test_package_has_no_hand_pads_and_one_context():
+def _mpmath_imports(source: str) -> list[str]:
+    """Each import of mpmath or of one of its modules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"{node.lineno}: import {a.name}" for a in node.names
+                      if a.name.split(".")[0] == "mpmath"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath":
+            found.append(f"{node.lineno}: from {node.module} import")
+    return found
+
+
+def test_package_has_no_hand_pads_and_no_mpmath():
     files = sorted(SRC.glob("*.py"))
     assert len(files) >= 6
     sources = {path.name: path.read_text(encoding="utf-8") for path in files}
-    uses = {name: _hand_pads(source) for name, source in sources.items()}
+    uses = {name: _hand_pads(source) + _mpmath_imports(source)
+            for name, source in sources.items()}
     assert not {name: found for name, found in uses.items() if found}
-    calls = [n for source in sources.values() for n in ast.walk(ast.parse(source))
-             if _called(n, "MPContext")]
-    assert len(calls) == 1
+    for sample in ("import mpmath\n", "from mpmath import mpf\n", "from mpmath.libmp import fone\n",
+                   "def f():\n    import mpmath.libmp as libmp\n"):
+        assert _mpmath_imports(sample), sample
