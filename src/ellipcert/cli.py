@@ -133,11 +133,12 @@ def _cmd_coeffs(args) -> int:
     rows = coeff_rows_str(n)
     out = sys.stdout  # rows are written as they come; the table is never held
     if args.format == "json":
-        # the text json.dumps({"rows": [...]}, indent=2) gives, row by row
+        # the text json.dumps({"rows": [...]}, indent=2) gives, row by row;
+        # the cells hold only digits and "/", so no character needs escaping
         sep = '{\n  "rows": [\n'
         for i, a, b, d in rows:
-            row = json.dumps({"n": i, "A": a, "B": b, "delta": d}, indent=2)
-            out.write(sep + "    " + row.replace("\n", "\n    "))
+            out.write(f'{sep}    {{\n      "n": {i},\n      "A": "{a}",\n'
+                      f'      "B": "{b}",\n      "delta": "{d}"\n    }}')
             sep = ",\n"
         out.write("\n  ]\n}\n")
     else:

@@ -151,6 +151,11 @@ def _value(raw) -> Dyadic:
     return Dyadic.from_raw(raw)
 
 
+def _binary_if_exact(q: Fraction) -> Fraction:
+    """q as a Dyadic, which carries its raw tuple, when it is binary."""
+    return Dyadic(q) if q.denominator & (q.denominator - 1) == 0 else q
+
+
 def _convert(v):
     """The raw value of v as mpmath's ``convert`` takes it: exactly for an
     int, a float or a value that carries a raw tuple (``_mpf_``); a Fraction
@@ -227,14 +232,15 @@ class Enclosure:
     def __hash__(self):
         return hash((self.lo, self.hi, self.regime))
 
-    # mpf_add and mpf_sub without a precision are exact, and so is a shift
+    # exact for every kind of end: a Dyadic when binary, as every raw end
+    # makes it, else a Fraction
     @property
     def width(self):
-        return _value(mpf_sub(self.hi._mpf_, self.lo._mpf_))
+        return _binary_if_exact(_exact_fraction(self.hi) - _exact_fraction(self.lo))
 
     @property
     def mid(self):
-        return _value(mpf_shift(mpf_add(self.lo._mpf_, self.hi._mpf_), -1))
+        return _binary_if_exact((_exact_fraction(self.lo) + _exact_fraction(self.hi)) / 2)
 
     def contains(self, value) -> bool:
         """Exact containment: endpoints and value compared as rationals."""

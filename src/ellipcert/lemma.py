@@ -18,11 +18,12 @@ feeding the certificate booleans is decided in exact integer arithmetic,
 by cross-multiplying numerators and positive denominators.
 
 `verify_fundamental_lemma` is one pass that builds each quantity once,
-each from its own definition: A_n from the exact O(n) stream, which
-expands the closed form; B_n from the product formula (`b_coeff`);
-C(2m, m) by `math.comb`, and from it the explicit terms a_m of `a_term`
-and f(n).  The streamed A_n is also cross-checked against the explicit
-term sum for n <= 50.  No two sides of a comparison share a recurrence.
+each from its own definition: A_n as the (odd numerator, exponent)
+integers of the exact O(n) stream (`dyadic_rows`), which expands the
+closed form; C(2m, m) once per m by `math.comb`, and from it B_n by its
+product formula, the explicit terms a_m of `a_term` and f(n).  The
+streamed A_n is also cross-checked against the explicit term sum for
+n <= 50.  No two sides of a comparison share a recurrence.
 """
 
 from __future__ import annotations
@@ -30,10 +31,14 @@ from __future__ import annotations
 import json
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 from math import comb
 from typing import NamedTuple
 
-from .series_kernel import a_coeff_explicit, a_series_via_composition, b_coeff, rational_str
+# a_series_via_composition: unused here, but bench/tracer.py rebinds it here
+from .series_kernel import (  # noqa: F401
+    a_coeff_explicit, a_series_via_composition, dyadic_rows, rational_str,
+)
 
 __all__ = [
     "LemmaCertificate",
@@ -71,6 +76,31 @@ _PUBLISHED_VALUE_NOTES = (
     "square root over a^2 sin^2(phi) + b^2 cos^2(phi); the radical form is "
     "the one the series identity reproduces",
 )
+
+
+def _sides(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int]:
+    """Integers (l, r) that compare as the scaled values x and y do.
+
+    A scaled value is an integer triple (num, den, exp) with den > 0, the
+    rational num / (den * 2**exp), unreduced: shifts stand in for the
+    multiplications by the large powers of two in A_n, B_n and a_(n-1).
+    """
+    (xn, xd, xe), (yn, yd, ye) = x, y
+    left, right = xn * yd, yn * xd
+    if ye >= xe:
+        return left << (ye - xe), right
+    return left, right << (xe - ye)
+
+
+def _fraction(x: tuple[int, int, int]) -> Fraction:
+    num, den, exp = x
+    return Fraction(num, den << exp)
+
+
+def _b_terms(n: int, central: int) -> tuple[int, int, int]:
+    """B_n = [C(2n,n) / (4^n (2n-1))]^2 as a scaled value, given
+    central = C(2n, n)."""
+    return central * central, (2 * n - 1) ** 2, 4 * n
 
 
 def _f_terms(n: int, central: int) -> tuple[int, int]:
@@ -255,10 +285,11 @@ def verify_fundamental_lemma(n_max: int) -> LemmaCertificate:
 
     One pass builds each quantity once, from its own definition:
 
-      * A_n from the exact O(n) stream (`a_series_via_composition`), which
-        expands the closed form;
-      * B_n from the defining product formula (`b_coeff`), once per n;
+      * A_n as (odd numerator, exponent), value num / 2**exp, from the
+        exact O(n) stream (`dyadic_rows`), which expands the closed form;
       * C(2m, m) once per m <= n_max, by `math.comb`;
+      * B_n from the shared C(2n, n) by its product formula (`_b_terms`),
+        unreduced, without a gcd;
       * the term magnitudes w_m = |a_m| 2^(5n-3) = C(2m,m) 6^m / (4(2m-1))
         (w_0 = 1) of `a_term`, which do not depend on n, so each ratio
         verdict is decided once per m and every sample n reads it;
@@ -266,8 +297,8 @@ def verify_fundamental_lemma(n_max: int) -> LemmaCertificate:
       * f(n) for 7 <= n <= n_max from its product formula.
 
     No claim is checked on values grown by the recurrence it asserts, and
-    A_n and B_n share no recurrence.  Every comparison is an integer
-    cross-multiplication of numerators and positive denominators; a
+    A_n and B_n share no recurrence.  Every comparison is an integer shift
+    or cross-multiplication of numerators and positive denominators; a
     Fraction is built only for a recorded witness or a printed field.
 
     Failures are recorded in the certificate, never raised; only a g(k)
@@ -276,9 +307,10 @@ def verify_fundamental_lemma(n_max: int) -> LemmaCertificate:
     if n_max < 7:
         raise ValueError("verification needs n_max >= 7")
 
-    a = a_series_via_composition(n_max).coeffs
-    b = [b_coeff(n) for n in range(n_max + 1)]
+    # A_n, B_n and a_(n-1) as scaled values (`_sides`)
+    a = [(num, 1, exp) for (num, exp), _b, _d in islice(dyadic_rows(), n_max + 1)]
     central = [comb(2 * m, m) for m in range(n_max + 1)]
+    b = [_b_terms(n, central[n]) for n in range(n_max + 1)]
     # (numerator, denominator) pairs; every denominator is positive
     w = [(1, 1)] + [(central[m] * 6**m, 4 * (2 * m - 1)) for m in range(1, n_max)]
     f = {n: _f_terms(n, central[n]) for n in range(7, n_max + 1)}
@@ -296,16 +328,18 @@ def verify_fundamental_lemma(n_max: int) -> LemmaCertificate:
 
     equalities_ok = True
     for n in range(1, 5):
-        if a[n] != b[n]:
+        left, right = _sides(a[n], b[n])
+        if left != right:
             equalities_ok = False
-            note("equality A_n = B_n", n, a_n=a[n], b_n=b[n])
+            note("equality A_n = B_n", n, a_n=_fraction(a[n]), b_n=_fraction(b[n]))
             break
 
     inequalities_ok = True
     for n in range(5, n_max + 1):
-        if not a[n] < b[n]:  # Fraction order is one cross-multiplication
+        left, right = _sides(a[n], b[n])
+        if not left < right:
             inequalities_ok = False
-            note("strict inequality A_n < B_n", n, a_n=a[n], b_n=b[n])
+            note("strict inequality A_n < B_n", n, a_n=_fraction(a[n]), b_n=_fraction(b[n]))
             break
 
     # claim 1, once per m: |a_(m-1)/a_m| = w_(m-1)/w_m = m/(12(2m-3)) <= 1/6;
@@ -342,17 +376,18 @@ def verify_fundamental_lemma(n_max: int) -> LemmaCertificate:
     dominance_ok = True
     chain_ok = True
     for n in range(7, n_max + 1):
-        lead_num, lead_den = w[n - 1][0], w[n - 1][1] << (5 * n - 3)
-        a_num, a_den = a[n].numerator, a[n].denominator
-        if not (0 < a_num and a_num * lead_den < lead_num * a_den):
+        lead = (*w[n - 1], 5 * n - 3)
+        left, right = _sides(a[n], lead)
+        if not (0 < a[n][0] and left < right):
             dominance_ok = False
-            note("dominance 0 < A_n < a_(n-1)", n, a_n=a[n], lead=Fraction(lead_num, lead_den))
+            note("dominance 0 < A_n < a_(n-1)", n, a_n=_fraction(a[n]), lead=_fraction(lead))
             break
-        f_num, f_den = f[n]
-        b_num, b_den = b[n].numerator, b[n].denominator
+        (f_num, f_den), (b_num, b_den, b_exp) = f[n], b[n]
         f_below_one = f_num < f_den
-        if (f_below_one != (lead_num * b_den < b_num * lead_den)
-                or f_num * lead_den * b_num != f_den * lead_num * b_den  # f(n) = a_(n-1)/B_n
+        lead_b = _sides(lead, b[n])
+        fb_lead = _sides((f_num * b_num, f_den * b_den, b_exp), lead)  # f(n) B_n vs a_(n-1)
+        if (f_below_one != (lead_b[0] < lead_b[1])
+                or fb_lead[0] != fb_lead[1]  # f(n) = a_(n-1)/B_n
                 or not f_below_one):
             chain_ok = False
             note("chain f(n) < 1 <=> a_(n-1) < B_n", n, f_n=Fraction(f_num, f_den))
@@ -371,7 +406,8 @@ def verify_fundamental_lemma(n_max: int) -> LemmaCertificate:
     route_max = min(50, n_max)
     routes_ok = True
     for n in range(1, route_max + 1):
-        if a_coeff_explicit(n) != a[n]:
+        num, _one, exp = a[n]
+        if a_coeff_explicit(n).as_integer_ratio() != (num, 1 << exp):
             routes_ok = False
             note("route equivalence explicit = composition", n)
             break

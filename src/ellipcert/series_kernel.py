@@ -205,12 +205,25 @@ def a_term(n: int, m: int) -> Fraction:
 def a_coeff_explicit(n: int) -> Fraction:
     """Coefficient A_n by direct summation of the explicit terms.
 
-    Rejects n = 0: the constant term is definitionally 1 and has no term
-    expansion.  Equals the streamed coefficient A_n for every n.
+    The terms of `a_term` are summed as integers on their common scale
+    2^(5n-3), where a_m = (-1)^(n-1-m) w_m with w_0 = 1 and
+
+        w_m = C(2m,m) 6^m / (4(2m-1))    (m >= 1),
+
+    each w_m computed from `math.comb` by a division that must leave no
+    remainder (ArithmeticError otherwise).  Rejects n = 0: the constant
+    term is definitionally 1 and has no term expansion.  Equals the
+    streamed coefficient A_n for every n.
     """
     if n < 1:
         raise ValueError("n must be >= 1 (A_0 = 1 by definition)")
-    return sum((a_term(n, m) for m in range(n)), Fraction(0))
+    total = 1 if n % 2 else -1  # the m = 0 term, (-1)^(n-1) w_0
+    for m in range(1, n):
+        w, rem = divmod(comb(2 * m, m) * 6**m, 4 * (2 * m - 1))
+        if rem:
+            raise ArithmeticError(f"term a_{m} of A_{n} is not an integer on the scale 2^(5n-3)")
+        total += w if (n - 1 - m) % 2 == 0 else -w
+    return Fraction(total, 1 << (5 * n - 3))
 
 
 def delta_coeff(n: int) -> Fraction:
@@ -308,7 +321,9 @@ def _exact_div(x: Decimal, d: int) -> Decimal:
 
 def _times_pow2(x: Decimal, k: int) -> Decimal:
     """x * 2**k exactly; for k < 0 the division must leave no remainder."""
-    return _EXACT.multiply(x, 1 << k) if k >= 0 else _exact_div(x, 1 << -k)
+    if k == 0:
+        return x
+    return _EXACT.multiply(x, 1 << k) if k > 0 else _exact_div(x, 1 << -k)
 
 
 def _difference(x: Decimal, ex: int, y: Decimal, ey: int, exp: int) -> Decimal:
@@ -349,10 +364,13 @@ def _decimal_twin(rows):
     for n, (row, ahead) in enumerate(pairwise(chain(rows, [None])), start=1):
         exps = [exp for _num, exp in row]
         nums = (a, b, _difference(b, exps[1], a, exps[0], exps[2]))
+        texts = {}  # one denominator text per distinct exponent of the row
         for den, exp in zip(dens, exps):
             den[1] = _times_pow2(den[1], exp - den[0])
             den[0] = exp
-        yield (n, *(f"{num}/{den[1]}" for num, den in zip(nums, dens)))
+            if exp not in texts:
+                texts[exp] = str(den[1])
+        yield (n, *(f"{num}/{texts[exp]}" for num, exp in zip(nums, exps)))
         if ahead is not None:
             v = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = 2^v * odd
             odd = (n + 1) >> v

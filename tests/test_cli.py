@@ -2,6 +2,7 @@
 ``python -m ellipcert`` and ``python -m ellipcert.cli`` runs in a subprocess."""
 
 import contextlib
+import hashlib
 import json
 import os
 import signal
@@ -177,12 +178,12 @@ def test_ivory_check_at_one(capsys):
 
 
 def test_verify_lemma_failure_exits_one(capsys, monkeypatch):
-    from ellipcert import b_coeff
+    from ellipcert.lemma import _b_terms
 
-    def corrupt_b(n):
-        return F(0) if n == 9 else b_coeff(n)
+    def corrupt_b(n, central):
+        return (0, 1, 0) if n == 9 else _b_terms(n, central)
 
-    monkeypatch.setattr("ellipcert.lemma.b_coeff", corrupt_b)
+    monkeypatch.setattr("ellipcert.lemma._b_terms", corrupt_b)
     rc, out, err = run(["verify-lemma", "--max-n", "12"], capsys)
     assert rc == 1
     assert "FAILED" in err
@@ -300,6 +301,42 @@ def test_coeffs_table_unaffected_by_the_int_digit_limit(capsys, int_digit_cap):
     rc, out, err = capped
     assert rc == 0 and err == ""
     assert len(out.splitlines()) == 602
+
+
+class _Sha256Writer:
+    """A text stream that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+# SHA-256 of the `coeffs --n N [--format json]` stdout: how the table is
+# computed and written may change, the bytes may not
+GOLDEN_COEFFS_SHA256 = {
+    (0, "csv"): "9557a961a715cdcd2a5e64a418b90844554fe3f5a873ddc36a77c5db0987cd38",
+    (0, "json"): "d17cdbdf2008a078ae5cf8b1f03d75579bf1157a57222caad6b34a2949cfb0e9",
+    (7, "csv"): "beb36a8a556ff3b4ea8eda53f18d945e4b759ab2d739273492ab0682721c8809",
+    (7, "json"): "31505d8a138581f351d3ca449ab521199ebac0c1fea03b31d2ccbccea0a74d2b",
+    (1200, "csv"): "5e72a8f45cb8943c6c54b731eee02fec5f2501439c4a1d317483be738854848d",
+    (1200, "json"): "abeeee54e0b121afb1ea673d388c8b58381bb62e3b85c9866b1d06f35ed4deba",
+    (3000, "csv"): "caed786f2ad2a52208147585e959ee5f2dbbca2003035a95a5cab4b408f0b9ed",
+    (3000, "json"): "6aad7715ce1878889c9c1b74d52bc4c380672e2700b6eb247f35bdfd5422fa2b",
+}
+
+
+@pytest.mark.parametrize("n, fmt", sorted(GOLDEN_COEFFS_SHA256))
+def test_coeffs_output_matches_golden_digest(monkeypatch, n, fmt):
+    sink = _Sha256Writer()
+    monkeypatch.setattr(sys, "stdout", sink)  # a 3000-row table is about 32 MB
+    assert cli_main(["coeffs", "--n", str(n), "--format", fmt]) == 0
+    assert sink.digest.hexdigest() == GOLDEN_COEFFS_SHA256[n, fmt]
 
 
 def test_bounds_e_certifies_theta_at_lambda_itself(monkeypatch, capsys):

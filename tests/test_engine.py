@@ -484,6 +484,30 @@ def test_enclosure_invariant():
         Enclosure(mp.mpf(2), mp.mpf(1))
 
 
+def _mpf_exact(v) -> F:
+    man, exp = v.man_exp
+    return F(man) * F(2) ** exp
+
+
+@pytest.mark.parametrize("lo, hi, width, mid", [
+    (1, 2, 1, F(3, 2)),
+    (0.5, 0.75, F(1, 4), F(5, 8)),
+    (F(1, 3), F(2, 3), F(1, 3), F(1, 2)),
+    (F(1, 4), 1, F(3, 4), F(5, 8)),
+    (mp.mpf("0.1"), mp.mpf("0.3"),
+     _mpf_exact(mp.mpf("0.3")) - _mpf_exact(mp.mpf("0.1")),
+     (_mpf_exact(mp.mpf("0.1")) + _mpf_exact(mp.mpf("0.3"))) / 2),
+])
+def test_enclosure_width_and_mid_are_exact_for_every_kind_of_end(lo, hi, width, mid):
+    # int, float and Fraction ends used to raise AttributeError (no _mpf_)
+    enc = Enclosure(lo, hi)
+    assert enc.width == width and enc.mid == mid
+    # a binary result keeps the raw tuple the CLI prints from
+    for value in (enc.width, enc.mid):
+        binary = value.denominator & (value.denominator - 1) == 0
+        assert hasattr(value, "_mpf_") == binary
+
+
 def test_enclosure_contains_is_exact():
     enc = eval_B(0)  # width around 1e-47
     with mp.workdps(5):

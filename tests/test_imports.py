@@ -93,6 +93,25 @@ def test_every_name_the_tracer_rebinds_resolves():
             assert callable(getattr(module, name)), (module_name, name)
 
 
+def test_the_tracer_installs_and_a_traced_command_runs():
+    # install() rebinds every name of _TARGETS; one the program no longer
+    # binds would fail every traced run with AttributeError
+    script = f"""
+import contextlib, importlib.util, io
+spec = importlib.util.spec_from_file_location("bench_tracer", {str(ROOT / "bench" / "tracer.py")!r})
+tracer_mod = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_mod)
+import ellipcert.cli as cli
+tracer = tracer_mod.Tracer()
+tracer_mod.install(tracer)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert cli.cli_main(["verify-lemma", "--max-n", "7"]) == 0
+    assert cli.cli_main(["coeffs", "--n", "5"]) == 0
+print("lemma.verify" in {{span[0] for span in tracer.spans}})
+"""
+    assert _fresh(script).stdout == "True\n"
+
+
 def test_monkeypatched_error_report_is_the_one_perimeter_calls(monkeypatch, capsys):
     real = cli.error_report
     calls = []

@@ -115,13 +115,20 @@ def test_verify_certificate_fields():
     assert any("49/2^16" in note for note in cert.paper_typos_noted)
 
 
+def _b_with(index, value):
+    """lemma's B_n source with B_index replaced by the Fraction value."""
+    original = lemma_mod._b_terms
+
+    def patched(n, central):
+        return (value.numerator, value.denominator, 0) if n == index else original(n, central)
+
+    return patched
+
+
 def test_corrupted_input_is_recorded_not_thrown(monkeypatch):
     # fault injection: a wrong B_10 must surface as a recorded first
     # counterexample with witnesses, never as an exception
-    def corrupt_b(n):
-        return F(0) if n == 10 else b_coeff(n)
-
-    monkeypatch.setattr(lemma_mod, "b_coeff", corrupt_b)
+    monkeypatch.setattr(lemma_mod, "_b_terms", _b_with(10, F(0)))
     cert = verify_fundamental_lemma(15)
     assert not cert.inequalities_ok
     assert not cert.all_ok()
@@ -140,10 +147,7 @@ def test_corrupted_input_is_recorded_not_thrown(monkeypatch):
 def test_large_witness_is_recorded_under_the_int_digit_limit(monkeypatch, int_digit_cap):
     # A_600 has a denominator of about 900 digits, past the 640-digit cap
     # on str(int); the witness must still be recorded, not raised
-    def corrupt_b(n):
-        return F(0) if n == 600 else b_coeff(n)
-
-    monkeypatch.setattr(lemma_mod, "b_coeff", corrupt_b)
+    monkeypatch.setattr(lemma_mod, "_b_terms", _b_with(600, F(0)))
     with int_digit_cap():
         cert = verify_fundamental_lemma(600)
         text = cert.to_json()
@@ -245,21 +249,25 @@ def test_certificate_ignores_the_ambient_decimal_context():
     assert hashlib.sha256(want.encode()).hexdigest() == GOLDEN_CERT_SHA256[60]
 
 
-def _a_series_with(index, value):
-    """lemma's A_n source with A_index replaced by value(A_index)."""
-    original = lemma_mod.a_series_via_composition
+def _rows_with(index, value):
+    """lemma's A_n source with A_index replaced by value(A_index), a dyadic."""
+    original = lemma_mod.dyadic_rows
 
-    def patched(order):
-        coeffs = list(original(order).coeffs)
-        coeffs[index] = value(coeffs[index])
-        return series_kernel.PowerSeries(coeffs)
+    def patched():
+        for n, row in enumerate(original()):
+            if n == index:
+                num, exp = row.A
+                new = value(F(num, 2**exp))
+                exp = new.denominator.bit_length() - 1
+                assert new.denominator == 2**exp
+                row = row._replace(A=(new.numerator, exp))
+            yield row
 
     return patched
 
 
 def test_fault_in_equality_is_witnessed(monkeypatch):
-    monkeypatch.setattr(lemma_mod, "a_series_via_composition",
-                        _a_series_with(3, lambda a3: a3 + F(1, 1024)))
+    monkeypatch.setattr(lemma_mod, "dyadic_rows", _rows_with(3, lambda a3: a3 + F(1, 1024)))
     cert = verify_fundamental_lemma(30)
     assert not cert.equalities_ok and not cert.all_ok()
     assert cert.first_counterexample == {
@@ -270,8 +278,7 @@ def test_fault_in_equality_is_witnessed(monkeypatch):
 def test_fault_in_dominance_is_witnessed(monkeypatch):
     # A_20 halfway between a_19 and B_20: still below B_20, above the lead term
     lead, b20 = series_kernel.a_term(20, 19), b_coeff(20)
-    monkeypatch.setattr(lemma_mod, "a_series_via_composition",
-                        _a_series_with(20, lambda _a20: (lead + b20) / 2))
+    monkeypatch.setattr(lemma_mod, "dyadic_rows", _rows_with(20, lambda _a20: (lead + b20) / 2))
     cert = verify_fundamental_lemma(30)
     assert cert.inequalities_ok and not cert.dominance_ok
     assert cert.first_counterexample == {
@@ -285,8 +292,7 @@ def test_fault_in_dominance_is_witnessed(monkeypatch):
 def test_fault_in_chain_is_witnessed(monkeypatch):
     # B_20 halfway between A_20 and a_19: still above A_20, below the lead term
     lead, a20 = series_kernel.a_term(20, 19), series_kernel.a_coeffs_upto(20)[20]
-    monkeypatch.setattr(lemma_mod, "b_coeff",
-                        lambda n: (a20 + lead) / 2 if n == 20 else b_coeff(n))
+    monkeypatch.setattr(lemma_mod, "_b_terms", _b_with(20, (a20 + lead) / 2))
     cert = verify_fundamental_lemma(30)
     assert cert.inequalities_ok and cert.dominance_ok
     assert not cert.chain_equivalence_ok
@@ -308,8 +314,9 @@ def test_fault_in_routes_is_witnessed(monkeypatch):
 
 @pytest.mark.parametrize("n", [300, 600])
 def test_sweep_builds_each_binomial_once(monkeypatch, n):
-    # C(2m, m) once per m and B_n once per n, plus the 1225 calls of the
-    # n <= 50 route check; rebuilding f or the terms per use costs thousands
+    # C(2m, m) once per m, shared by B_n, f(n) and the terms, plus the 1225
+    # calls of the n <= 50 route check; rebuilding B_n, f or the terms per
+    # use costs hundreds to thousands more
     calls = 0
     original = lemma_mod.comb
 
@@ -321,4 +328,4 @@ def test_sweep_builds_each_binomial_once(monkeypatch, n):
     monkeypatch.setattr(lemma_mod, "comb", counting)
     monkeypatch.setattr(series_kernel, "comb", counting)
     assert verify_fundamental_lemma(n).all_ok()
-    assert calls <= 2 * n + 1300
+    assert calls <= n + 1 + 1225

@@ -14,6 +14,7 @@ from math import comb
 
 import pytest
 
+import ellipcert.series_kernel as series_kernel
 from ellipcert import (
     PowerSeries,
     a_coeff_explicit,
@@ -155,6 +156,23 @@ def test_a_coeff_explicit_rejects_zero():
         a_coeff_explicit(0)
 
 
+def test_a_coeff_explicit_is_the_sum_of_the_fraction_terms():
+    for n in range(1, 121):
+        assert a_coeff_explicit(n) == sum((a_term(n, m) for m in range(n)), F(0)), n
+
+
+def test_a_coeff_explicit_raises_on_a_corrupted_term(monkeypatch):
+    # C(6, 3) + 1 = 21: w_3 = 21 * 6^3 / 20 leaves a remainder, so the
+    # integer sum cannot silently absorb the fault
+    def corrupt(n, k):
+        return comb(n, k) + (n == 6 and k == 3)
+
+    monkeypatch.setattr(series_kernel, "comb", corrupt)
+    assert a_coeff_explicit(3) == F(1, 256)  # terms m <= 2 only
+    with pytest.raises(ArithmeticError):
+        a_coeff_explicit(4)
+
+
 @pytest.mark.parametrize(
     "n, expected",
     [
@@ -250,6 +268,8 @@ def test_dyadic_rows_are_reduced():
 def test_decimal_twin_divisions_raise_instead_of_truncating():
     assert _exact_div(Decimal(21), 7) == 3
     assert _times_pow2(Decimal(12), -2) == 3
+    twelve = Decimal(12)
+    assert _times_pow2(twelve, 0) is twelve
     with pytest.raises(ArithmeticError):
         _exact_div(Decimal(22), 7)
     with pytest.raises(ArithmeticError):
