@@ -3,12 +3,14 @@
 Four layers, bottom up:
 
   * ``series_kernel`` -- exact rational coefficients of the perimeter
-    series and of Ramanujan's kernel, by two independent routes;
+    series and of Ramanujan's kernel, streamed as integers, with
+    independent checks beside the stream;
   * ``lemma`` -- machine verification (exact arithmetic) that the two
     coefficient sequences agree through n = 4 and separate strictly from
     n = 5 on, with a JSON-serializable certificate;
-  * ``engine`` -- extended-precision evaluation with two-sided enclosures,
-    the quadrature route to the same integral, and the perimeter API;
+  * ``engine`` -- two-sided enclosures from the exact input, rounded
+    outward at a precision in bits that follows the tolerance, the
+    quadrature route to the same integral, and the perimeter API;
   * ``bounds`` -- the optimal error constants and per-ellipse error
     reports.
 

@@ -84,37 +84,6 @@ def from_int(n: int, prec: int = 0, rnd=round_down):
     return from_man_exp(n, 0, prec, rnd)
 
 
-def from_float(x: float):
-    """A finite float, exactly."""
-    num, den = x.as_integer_ratio()
-    return from_man_exp(num, 1 - den.bit_length())
-
-
-def from_rational(p: int, q: int, prec: int, rnd=round_down):
-    return mpf_div(from_int(p), from_int(q), prec, rnd)
-
-
-def from_str(text: str, prec: int, rnd=round_down):
-    """A decimal literal or "p/q", as libmp's ``from_str`` reads it: rounded
-    once, except that an exponent beyond 10^400 goes through a power of ten."""
-    x = text.lower().strip()
-    if "/" in x:
-        p, q = x.split("/")
-        return from_rational(int(p), int(q), prec, rnd)
-    float(x)  # refuses what is not a float literal
-    parts = x.split("e")
-    exp = int(parts[1]) if len(parts) == 2 else 0
-    whole, _, frac = parts[0].partition(".")
-    frac = frac.rstrip("0")
-    exp -= len(frac)
-    man = int(whole + frac)
-    if abs(exp) > 400:
-        return mpf_mul(from_int(man, prec + 10), mpf_pow_int(_TEN, exp, prec + 10), prec, rnd)
-    if exp >= 0:
-        return from_int(man * 10**exp, prec, rnd)
-    return from_rational(man, 10**-exp, prec, rnd)
-
-
 def mpf_pos(s, prec: int = 0, rnd=round_down):
     """s rounded to prec bits; s itself without a precision."""
     if not prec:

