@@ -27,27 +27,23 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache, partial
 from typing import NamedTuple
 
-from ._dyadic import (Dyadic, from_int, mpf_div, mpf_pi, mpf_sub, round_ceiling, round_floor,
-                      round_nearest)
+from ._dyadic import Dyadic, _exact, from_int, mpf_div, mpf_pi, mpf_sub, round_ceiling, round_floor
 from .engine import (
     _PREC,
     Ellipse,
     Enclosure,
     EXACT_POINT,
-    _add,
-    _div,
     _enclosure,
     _exact_fraction,
-    _mul,
-    _mul_int,
-    _pi,
-    _pow,
+    _nearest,
     _point_str,
     _product,
     _ramanujan_enclosure,
-    _sub,
+    _raw,
+    _resolving_prec,
     _value,
     discrepancy,
     perimeter,
@@ -72,6 +68,7 @@ THETA_LOWER = Fraction(3, 2**17)
 
 # delta(e) = pi * theta / 2^DELTA_E_EXPONENT
 DELTA_E_EXPONENT = 19
+_DELTA_E_SCALE = Fraction(1, 2**DELTA_E_EXPONENT)
 
 # a strict bound passes when the midpoint clears it by more than this many widths
 _MARGIN = 10
@@ -85,41 +82,39 @@ _BOUND_FORM_NOTE = (
 )
 
 
-_THETA_LOWER = (0, 3, -17, 2)  # THETA_LOWER as a raw value
-_FOUR, _SEVEN, _ELEVEN, _FOURTEEN, _TWENTY_TWO = (from_int(n) for n in (4, 7, 11, 14, 22))
+_FOUR, _ELEVEN, _FOURTEEN = from_int(4), from_int(11), from_int(14)
+_THETA_LOWER_POINT = Enclosure(Dyadic(THETA_LOWER), Dyadic(THETA_LOWER), EXACT_POINT)
 
 
-def _theta_upper_at(rnd, opp):
-    """4/pi - 14/11 at working precision, rounded towards ``rnd``, with pi
-    and 14/11 rounded towards ``opp``: outward for opposite directions,
-    the nearest-rounded value for both nearest."""
-    four_over_pi = mpf_div(_FOUR, mpf_pi(_PREC, opp), _PREC, rnd)
-    return mpf_sub(four_over_pi, mpf_div(_FOURTEEN, _ELEVEN, _PREC, opp), _PREC, rnd)
+@lru_cache(maxsize=64)  # a constant per precision, built once: every report reads it twice
+def _theta_upper_enclosure(prec: int = _PREC) -> Enclosure:
+    """Outward enclosure of the attained bound 4/pi - 14/11 at ``prec`` bits:
+    each end rounded its own way, with pi and 14/11 rounded the other way."""
+    return _enclosure(*(
+        mpf_sub(mpf_div(_FOUR, mpf_pi(prec, opp), prec, rnd),
+                mpf_div(_FOURTEEN, _ELEVEN, prec, opp), prec, rnd)
+        for rnd, opp in ((round_floor, round_ceiling), (round_ceiling, round_floor))))
 
 
-def _theta_upper_enclosure() -> Enclosure:
-    """Outward enclosure of the attained bound 4/pi - 14/11."""
-    return _enclosure(_theta_upper_at(round_floor, round_ceiling),
-                      _theta_upper_at(round_ceiling, round_floor))
+def _scaled_bound(upper: bool, factor: Fraction, prec: int) -> Enclosure:
+    """Outward enclosure of pi * factor * c, for theta's bound c = 3/2^17, or
+    4/pi - 14/11 if ``upper``, at ``prec`` bits or more (``_product``)."""
+    bound = _theta_upper_enclosure(prec) if upper else _THETA_LOWER_POINT
+    return _product(bound, factor, times_pi=True, prec=prec)
 
 
 def theta_upper():
-    """The sharp upper bound 4/pi - 14/11 for theta, at working precision."""
-    return _value(_theta_upper_at(round_nearest, round_nearest))
-
-
-def _pi_gap():
-    """22/7 - pi at working precision."""
-    return _sub(_div(_TWENTY_TWO, _SEVEN), _pi())
+    """The sharp upper bound 4/pi - 14/11 for theta, rounded once to nearest."""
+    return _nearest(_theta_upper_enclosure)
 
 
 def scaled_theta_upper():
-    """(14/11)*(22/7 - pi): equals pi times theta_upper(), exactly.
+    """(14/11)*(22/7 - pi) = pi (4/pi - 14/11) exactly, rounded once to nearest.
 
     This is the pi*theta version of the upper constant; see the module
     docstring for why both labels exist.
     """
-    return _value(_mul(_div(_FOURTEEN, _ELEVEN), _pi_gap()))
+    return _nearest(partial(_scaled_bound, True, Fraction(1)))
 
 
 def theta_bounds() -> tuple[Fraction, object]:
@@ -128,23 +123,26 @@ def theta_bounds() -> tuple[Fraction, object]:
 
 
 def delta_e_bounds():
-    """The bounds (3 pi / 2^36, (7/11)(22/7 - pi) / 2^18) for delta(e).
+    """The bounds (3 pi / 2^36, (7/11)(22/7 - pi) / 2^18) for delta(e),
+    each rounded once to nearest.
 
     Both equal pi/2^19 times the corresponding theta bound.
     """
-    lower = _div(_mul_int(_pi(), 3), from_int(2**36))
-    upper = _div(_mul(_div(_SEVEN, _ELEVEN), _pi_gap()), from_int(2**18))
-    return _value(lower), _value(upper)
+    return tuple(_nearest(partial(_scaled_bound, upper, _DELTA_E_SCALE))
+                 for upper in (False, True))
 
 
 class ErrorReport(NamedTuple):
     """Everything certified about one ellipse's approximation error.
 
+    ``a`` and ``b`` are the exact semi-axes, a >= b;
     ``epsilon_enclosure`` brackets the true defect p - p_R;
     ``lower_bound``/``upper_bound`` are pi*(a+b)*c*lam^10 for the two
     optimal constants c; ``theta`` and ``delta_e`` are enclosures of the
     normalized error coefficients; ``ramanujan_estimate`` is the classical
-    3 a e^20 / 2^36, a strict underestimate of the defect.
+    3 a e^20 / 2^36, a strict underestimate of the defect.  Every point
+    value is its exact quantity rounded once to nearest at working
+    precision.
     """
 
     a: object
@@ -190,7 +188,7 @@ class ErrorReport(NamedTuple):
 
 def _delta_e(theta: Enclosure) -> Enclosure:
     """delta(e) = pi theta / 2^19, rounded outward."""
-    return _product(theta, Fraction(1, 2**DELTA_E_EXPONENT), times_pi=True)
+    return _product(theta, _DELTA_E_SCALE, times_pi=True)
 
 
 def error_report(ellipse: Ellipse, tol: float | None = None) -> ErrorReport:
@@ -209,30 +207,25 @@ def error_report(ellipse: Ellipse, tol: float | None = None) -> ErrorReport:
     """
     p_enc = perimeter(ellipse, tol)
     p_r = perimeter_ramanujan(ellipse)
-    a, b, lam, ecc = ellipse.a, ellipse.b, ellipse.lam, ellipse.ecc
     aq, bq = ellipse.axes
     if aq == bq:
-        zero, theta_point = Dyadic(0), Dyadic(THETA_LOWER)
+        zero = Dyadic(0)
         eps = Enclosure(zero, zero, EXACT_POINT)
-        theta = Enclosure(theta_point, theta_point, EXACT_POINT)
+        theta = _THETA_LOWER_POINT
         lower = upper = ram = zero
     else:
-        x = ((aq - bq) / (aq + bq)) ** 2
+        x, scale = ((aq - bq) / (aq + bq)) ** 2, (aq - bq) ** 10 / (aq + bq) ** 9  # (a+b) x^5
         d_enc = discrepancy(x)
         eps = _product(d_enc, aq + bq, times_pi=True)
         theta = _product(d_enc, 1 / x**5)
-        # the point values, each operation rounded to nearest at working precision
-        prefactor, lam10 = _mul(_pi(), _add(a._mpf_, b._mpf_)), _pow(lam._mpf_, 10)
-        lower, upper = (_value(_mul(_mul(prefactor, c), lam10))
-                        for c in (_THETA_LOWER, theta_upper()._mpf_))
-        ram = _value(_div(_mul(_mul_int(a._mpf_, 3), _pow(ecc._mpf_, 20)), from_int(2**36)))
+        lower, upper = (_nearest(partial(_scaled_bound, up, scale)) for up in (False, True))
+        ram = _value(_raw(3 * aq * (1 - (bq / aq) ** 2) ** 10 / 2**36))
     delta_e = _delta_e(theta)
 
     if aq != bq:
         # the eccentricity form a delta_e (2a/(a+b))^19 e^20 with e^2 = (a^2 - b^2)/a^2,
         # whose factor is exactly 2^19 (a-b)^10 / (a+b)^9
-        form = 2**DELTA_E_EXPONENT * (aq - bq) ** 10 / (aq + bq) ** 9
-        e_form = _product(delta_e, form)
+        e_form = _product(delta_e, 2**DELTA_E_EXPONENT * scale)
         if not (e_form.lo <= eps.hi and eps.lo <= e_form.hi):  # exact comparisons
             raise ArithmeticError(f"epsilon parameterizations disagree: {e_form} vs {eps}")
         r_enc = _ramanujan_enclosure(x, aq + bq)
@@ -242,7 +235,7 @@ def error_report(ellipse: Ellipse, tol: float | None = None) -> ErrorReport:
             raise ArithmeticError(f"epsilon enclosure inconsistent with p - p_R: {eps} vs {p_form}")
 
     return ErrorReport(
-        a=a, b=b, lam=lam, ecc=ecc,
+        a=_exact(aq), b=_exact(bq), lam=ellipse.lam, ecc=ellipse.ecc,
         p_enclosure=p_enc, p_R=p_r,
         epsilon_enclosure=eps,
         lower_bound=lower, upper_bound=upper,
@@ -252,37 +245,43 @@ def error_report(ellipse: Ellipse, tol: float | None = None) -> ErrorReport:
     )
 
 
+def _ends(bound):
+    """The exact (lo, hi) of a strict bound given as a number, or as the two
+    ends of an outward enclosure of it."""
+    lo, hi = bound if isinstance(bound, tuple) else (bound, bound)
+    return _exact_fraction(lo), _exact_fraction(hi)
+
+
 def _verdict_between(enc: Enclosure, lower, upper):
     """Strictness-aware containment verdicts for an enclosure.
 
-    Strict inequalities pass only when the midpoint clears the bound by
-    more than ``_MARGIN`` times the width, and fail only when the whole
-    enclosure clears it; anything in between is reported inconclusive
-    rather than silently passed or failed.  An attained upper bound (b = 0,
-    lam = 1) comes as an outward ``Enclosure`` of the bound: the value
-    equals it there, so the upper verdict is pass when the enclosure's
-    lower end is at most the bound's upper end, and fail otherwise.
-    Both ends and both bounds are read exactly (``_exact_fraction``), and
-    every verdict is a comparison of rationals, so a gap far below the
-    working precision still decides.
+    A strict bound comes as a number or as the (lo, hi) ends of an outward
+    enclosure of it.  Its side passes only when the midpoint clears the
+    bound's far end by more than ``_MARGIN`` widths, and fails only when
+    the whole enclosure lies beyond its near end; anything in between is
+    inconclusive.  An attained upper bound (b = 0, lam = 1) comes as an
+    outward ``Enclosure``: the value equals it, so the upper side passes
+    when the enclosure's lower end is at most the bound's upper end, and
+    fails otherwise.  Every end is read exactly, and every verdict compares
+    rationals, so a gap far below the working precision still decides.
     """
     lo, hi = _exact_fraction(enc.lo), _exact_fraction(enc.hi)
-    lower = _exact_fraction(lower)
     # twice the midpoint, and twice the guard _MARGIN * width
     mid2, guard2 = lo + hi, 2 * _MARGIN * (hi - lo)
-    if hi < lower:  # enclosure entirely below the lower bound
+    near, far = _ends(lower)
+    if hi < near:  # enclosure entirely below the lower bound
         low = "fail"
-    elif mid2 - 2 * lower > guard2:
+    elif mid2 - 2 * far > guard2:
         low = "pass"
     else:
         low = "inconclusive"
     if isinstance(upper, Enclosure):
         up = "pass" if lo <= _exact_fraction(upper.hi) else "fail"
     else:
-        upper = _exact_fraction(upper)
-        if upper < lo:  # enclosure entirely above the upper bound
+        far, near = _ends(upper)
+        if near < lo:  # enclosure entirely above the upper bound
             up = "fail"
-        elif 2 * upper - mid2 > guard2:
+        elif 2 * far - mid2 > guard2:
             up = "pass"
         else:
             up = "inconclusive"
@@ -294,21 +293,26 @@ def containment_check(report: ErrorReport) -> dict:
 
     Returns verdict strings ("pass" / "fail" / "inconclusive" /
     "not-applicable") for each side of each quantity, plus an overall
-    ``ok`` that is False only on a definite failure.  For b = 0 the upper
-    bounds are attained; they are then decided against outward
-    enclosures, theta's 4/pi - 14/11 and epsilon's pi (a + b) times it.
+    ``ok`` that is False only on a definite failure.  Each bound is an
+    outward enclosure, pi (a+b) lam^10 c for epsilon from the report's
+    exact axes and 4/pi - 14/11 for theta, at the precision that resolves
+    its value's width (``_resolving_prec``): the value's width decides, and
+    no rounding of a bound turns a true claim into a ``fail``.  For b = 0
+    the upper bounds are attained (``_verdict_between``).
     """
     keys = ("epsilon_lower", "epsilon_upper", "theta_lower", "theta_upper")
     if report.lam == 0:
         verdicts = dict.fromkeys(keys, "not-applicable")
     else:
-        if report.b == 0:  # exact: b rounds to 0 only when it is 0
-            theta_up = _theta_upper_enclosure()
-            eps_up = _product(theta_up, report.a + report.b, times_pi=True)
-        else:
-            theta_up, eps_up = theta_upper(), report.upper_bound
-        eps_v = _verdict_between(report.epsilon_enclosure, report.lower_bound, eps_up)
-        theta_v = _verdict_between(report.theta, THETA_LOWER, theta_up)
+        a, b = _exact_fraction(report.a), _exact_fraction(report.b)
+        eps, theta = report.epsilon_enclosure, report.theta
+        scale, prec = (a - b) ** 10 / (a + b) ** 9, _resolving_prec(eps)  # (a+b) lam^10
+        eps_lo, eps_up = (_scaled_bound(up, scale, prec) for up in (False, True))
+        theta_up = _theta_upper_enclosure(_resolving_prec(theta))
+        if b != 0:  # strict upper bounds, given by their ends
+            eps_up, theta_up = (eps_up.lo, eps_up.hi), (theta_up.lo, theta_up.hi)
+        eps_v = _verdict_between(eps, (eps_lo.lo, eps_lo.hi), eps_up)
+        theta_v = _verdict_between(theta, THETA_LOWER, theta_up)
         verdicts = dict(zip(keys, eps_v + theta_v))
     verdicts["ok"] = all(v != "fail" for v in verdicts.values())
     return verdicts

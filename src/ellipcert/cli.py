@@ -27,10 +27,8 @@ _LAYER_NAMES = {
     ), "bounds"),
     **dict.fromkeys((
         "Ellipse", "Enclosure", "QuadratureBudgetError", "_exact_fraction", "_lambda_enclosure",
-        "_point_str", "eval_B", "ivory_integral", "lambda_from_eccentricity", "theta_of_lambda",
-        # raw operations rounded to nearest at working precision, and the
-        # value of a raw tuple: the identity gap prints their rounding artifact
-        "_mul", "_pi", "_sub", "_value",
+        "_point_str", "_resolving_prec", "eval_B", "ivory_integral", "lambda_from_eccentricity",
+        "theta_of_lambda",
     ), "engine"),
     "verify_fundamental_lemma": "lemma",
     # the three *_coeffs_upto names are unused here but stay reachable:
@@ -200,11 +198,10 @@ def _cmd_bounds(args) -> int:
     lo, up = THETA_LOWER, theta_upper()
     pi_up = scaled_theta_upper()
     de_lo, de_up = delta_e_bounds()
-    identity_gap = abs(_value(_sub(pi_up._mpf_, _mul(_pi(), up._mpf_))))
     print(f"theta lower (exact)   = {rational_str(lo)} = {_fmt(lo)}")
     print(f"theta upper           = {_fmt(up)}   (4/pi - 14/11)")
     print(f"pi*theta upper        = {_fmt(pi_up)}   ((14/11)*(22/7 - pi))")
-    print(f"identity gap          = {_fmt(identity_gap, 6)}")
+    print("identity gap          = 0   (exact: both equal 4 - 14*pi/11)")
     print(f"delta_e lower         = {_fmt(de_lo)}   (3*pi/2^36)")
     print(f"delta_e upper         = {_fmt(de_up)}   ((7/11)*(22/7 - pi)/2^18)")
 
@@ -213,7 +210,10 @@ def _cmd_bounds(args) -> int:
     if enc is None:
         print("lambda = 0: theta takes its limit value 3/2^17; nothing to check")
         return 0
-    upper = _theta_upper_enclosure() if lam == 1 else up  # attained at lam = 1
+    # the bound's outward enclosure, at the precision that resolves enc's
+    # width: attained at lam = 1, strict elsewhere, where its ends are given
+    bound = _theta_upper_enclosure(_resolving_prec(enc))
+    upper = bound if lam == 1 else (bound.lo, bound.hi)
     low_v, up_v = _verdict_between(enc, lo, upper)
     delta = _delta_e(enc)
     print(f"theta({_fmt(lam, 8)}) in {_enc_str(enc)}")

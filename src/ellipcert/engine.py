@@ -7,11 +7,13 @@ Every enclosure is computed from that value on raw tuples of the package's
 own binary arithmetic (``_dyadic``), at a precision in bits, each operation
 rounded outward (``round_floor`` towards a lower end, ``round_ceiling``
 towards an upper one), so none needs an error allowance; an input that is
-not binary is rounded outward too (``_bounds``).  The point values
-(``Ellipse.lam`` and ``ecc``, ``eval_A``, ``perimeter_ramanujan``, the
-lambda/eccentricity maps) start from the same exact value, rounded once to
-nearest at ``WORKING_DPS`` digits, 169 bits (``_raw``), and round each
-operation to nearest there.  Every operation names its precision and
+not binary is rounded outward too (``_bounds``).  There is no second
+arithmetic for the point values (``Ellipse.lam`` and ``ecc``, ``eval_A``,
+``perimeter_ramanujan``, the lambda/eccentricity maps): each is its exact
+quantity rounded once to nearest at ``WORKING_DPS`` digits, 169 bits.  A
+rational one is formed exactly and rounded (``_raw``); an irrational one
+is read from its outward enclosure, at a precision raised until both ends
+round alike (``_nearest``).  Every operation names its precision and
 rounding, so neither a caller's settings (mpmath's ``mp.dps`` included)
 nor other threads change a result.  Every value returned is exact, a
 ``Dyadic``: a Fraction that also carries its raw tuple as ``_mpf_``, which
@@ -41,8 +43,8 @@ from fractions import Fraction
 
 from ._dyadic import (Dyadic, _exact, dps_to_prec, fone, from_int, from_man_exp, fzero,
                       mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_pos,
-                      mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub, round_ceiling, round_floor,
-                      round_nearest, to_str)
+                      mpf_shift, mpf_sqrt, mpf_sub, round_ceiling, round_floor, round_nearest,
+                      to_str)
 
 # b_coeffs_upto, delta_coeffs_upto: unused here, but bench/tracer.py rebinds them here
 from .series_kernel import b_coeffs_upto, delta_coeff, delta_coeffs_upto, dyadic_rows  # noqa: F401
@@ -95,9 +97,10 @@ class QuadratureBudgetError(RuntimeError):
 
 
 def _exact_fraction(v) -> Fraction:
-    """Exact rational value of an int/float/Fraction/mpf/decimal string (no rounding)."""
+    """Exact rational value of an int/float/Fraction/mpf/decimal string (no
+    rounding), as a plain Fraction, whose arithmetic builds no exact type."""
     if isinstance(v, Fraction):
-        return v
+        return v if type(v) is Fraction else Fraction(v)
     raw = getattr(v, "_mpf_", None)
     if raw is None:
         try:
@@ -133,10 +136,11 @@ def _bounds(q: Fraction, prec: int):
     return _rounded(q, prec, _DOWN), _rounded(q, prec, _UP)
 
 
-def _mag(q: Fraction) -> int:
-    """The least integer m with q < 2^m, for a rational q > 0 (exp + bc for a binary q)."""
-    num, den = q.numerator, q.denominator
-    m = num.bit_length() - den.bit_length()  # 2^(m-1) < q < 2^(m+1)
+def _mag(num: int, den: int) -> int:
+    """The least integer m with |q| < 2^m for q = num/den != 0, den > 0, in
+    lowest terms or not (exp + bc for a binary q)."""
+    num = abs(num)
+    m = num.bit_length() - den.bit_length()  # 2^(m-1) < |q| < 2^(m+1)
     return m + 1 if (num << max(0, -m)) >= (den << max(0, m)) else m
 
 
@@ -169,16 +173,16 @@ def _raw(v):
     return _rounded(_exact_fraction(v), _PREC, round_nearest)
 
 
-def _unit(v, message: str):
-    """The raw value of v (``_raw``), refused with ``message`` unless it is
-    a number in [0, 1]."""
+def _unit(v, message: str) -> Fraction:
+    """The exact value of v (``_exact_fraction``), refused with ``message``
+    unless it is a number in [0, 1]."""
     try:
         q = _exact_fraction(v)
     except ValueError:
         raise ValueError(message) from None
     if not 0 <= q <= 1:
         raise ValueError(message)
-    return _raw(q)
+    return q
 
 
 def _point_str(v, digits: int) -> str:
@@ -245,14 +249,25 @@ def _enclosure(lo, hi, regime: str = "") -> Enclosure:
     return Enclosure(_value(lo), _value(hi), regime)
 
 
-def _product(enc: Enclosure, q: Fraction, times_pi: bool = False) -> Enclosure:
+def _resolving_prec(enc: Enclosure, floor: int = _PREC) -> int:
+    """The precision at which a rounding moves a value of enc's magnitude by
+    at most about 2^-_GUARD_BITS of enc's width: ``floor``, or more where
+    the width takes more.  The ends are read exactly, whatever their kind."""
+    # both ends, and so the width, over one denominator
+    (p, q), (r, s) = (_exact_fraction(end).as_integer_ratio() for end in (enc.lo, enc.hi))
+    width, den = r * q - p * s, q * s
+    if not width:
+        return floor
+    top = max(abs(p) * s, abs(r) * q)
+    return max(floor, _mag(top, den) - _mag(width, den) + _GUARD_BITS + 1)
+
+
+def _product(enc: Enclosure, q: Fraction, times_pi: bool = False, prec: int = _PREC) -> Enclosure:
     """``enc`` times an exact q > 0, and times pi if asked, every factor and
-    product rounded outward.  The precision is the working one, or more
-    where enc's width takes more, so that each rounding moves an end by at
-    most about 2^-_GUARD_BITS of that width."""
+    product rounded outward at ``prec`` bits, or more where enc's width
+    takes more (``_resolving_prec``)."""
+    prec = _resolving_prec(enc, prec)
     lo, hi = enc.lo._mpf_, enc.hi._mpf_
-    width = mpf_sub(hi, lo)  # exact; exp + bc is the magnitude of a raw value
-    prec = max(_PREC, max(lo[2] + lo[3], hi[2] + hi[3]) - width[2] - width[3] + _GUARD_BITS + 1)
     pi = [(mpf_pi(prec, _DOWN), mpf_pi(prec, _UP))] if times_pi else []
     for f_lo, f_hi in [_bounds(q, prec)] + pi:
         # a negative end moves outward with the larger factor
@@ -261,46 +276,32 @@ def _product(enc: Enclosure, q: Fraction, times_pi: bool = False) -> Enclosure:
     return _enclosure(lo, hi, enc.regime)
 
 
-# the point values: each operation rounded to nearest at _PREC bits, in the
-# order the formula in the docstring reads
+def _nearest(enclose) -> Dyadic:
+    """The value that ``enclose(prec)``, an outward ``Enclosure`` narrowing as
+    ``prec`` grows, encloses, rounded once to nearest at working precision.
+
+    From ``_PREC + _GUARD_BITS`` bits the precision doubles until both ends
+    round alike; rounding is monotone, so the true value rounds so too.
+    The loop ends: a binary value is computed exactly once the precision
+    holds its bits, so its enclosure collapses onto it, and any other value
+    is not a tie (ties are binary), so an enclosure narrower than its
+    distance to the nearest tie has both ends on one side.
+    """
+    prec = _PREC + _GUARD_BITS
+    while True:
+        enc = enclose(prec)
+        point = mpf_pos(enc.lo._mpf_, _PREC, round_nearest)
+        if point == mpf_pos(enc.hi._mpf_, _PREC, round_nearest):
+            return _value(point)
+        prec *= 2
 
 
-def _add(s, t):
-    return mpf_add(s, t, _PREC, round_nearest)
-
-
-def _sub(s, t):
-    return mpf_sub(s, t, _PREC, round_nearest)
-
-
-def _mul(s, t):
-    return mpf_mul(s, t, _PREC, round_nearest)
-
-
-def _div(s, t):
-    return mpf_div(s, t, _PREC, round_nearest)
-
-
-def _sqrt(s):
-    return mpf_sqrt(s, _PREC, round_nearest)
-
-
-def _pi():
-    return mpf_pi(_PREC, round_nearest)
-
-
-def _pow(s, n: int):
-    return mpf_pow_int(s, n, _PREC, round_nearest)
-
-
-def _mul_int(s, n: int):
-    return mpf_mul_int(s, n, _PREC, round_nearest)
-
-
-def _cofactor(r, rnd=round_nearest):
-    """sqrt((1 - r)(1 + r)) = sqrt(1 - r^2), each operation rounded towards rnd."""
-    square = mpf_mul(mpf_sub(fone, r, _PREC, rnd), mpf_add(fone, r, _PREC, rnd), _PREC, rnd)
-    return mpf_sqrt(square, _PREC, rnd)
+def _root(q: Fraction) -> Dyadic:
+    """sqrt(q) of an exact q >= 0, rounded once to nearest at working precision."""
+    def enclose(prec):
+        lo, hi = _bounds(q, prec)
+        return _enclosure(mpf_sqrt(lo, prec, _DOWN), mpf_sqrt(hi, prec, _UP))
+    return _nearest(enclose)
 
 
 class Ellipse:
@@ -309,11 +310,11 @@ class Ellipse:
     Construction reads each axis once, exactly (``_exact_fraction``), and
     keeps it in ``axes`` (two Fractions, where every enclosure starts);
     it normalizes a >= b (swapping if given reversed, and recording the
-    swap).  For display, ``a`` and ``b`` are those values rounded once to
-    nearest at WORKING_DPS digits, 169 bits, unless binary (``_raw``), and
-    lam = (a-b)/(a+b) and the eccentricity sqrt((1 - b/a)(1 + b/a)) are
-    computed from them at that precision.  A degenerate b = 0 is accepted
-    (lam = ecc = 1).
+    swap).  ``a``, ``b`` and lam = (a-b)/(a+b) are those exact rationals,
+    and the eccentricity is the square root of the exact 1 - (b/a)^2;
+    each is rounded once to nearest at WORKING_DPS digits, 169 bits
+    (``_raw`` keeps a binary rational exact).  A degenerate b = 0 is
+    accepted (lam = ecc = 1).
     """
 
     __slots__ = ("a", "b", "lam", "ecc", "swapped", "axes")
@@ -331,52 +332,51 @@ class Ellipse:
         if aq <= 0:
             raise ValueError("the major semi-axis must be positive")
         self.axes = (aq, bq)
-        am, bm = _raw(aq), _raw(bq)
-        self.a, self.b = _value(am), _value(bm)
+        self.a, self.b = _value(_raw(aq)), _value(_raw(bq))
         self.swapped = swapped
-        self.lam = _value(_div(_sub(am, bm), _add(am, bm)))
-        self.ecc = _value(_cofactor(_div(bm, am)))
+        self.lam = _value(_raw((aq - bq) / (aq + bq)))
+        self.ecc = _root(1 - (bq / aq) ** 2)
 
     @classmethod
     def from_eccentricity(cls, a, e) -> "Ellipse":
-        """The ellipse with major semi-axis a and b = a sqrt((1 - e)(1 + e))."""
-        em = _unit(e, "eccentricity must lie in [0, 1]")
+        """The ellipse with major semi-axis a and b = sqrt(a^2 (1 - e^2)),
+        the square root of the exact value rounded once."""
+        eq = _unit(e, "eccentricity must lie in [0, 1]")
         try:
-            am = _raw(a)
+            aq = _exact_fraction(a)
         except ValueError:
             raise ValueError("semi-axes must be finite") from None
-        return cls(a, _value(_mul(am, _cofactor(em))))
+        return cls(a, _root(aq * aq * (1 - eq * eq)))
 
     def __repr__(self) -> str:
         return f"Ellipse(a={to_str(self.a._mpf_, 12)}, b={to_str(self.b._mpf_, 12)})"
 
 
-def _lambda_at(e, rnd, opp):
+def _lambda_at(e, rnd, opp, prec: int):
     """lam = e^2 / (1 + sqrt((1 - e)(1 + e)))^2 of a raw e in [0, 1] at
-    working precision, rounded towards ``rnd`` with the denominator rounded
+    ``prec`` bits, rounded towards ``rnd`` with the denominator rounded
     towards ``opp``.  lam increases with e (and 1 - e^2 falls), so with
     opposite directions the result bounds lam on that side."""
-    den = mpf_pow_int(mpf_add(fone, _cofactor(e, opp), _PREC, opp), 2, _PREC, opp)
-    return mpf_div(mpf_pow_int(e, 2, _PREC, rnd), den, _PREC, rnd)
+    square = mpf_mul(mpf_sub(fone, e, prec, opp), mpf_add(fone, e, prec, opp), prec, opp)
+    den = mpf_add(fone, mpf_sqrt(square, prec, opp), prec, opp)
+    return mpf_div(mpf_mul(e, e, prec, rnd), mpf_mul(den, den, prec, opp), prec, rnd)
 
 
 def lambda_from_eccentricity(e):
-    """lam = e^2 / (1 + sqrt((1 - e)(1 + e)))^2; stable for small e."""
-    em = _unit(e, "eccentricity must lie in [0, 1]")
-    return _value(_lambda_at(em, round_nearest, round_nearest))
+    """lam = e^2 / (1 + sqrt((1 - e)(1 + e)))^2, rounded once; stable for small e."""
+    return _nearest(lambda prec: _lambda_enclosure(e, prec))
 
 
-def _lambda_enclosure(e) -> Enclosure:
-    """Outward enclosure of lam(e) from the exact e in [0, 1]."""
-    _unit(e, "eccentricity must lie in [0, 1]")
-    e_lo, e_hi = _bounds(_exact_fraction(e), _PREC)
-    return _enclosure(_lambda_at(e_lo, _DOWN, _UP), _lambda_at(e_hi, _UP, _DOWN))
+def _lambda_enclosure(e, prec: int = _PREC) -> Enclosure:
+    """Outward enclosure of lam(e) from the exact e in [0, 1], at ``prec`` bits."""
+    e_lo, e_hi = _bounds(_unit(e, "eccentricity must lie in [0, 1]"), prec)
+    return _enclosure(_lambda_at(e_lo, _DOWN, _UP, prec), _lambda_at(e_hi, _UP, _DOWN, prec))
 
 
 def eccentricity_from_lambda(lam):
-    """Inverse map, from e^2 = 4 lam / (1 + lam)^2: e = 2 sqrt(lam) / (1 + lam)."""
-    lm = _unit(lam, "lam must lie in [0, 1]")
-    return _value(_div(_mul_int(_sqrt(lm), 2), _add(fone, lm)))
+    """Inverse map, e = sqrt(4 lam / (1 + lam)^2) of the exact lam, rounded once."""
+    q = _unit(lam, "lam must lie in [0, 1]")
+    return _root(4 * q / (1 + q) ** 2)
 
 
 def _kernel(x, prec: int, rnd, opp):
@@ -388,14 +388,17 @@ def _kernel(x, prec: int, rnd, opp):
     return mpf_add(fone, mpf_div(three_x, mpf_add(_TEN, root, prec, opp), prec, rnd), prec, rnd)
 
 
-def eval_A(x):
-    """Closed-form 1 + 3x/(10 + sqrt(4 - 3x)) at working precision.
+def _kernel_enclosure(x: Fraction, prec: int) -> Enclosure:
+    """Outward enclosure of A(x) from the exact x, at ``prec`` bits."""
+    x_lo, x_hi = _bounds(x, prec)
+    return _enclosure(_kernel(x_lo, prec, _DOWN, _UP), _kernel(x_hi, prec, _UP, _DOWN))
 
-    The radicand 4 - 3x stays >= 1 on the domain, so the evaluation is a
-    few well-conditioned operations; the result is correct to a few ulp.
-    """
-    xm = _unit(x, "x must lie in [0, 1]")
-    return _value(_kernel(xm, _PREC, round_nearest, round_nearest))
+
+def eval_A(x):
+    """Closed-form 1 + 3x/(10 + sqrt(4 - 3x)) of the exact x, rounded once
+    to nearest at working precision (``_nearest``)."""
+    q = _unit(x, "x must lie in [0, 1]")
+    return _nearest(lambda prec: _kernel_enclosure(q, prec))
 
 
 def _tail_estimate(xf: float, n: int) -> float:
@@ -446,16 +449,14 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
     tol_q = _check_tol(tol)
     if max_terms < 2:
         raise ValueError("max_terms must be at least 2")
-    xf = float(x)
-    if 0.0 <= xf <= 1.0 and _tail_estimate(xf, max_terms) > 2.0 * tol:
+    q = _unit(x, "x must lie in [0, 1]")
+    xf = float(q)
+    if _tail_estimate(xf, max_terms) > 2.0 * tol:
         raise ToleranceFloorError(
             f"tol={tol} not certifiable within {max_terms} terms at x={xf} "
             f"(achievable floor here is about {_tail_estimate(xf, max_terms):.3g})"
         )
-    q = _exact_fraction(x)
-    if not 0 <= q <= 1:
-        raise ValueError("x must lie in [0, 1]")
-    prec = max(53, 54 - _mag(tol_q))
+    prec = max(53, 54 - _mag(*tol_q.as_integer_ratio()))
     limit = _bounds(tol_q, 53)[0]  # no larger than tol
     (x_lo, x_hi), one_minus = _bounds(q, prec), _bounds(1 - q, prec)[0]
     lo = hi = fone  # the term B_n x^n, rounded down and up
@@ -511,9 +512,7 @@ def ivory_integral(x, tol: float = 1e-12, max_panels: int = 4096) -> float:
     keep each panel smooth.  This is the quadrature route to the same
     number eval_B produces from the series.
     """
-    xf = float(x)
-    if not 0.0 <= xf <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
+    xf = float(_unit(x, "x must lie in [0, 1]"))
     _check_tol(tol)
     rx = math.sqrt(xf)
 
@@ -551,7 +550,7 @@ def _within(mag: int, tol: Fraction, enclose):
     until hi - lo <= tol; a width that four doublings leave too wide
     (the extreme axis ratios need one) is a fault, not a tolerance floor."""
     limit = _bounds(tol, 53)[0]  # no larger than tol
-    start = max(53, mag - _mag(tol) + _GUARD_BITS)
+    start = max(53, mag - _mag(*tol.as_integer_ratio()) + _GUARD_BITS)
     for prec in (start << k for k in range(5)):
         lo, hi = enclose(prec)
         if mpf_le(mpf_sub(hi, lo), limit):  # mpf_sub without a precision is exact
@@ -633,35 +632,31 @@ def perimeter(ellipse: Ellipse, tol=None) -> Enclosure:
     """
     a, b = ellipse.axes  # exact, a >= b
     tol = _check_tol(Fraction(PERIMETER_REL_TOL) * 4 * a if tol is None else tol)  # p >= 4a
+    mag = _mag(*a.as_integer_ratio())
     if b == 0:
-        lo, hi = _within(_mag(a) + 2, tol, lambda prec: _bounds(4 * a, prec))
+        lo, hi = _within(mag + 2, tol, lambda prec: _bounds(4 * a, prec))
         return _enclosure(lo, hi, EXACT_POINT)
-    lo, hi = _within(_mag(a) + 3, tol, lambda prec: _agm_perimeter(a, b, prec))
+    lo, hi = _within(mag + 3, tol, lambda prec: _agm_perimeter(a, b, prec))
     return _enclosure(lo, hi, AGM)
 
 
 def perimeter_ramanujan(ellipse: Ellipse):
-    """Ramanujan's closed-form approximation, evaluated directly:
+    """Ramanujan's closed-form approximation of the exact axes, rounded once
+    to nearest at working precision (``_nearest``):
 
-        pi * [ (a+b) + 3(a-b)^2 / (10(a+b) + sqrt(a^2 + 14ab + b^2)) ].
-
-    Algebraically identical to pi*(a+b)*A(((a-b)/(a+b))^2); both forms are
-    exposed so the identity can be checked, and they agree to a few ulp of
-    working precision.
+        pi * [ (a+b) + 3(a-b)^2 / (10(a+b) + sqrt(a^2 + 14ab + b^2)) ]
+          = pi * (a+b) * A(((a-b)/(a+b))^2).
     """
-    a, b = ellipse.a._mpf_, ellipse.b._mpf_
-    root = _sqrt(_add(_add(_mul(a, a), _mul(_mul_int(a, 14), b)), _mul(b, b)))
-    s = _add(a, b)
-    fraction = _div(_mul_int(_pow(_sub(a, b), 2), 3), _add(_mul_int(s, 10), root))
-    return _value(_mul(_pi(), _add(s, fraction)))
+    a, b = ellipse.axes
+    s = a + b
+    x = ((a - b) / s) ** 2
+    return _nearest(lambda prec: _ramanujan_enclosure(x, s, prec))
 
 
-def _ramanujan_enclosure(x: Fraction, s: Fraction) -> Enclosure:
+def _ramanujan_enclosure(x: Fraction, s: Fraction, prec: int = _PREC) -> Enclosure:
     """p_R = pi s A(x) for the exact s = a + b and x = ((a-b)/(a+b))^2,
-    rounded outward: A increases with x."""
-    x_lo, x_hi = _bounds(x, _PREC)
-    kernel = _enclosure(_kernel(x_lo, _PREC, _DOWN, _UP), _kernel(x_hi, _PREC, _UP, _DOWN))
-    return _product(kernel, s, times_pi=True)
+    rounded outward at ``prec`` bits or more: A increases with x."""
+    return _product(_kernel_enclosure(x, prec), s, times_pi=True, prec=prec)
 
 
 def _discrepancy_series(x: Fraction, limit, prec: int):

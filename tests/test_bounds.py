@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from ellipcert import (
@@ -208,3 +210,47 @@ def test_report_json_schema():
     ]
     assert set(doc["p_enclosure"].keys()) == {"lo", "hi", "regime"}
     assert isinstance(doc["bound_form_note"], str) and doc["bound_form_note"]
+
+
+# ------------------------------------- near-circular, non-binary axes
+
+
+@pytest.mark.parametrize("a, b", [
+    ("1.00000000000000000001", 1),
+    (1 + F(1, 2**100), 1),
+    (1 + F(1, 2**200), 1),
+    (F(1, 3) + F(1, 3 * 2**150), F(1, 3)),
+])
+def test_true_bounds_never_fail_near_the_circle(a, b):
+    # epsilon's lower bound pi (a+b) lam^10 3/2^17 lies only ~0.2 lam^2 of
+    # itself below epsilon; a bound rounded to nearest op by op, from lam
+    # formed of the rounded axes, landed above epsilon's narrow enclosure
+    verdicts = containment_check(error_report(Ellipse(a, b)))
+    assert verdicts["ok"] is True
+    assert verdicts["epsilon_lower"] == "pass"
+
+
+def test_theta_is_decided_against_an_enclosure_of_its_upper_bound():
+    # at b/a = 1e-60 theta lies about 2e-62 below 4/pi - 14/11, far inside
+    # the 169-bit rounding of the bound, which lies 1.9e-51 below it
+    from ellipcert.engine import theta_of_lambda
+
+    rep = error_report(Ellipse(1, F(1, 10**60)))
+    theta = theta_of_lambda(F(10**60 - 1, 10**60 + 1), tol=1e-80)
+    verdicts = containment_check(rep._replace(theta=theta))
+    assert verdicts["theta_upper"] != "fail"
+    assert verdicts["ok"] is True
+
+
+@settings(max_examples=40, deadline=None)
+@given(num=st.integers(1, 2**64), den=st.integers(1, 2**64).map(lambda d: 2 * d + 1),
+       shift=st.integers(10, 400))
+@example(num=1, den=3, shift=150)
+def test_no_bound_fails_for_near_circular_non_binary_axes(num, den, shift):
+    # a = 1 + q, b = 1, with q a non-binary rational in [2^-400, 1e-3];
+    # inconclusive is allowed until the enclosures are narrowed
+    q = min(max(F(num, den * 2**shift), F(1, 2**400)), F(1, 1000))
+    assume(q.denominator & (q.denominator - 1))
+    verdicts = containment_check(error_report(Ellipse(1 + q, 1)))
+    assert "fail" not in verdicts.values()
+    assert verdicts["ok"] is True

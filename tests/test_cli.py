@@ -339,6 +339,24 @@ def test_coeffs_output_matches_golden_digest(monkeypatch, n, fmt):
     assert sink.digest.hexdigest() == GOLDEN_COEFFS_SHA256[n, fmt]
 
 
+# SHA-256 of the stdout of numeric commands: the arithmetic behind a report
+# may change, its bytes may not
+GOLDEN_REPORT_SHA256 = {
+    "perimeter --a 2 --b 1": "be828a8cbd494e3cb5ad04461c6f0a1838874441337b90d050a95511452798c0",
+    "perimeter --a 2 --b 1 --json":
+        "d87bdb2be0787f75eb8ac884d3fa19e330483cfb0302e54ebfb99a2bde60a0ae",
+    "bounds --lambda 0.5": "23ac2cad9600e53fb930d9470f1a000fe1a3c7ebda26a8ce9dd913cdfe8d0f8b",
+    "bounds --e 0.5": "a5ba64b3bd613bd2a4e0bc6b3c79064902ed7e75d2a62690cc05e0fe8f8f5898",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_REPORT_SHA256))
+def test_report_output_matches_golden_digest(capsys, command):
+    rc, out, err = run(command.split(), capsys)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORT_SHA256[command]
+
+
 def test_bounds_e_certifies_theta_at_lambda_itself(monkeypatch, capsys):
     # theta is enclosed at both ends of an outward enclosure of lam(e), not
     # at lam(e) rounded to the working precision

@@ -246,6 +246,16 @@ def test_ivory_domain_and_budget():
         ivory_integral(0.9, tol=1e-18, max_panels=8)
 
 
+@pytest.mark.parametrize("func", [eval_A, eval_B, ivory_integral])
+@pytest.mark.parametrize("x", [10**400, -10**400, math.nan, math.inf, "2.5"])
+def test_a_value_outside_the_domain_is_refused_alike(func, x):
+    # eval_B and ivory_integral read x through float() first: an int beyond
+    # the float range raised OverflowError, and eval_B(nan) the message of
+    # Fraction(nan); the exact value is checked first now, as eval_A does
+    with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\]$"):
+        func(x)
+
+
 # -------------------------------------------------------------- perimeter
 
 
