@@ -2,23 +2,24 @@
 
 A raw value is a tuple (sign, man, exp, bc) worth (-1)^sign * man * 2^exp,
 with man odd and bc its bit length; zero is (0, 0, 0, 0).  That is the
-normalized format of ``mpmath.libmp``, and every function here keeps the
-libmp name, arguments and result bits, so values pass between the two
-unchanged and the tests hold each operation to libmp bit for bit.
+normalized format of ``mpmath.libmp``.  The module holds only the
+operations the package calls, and each keeps the libmp name, arguments and
+result bits, so values pass between the two unchanged and the tests hold
+each operation to libmp bit for bit.
 
-Each operation given a precision rounds once to ``prec`` bits in the
-direction ``rnd``: ``round_floor``, ``round_ceiling``, ``round_nearest``
-(ties to even), ``round_down`` or ``round_up`` (towards or away from zero).
-Without a precision, ``mpf_add``, ``mpf_sub`` and ``mpf_mul`` are exact, and
-``mpf_shift`` always is.  Add, sub, mul, div, sqrt and ``mpf_mul_int`` are
+Each operation given a precision rounds once to ``prec`` bits in one of the
+three directions the package uses: ``round_floor`` and ``round_ceiling``
+for the outward enclosures, ``round_nearest`` (ties to even) for the point
+values.  Without a precision, ``mpf_add``, ``mpf_sub`` and ``mpf_mul`` are
+exact, and ``mpf_shift`` always is.  Add, sub, mul, div and sqrt are
 correctly rounded (add as libmp adds: an operand far below the other's top
-bit counts only as a sticky bit).  ``mpf_pow_int`` follows libmp's binary
-powering, which is not correctly rounded once bc * n >= 1000.
+bit counts only as a sticky bit), and ``mpf_lt``/``mpf_le`` are exact.
 
 pi, ln 2 and ln 10 come from integer series (Machin's formula, atanh)
 with an error bound, exact to the floor at the precision asked; ``to_str``
-prints a value as libmp's ``to_str`` (mpmath's ``nstr``) does, and
-``Dyadic`` is the exact value type the package returns.
+prints a value as libmp's ``to_str`` (mpmath's ``nstr``) does, with the
+bits of libmp's powers of ten, and ``Dyadic`` is the exact value type the
+package returns.
 """
 
 from __future__ import annotations
@@ -27,17 +28,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-round_nearest, round_floor, round_ceiling, round_down, round_up = "n", "f", "c", "d", "u"
+round_nearest, round_floor, round_ceiling = "n", "f", "c"
 
 fzero = (0, 0, 0, 0)
 fone = (0, 1, 0, 1)
-_TEN = (0, 5, 1, 3)
-
-# whether a right shift of the magnitude (its floor) rounds in direction
-# rnd, for sign 0 and for sign 1
-_SHIFTS_DOWN = {round_floor: (1, 0), round_ceiling: (0, 1), round_down: (1, 1), round_up: (0, 0)}
-_RECIPROCAL = {round_down: round_up, round_up: round_down, round_floor: round_ceiling,
-               round_ceiling: round_floor, round_nearest: round_nearest}
 
 
 def dps_to_prec(n: int) -> int:
@@ -58,7 +52,7 @@ def _round(sign, man, exp, bc, prec, rnd):
                 man = (t >> 1) + 1
             else:
                 man = t >> 1
-        elif _SHIFTS_DOWN[rnd][sign]:
+        elif (rnd == round_floor) != sign:  # the floor of the magnitude
             man >>= n
         else:
             man = -(-man >> n)
@@ -70,7 +64,7 @@ def _round(sign, man, exp, bc, prec, rnd):
     return sign, man, exp, man.bit_length()
 
 
-def from_man_exp(man: int, exp: int, prec: int = 0, rnd=round_down):
+def from_man_exp(man: int, exp: int, prec: int = 0, rnd=round_floor):
     """man * 2^exp for a signed integer man, exact or rounded to prec bits."""
     sign = 0
     if man < 0:
@@ -80,11 +74,11 @@ def from_man_exp(man: int, exp: int, prec: int = 0, rnd=round_down):
     return _round(sign, man, exp, man.bit_length(), prec, rnd)
 
 
-def from_int(n: int, prec: int = 0, rnd=round_down):
-    return from_man_exp(n, 0, prec, rnd)
+def from_int(n: int):
+    return from_man_exp(n, 0)
 
 
-def mpf_pos(s, prec: int = 0, rnd=round_down):
+def mpf_pos(s, prec: int = 0, rnd=round_floor):
     """s rounded to prec bits; s itself without a precision."""
     if not prec:
         return s
@@ -98,7 +92,7 @@ def mpf_shift(s, n: int):
     return (sign, man, exp + n, bc) if man else s
 
 
-def mpf_add(s, t, prec: int = 0, rnd=round_down, _sub: int = 0):
+def mpf_add(s, t, prec: int = 0, rnd=round_floor, _sub: int = 0):
     """s + t, exact without a precision."""
     ssign, sman, sexp, sbc = s
     tsign, tman, texp, tbc = t
@@ -125,12 +119,12 @@ def mpf_add(s, t, prec: int = 0, rnd=round_down, _sub: int = 0):
     return _round(sign, man, texp, bc, prec or bc, rnd)
 
 
-def mpf_sub(s, t, prec: int = 0, rnd=round_down):
+def mpf_sub(s, t, prec: int = 0, rnd=round_floor):
     """s - t, exact without a precision."""
     return mpf_add(s, t, prec, rnd, 1)
 
 
-def mpf_mul(s, t, prec: int = 0, rnd=round_down):
+def mpf_mul(s, t, prec: int = 0, rnd=round_floor):
     """s * t, exact without a precision."""
     ssign, sman, sexp, _ = s
     tsign, tman, texp, _ = t
@@ -141,16 +135,7 @@ def mpf_mul(s, t, prec: int = 0, rnd=round_down):
     return _round(ssign ^ tsign, man, sexp + texp, bc, prec or bc, rnd)
 
 
-def mpf_mul_int(s, n: int, prec: int, rnd=round_down):
-    """s * n for an integer n."""
-    sign, man, exp, _ = s
-    if n < 0:
-        sign, n = 1 - sign, -n
-    man *= n
-    return _round(sign, man, exp, man.bit_length(), prec, rnd)
-
-
-def mpf_div(s, t, prec: int, rnd=round_down):
+def mpf_div(s, t, prec: int, rnd):
     """s / t for t != 0: quotient bits beyond prec + 4, and a sticky bit."""
     ssign, sman, sexp, sbc = s
     tsign, tman, texp, tbc = t
@@ -169,7 +154,7 @@ def mpf_div(s, t, prec: int, rnd=round_down):
     return _round(sign, quot, sexp - texp - extra, quot.bit_length(), prec, rnd)
 
 
-def mpf_sqrt(s, prec: int, rnd=round_down):
+def mpf_sqrt(s, prec: int, rnd):
     """The square root of s >= 0."""
     sign, man, exp, bc = s
     if sign:
@@ -185,89 +170,21 @@ def mpf_sqrt(s, prec: int, rnd=round_down):
     shift = max(4, 2 * prec - bc + 4)
     shift += shift & 1
     root = math.isqrt(man << shift)
-    if rnd not in (round_floor, round_down) and root * root != man << shift:
+    if rnd != round_floor and root * root != man << shift:
         root = (root << 1) + 1  # a sticky bit below the floor
         shift += 2
     return from_man_exp(root, (exp - shift) // 2, prec, rnd)
 
 
-def mpf_pow_int(s, n: int, prec: int, rnd=round_down):
-    """s^n for an integer n, by libmp's algorithm: exact, then rounded, while
-    bc * n < 1000; beyond that binary powering at prec + 4 bitlength(n) + 4
-    bits, each step truncated in one direction."""
-    sign, man, exp, bc = s
-    if n == 0:
-        return fone
-    if n == 1:
-        return mpf_pos(s, prec, rnd)
-    if not man:
-        if n < 0:
-            raise ZeroDivisionError("zero to a negative power")
-        return fzero
-    if n == 2:
-        man *= man
-        return _round(0, man, exp + exp, man.bit_length(), prec, rnd)
-    if n == -1:
-        return mpf_div(fone, s, prec, rnd)
-    if n < 0:
-        inverse = mpf_pow_int(s, -n, prec + 5, _RECIPROCAL[rnd])
-        return mpf_div(fone, inverse, prec, rnd)
-    result_sign = sign & n
-    if man == 1:
-        return (result_sign, 1, exp * n, 1)
-    if bc * n < 1000:
-        man **= n
-        return _round(result_sign, man, exp * n, man.bit_length(), prec, rnd)
-    rounds_down = rnd == round_nearest or _SHIFTS_DOWN[rnd][result_sign]
-    wp = prec + 4 * n.bit_length() + 4
-    pm, pe = 1, 0
-    while True:
-        if n & 1:
-            pm *= man
-            pe += exp
-            pbc = pm.bit_length()
-            if pbc > wp:
-                cut = pbc - wp
-                pm = pm >> cut if rounds_down else -(-pm >> cut)
-                pe += cut
-            n -= 1
-            if not n:
-                break
-        man *= man
-        exp += exp
-        bc = man.bit_length()
-        if bc > wp:
-            cut = bc - wp
-            man = man >> cut if rounds_down else -(-man >> cut)
-            exp += cut
-        n //= 2
-    return _round(result_sign, pm, pe, pm.bit_length(), prec, rnd)
-
-
-def mpf_cmp(s, t) -> int:
-    """-1, 0 or 1 as s <, = or > t, exactly."""
-    ssign, sman, sexp, sbc = s
-    tsign, tman, texp, tbc = t
-    if not sman or not tman:
-        if not sman and not tman:
-            return 0
-        return 2 * tsign - 1 if not sman else 1 - 2 * ssign
-    if ssign != tsign:
-        return 1 - 2 * ssign
-    if sexp == texp and sman == tman:
-        return 0
-    a, b = sbc + sexp, tbc + texp
-    if a == b:
-        return -1 if mpf_sub(s, t, 5, round_floor)[0] else 1
-    return (1 if a > b else -1) * (1 - 2 * ssign)
-
-
 def mpf_lt(s, t) -> bool:
-    return mpf_cmp(s, t) < 0
+    """s < t, exactly: the sign of s - t (``mpf_sub``, one call fewer),
+    which no rounding changes."""
+    return mpf_add(s, t, 2, round_floor, 1)[0] == 1
 
 
 def mpf_le(s, t) -> bool:
-    return mpf_cmp(s, t) <= 0
+    """s <= t, exactly: t - s is not negative."""
+    return mpf_add(t, s, 2, round_floor, 1)[0] == 0
 
 
 # -- constants: floor(c * 2^prec), exactly, from integer series -----------
@@ -328,15 +245,15 @@ def _fixed(name: str, prec: int) -> int:
 
 def _constant(name: str, prec: int, rnd):
     """The constant rounded to prec bits, as libmp rounds its constants:
-    the floor at prec + 20 bits, plus one towards ceiling or up."""
+    the floor at prec + 20 bits, plus one towards ceiling."""
     wp = prec + 20
     v = _fixed(name, wp)
-    if rnd in (round_up, round_ceiling):
+    if rnd == round_ceiling:
         v += 1
     return _round(0, v, -wp, v.bit_length(), prec, rnd)
 
 
-def mpf_pi(prec: int, rnd=round_down):
+def mpf_pi(prec: int, rnd):
     return _constant("pi", prec, rnd)
 
 
@@ -350,6 +267,41 @@ def to_int(s) -> int:
     return -v if sign else v
 
 
+def _pow_ten(n: int, prec: int, rnd):
+    """10^n rounded to prec bits towards floor or ceiling, by libmp's integer
+    power: exact, then rounded, while 3|n| < 1000; beyond that binary
+    powering at prec + 4 bitlength(n) + 4 bits, each step truncated towards
+    rnd; for n < 0, one over 10^-n rounded the other way at prec + 5 bits."""
+    if n < 0:
+        other = round_ceiling if rnd == round_floor else round_floor
+        return mpf_div(fone, _pow_ten(-n, prec + 5, other), prec, rnd)
+    man, exp = 5, 1  # 10 = 5 * 2
+    if 3 * n < 1000:
+        man **= n
+        return _round(0, man, exp * n, man.bit_length(), prec, rnd)
+    wp = prec + 4 * n.bit_length() + 4
+    pm, pe = 1, 0
+    while True:
+        if n & 1:
+            pm *= man
+            pe += exp
+            cut = pm.bit_length() - wp
+            if cut > 0:
+                pm = pm >> cut if rnd == round_floor else -(-pm >> cut)
+                pe += cut
+            n -= 1
+            if not n:
+                break
+        man *= man
+        exp += exp
+        cut = man.bit_length() - wp
+        if cut > 0:
+            man = man >> cut if rnd == round_floor else -(-man >> cut)
+            exp += cut
+        n //= 2
+    return _round(0, pm, pe, pm.bit_length(), prec, rnd)
+
+
 def _to_digits_exp(s, dps: int):
     """(sign, digits, exponent) of s != 0: its decimal digits, truncated,
     at least dps of them, with the exponent of the first."""
@@ -358,9 +310,11 @@ def _to_digits_exp(s, dps: int):
     exponent = 0
     if abs(exp + bc) > 3500:  # divide by the power of ten nearest the value first
         expprec = abs(exp).bit_length() + 5
-        tmp = mpf_mul(from_int(exp), _constant("ln2", expprec, round_down))
-        b = to_int(mpf_div(tmp, _constant("ln10", expprec, round_down), expprec))
-        _, man, exp, bc = mpf_div((0, man, exp, bc), mpf_pow_int(_TEN, b, bitprec), bitprec)
+        tmp = mpf_mul(from_int(exp), _constant("ln2", expprec, round_floor))
+        towards_zero = round_ceiling if tmp[0] else round_floor
+        b = to_int(mpf_div(tmp, _constant("ln10", expprec, round_floor), expprec, towards_zero))
+        power = _pow_ten(b, bitprec, round_floor)
+        _, man, exp, bc = mpf_div((0, man, exp, bc), power, bitprec, round_floor)
         exponent = b
     fixprec = max(bitprec - exp - bc, 0)
     fixdps = int(fixprec / math.log(10, 2) + 0.5)

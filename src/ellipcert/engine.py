@@ -42,7 +42,7 @@ import math
 from fractions import Fraction
 
 from ._dyadic import (Dyadic, _exact, dps_to_prec, fone, from_int, from_man_exp, fzero,
-                      mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_pos,
+                      mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_pi, mpf_pos,
                       mpf_shift, mpf_sqrt, mpf_sub, round_ceiling, round_floor, round_nearest,
                       to_str)
 
@@ -144,16 +144,6 @@ def _mag(num: int, den: int) -> int:
     return m + 1 if (num << max(0, -m)) >= (den << max(0, m)) else m
 
 
-def _dyadic_mpf(coeff: tuple[int, int], prec: int, rnd):
-    """num / 2**exp as a raw value, rounded once to ``prec`` bits towards ``rnd``.
-
-    ``ctx.mpf(num) / 2**exp`` rounds once too (the division by a power of
-    two is exact), so both give the same bits; this way no Fraction is built.
-    """
-    num, exp = coeff
-    return from_man_exp(num, -exp, prec, rnd)
-
-
 def _check_tol(tol) -> Fraction:
     """The exact value of ``tol``, refused unless positive and finite."""
     if not tol > 0:  # NaN fails every comparison, so it is refused here too
@@ -169,8 +159,8 @@ def _value(raw) -> Dyadic:
 
 def _raw(v):
     """The raw value of v's exact value (``_exact_fraction``), rounded once
-    to nearest at working precision unless it is binary."""
-    return _rounded(_exact_fraction(v), _PREC, round_nearest)
+    to nearest at working precision, binary or not."""
+    return mpf_pos(_rounded(_exact_fraction(v), _PREC, round_nearest), _PREC, round_nearest)
 
 
 def _unit(v, message: str) -> Fraction:
@@ -187,8 +177,8 @@ def _unit(v, message: str) -> Fraction:
 
 def _point_str(v, digits: int) -> str:
     """v with ``digits`` significant digits, its exact value first rounded
-    once to nearest at working precision, binary or not."""
-    return to_str(mpf_pos(_raw(v), _PREC, round_nearest), digits)
+    once to nearest at working precision (``_raw``)."""
+    return to_str(_raw(v), digits)
 
 
 class Enclosure:
@@ -313,7 +303,7 @@ class Ellipse:
     swap).  ``a``, ``b`` and lam = (a-b)/(a+b) are those exact rationals,
     and the eccentricity is the square root of the exact 1 - (b/a)^2;
     each is rounded once to nearest at WORKING_DPS digits, 169 bits
-    (``_raw`` keeps a binary rational exact).  A degenerate b = 0 is
+    (``_raw`` and ``_root``), binary or not.  A degenerate b = 0 is
     accepted (lam = ecc = 1).
     """
 
@@ -464,9 +454,10 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
     n = 0
     while n <= max_terms:
         s_lo, s_hi = mpf_add(s_lo, lo, prec, _DOWN), mpf_add(s_hi, hi, prec, _UP)
-        num, den = (2 * n - 1) ** 2, from_int((2 * n + 2) ** 2)  # B_(n+1)/B_n x = num x/den
-        lo = mpf_div(mpf_mul_int(mpf_mul(lo, x_lo, prec, _DOWN), num, prec, _DOWN), den, prec, _DOWN)
-        hi = mpf_div(mpf_mul_int(mpf_mul(hi, x_hi, prec, _UP), num, prec, _UP), den, prec, _UP)
+        # B_(n+1)/B_n x = num x/den
+        num, den = from_int((2 * n - 1) ** 2), from_int((2 * n + 2) ** 2)
+        lo = mpf_div(mpf_mul(mpf_mul(lo, x_lo, prec, _DOWN), num, prec, _DOWN), den, prec, _DOWN)
+        hi = mpf_div(mpf_mul(mpf_mul(hi, x_hi, prec, _UP), num, prec, _UP), den, prec, _UP)
         if n < 64 or n % 16 == 0 or n == max_terms:
             tail, regime = _tail_bound(n, hi, one_minus, prec)
             if tail is not None:
@@ -676,11 +667,12 @@ def _discrepancy_series(x: Fraction, limit, prec: int):
     s_lo = s_hi = fzero
     xp_lo = xp_hi = fone  # x^n
     for n, row in enumerate(dyadic_rows()):
-        d_lo, d_hi = (_dyadic_mpf(row.delta, prec, rnd) for rnd in (_DOWN, _UP))
+        (d_num, d_exp), (b_num, b_exp) = row.delta, row.B
+        d_lo, d_hi = (from_man_exp(d_num, -d_exp, prec, rnd) for rnd in (_DOWN, _UP))
         s_lo = mpf_add(s_lo, mpf_mul(d_lo, xp_lo, prec, _DOWN), prec, _DOWN)
         s_hi = mpf_add(s_hi, mpf_mul(d_hi, xp_hi, prec, _UP), prec, _UP)
         xp_lo, xp_hi = mpf_mul(xp_lo, x_lo, prec, _DOWN), mpf_mul(xp_hi, x_hi, prec, _UP)
-        next_term = mpf_mul(_dyadic_mpf(row.B, prec, _UP), xp_hi, prec, _UP)
+        next_term = mpf_mul(from_man_exp(b_num, -b_exp, prec, _UP), xp_hi, prec, _UP)
         tail = _tail_bound(n, next_term, one_minus, prec)[0]
         if n >= 6 and mpf_le(tail, half):
             return s_lo, mpf_add(s_hi, tail, prec, _UP)

@@ -347,6 +347,16 @@ GOLDEN_REPORT_SHA256 = {
         "d87bdb2be0787f75eb8ac884d3fa19e330483cfb0302e54ebfb99a2bde60a0ae",
     "bounds --lambda 0.5": "23ac2cad9600e53fb930d9470f1a000fe1a3c7ebda26a8ce9dd913cdfe8d0f8b",
     "bounds --e 0.5": "a5ba64b3bd613bd2a4e0bc6b3c79064902ed7e75d2a62690cc05e0fe8f8f5898",
+    "ivory-check --x 0.9": "0cb5894c80d95c2729603f8953a74a74f054bdd3f636fe7faa4ea782ef8faa41",
+    "ivory-check --x 1": "52efab7d2e716ce411117816d008b8443707b0fed73b171c26bc0b5931d95308",
+    "bounds --lambda 1": "26ae460a02fdab99bd4e3dfdc2dc1a6ebd5cebcc11c3ea1d371f554056c304c1",
+    "bounds --lambda 1e-5": "d15960b0dcbfe7cf7bbfbef3f96c97a8e0efb3219a8087b096136eb44bfa93e4",
+    "perimeter --a 1 --b 0 --json":
+        "75e755da8ba60f9327a6765fdecdda46df525d27dc488beaa7cc52c7c29b7ed3",
+    "perimeter --a 3 --b 2.9999999999 --json":
+        "6f220eb0d592f6409cf18c3e7b4eda5c7177a535d075bec966b556fba6bee4cf",
+    "perimeter --a 1e-300 --b 3e-301":
+        "74395ec01d60b7c62ca11a4d9e9bc4535e564c0450c2622b2fca966bed6d41a0",
 }
 
 

@@ -566,9 +566,10 @@ def test_dyadic_images_equal_the_fraction_conversion(dps, exact_views):
     ctx.dps = dps
     rows = islice(dyadic_rows(), len(exact_d))
     for n, (row, d, b) in enumerate(zip(rows, exact_d, exact_b)):
-        image = ctx.make_mpf(engine._dyadic_mpf(row.delta, ctx.prec, round_nearest))
+        (d_num, d_exp), (b_num, b_exp) = row.delta, row.B
+        image = ctx.make_mpf(engine.from_man_exp(d_num, -d_exp, ctx.prec, round_nearest))
         assert image._mpf_ == (ctx.mpf(d.numerator) / d.denominator)._mpf_, n
-        image = ctx.make_mpf(engine._dyadic_mpf(row.B, ctx.prec, round_nearest))
+        image = ctx.make_mpf(engine.from_man_exp(b_num, -b_exp, ctx.prec, round_nearest))
         assert image._mpf_ == (ctx.mpf(b.numerator) / b.denominator)._mpf_, n
 
 

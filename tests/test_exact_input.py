@@ -100,6 +100,19 @@ def test_a_non_binary_axis_rounds_to_nearest():
     assert Ellipse(F(1, 10), 1).b._mpf_ == libmp.from_rational(1, 10, 169, "n")
 
 
+_WIDE = 1 + F(1, 2**200)
+
+
+@pytest.mark.parametrize("point, exact", [
+    (lambda: Ellipse(F(3, 4) + F(1, 2**301), F(1, 4) - F(1, 2**301)).lam, F(1, 2) + F(1, 2**300)),
+    (lambda: error_report(Ellipse(_WIDE, 0)).ramanujan_estimate, 3 * _WIDE / 2**36),
+    (lambda: Ellipse(_WIDE, 1).a, _WIDE),
+], ids=["lam", "ramanujan_estimate", "a"])
+def test_a_binary_point_value_rounds_to_nearest_too(point, exact):
+    # each was returned exact, 300, 202 and 201 bits wide
+    assert point()._mpf_ == libmp.from_rational(exact.numerator, exact.denominator, 169, "n")
+
+
 # ------------------------------------------- inputs wider than 50 digits
 
 
