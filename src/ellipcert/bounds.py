@@ -25,7 +25,6 @@ labeled values are exposed here and never silently interchanged.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -183,6 +182,8 @@ class ErrorReport(NamedTuple):
         }
 
     def to_json(self) -> str:
+        import json  # here, so that a command that prints no JSON never loads it
+
         return json.dumps(self.to_json_dict(), indent=2)
 
 

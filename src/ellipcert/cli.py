@@ -10,7 +10,6 @@ print with 20 significant digits.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from importlib import import_module
 
@@ -152,6 +151,8 @@ def _cmd_perimeter(args) -> int:
     report = error_report(ell, args.tol)
     verdicts = containment_check(report)
     if args.json:
+        import json  # here, so that the text report never loads it
+
         payload = report.to_json_dict()
         payload["containment"] = verdicts
         print(json.dumps(payload, indent=2))

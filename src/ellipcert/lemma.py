@@ -28,7 +28,6 @@ n <= 50.  No two sides of a comparison share a recurrence.
 
 from __future__ import annotations
 
-import json
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
@@ -258,6 +257,8 @@ class LemmaCertificate(NamedTuple):
         }
 
     def to_json(self) -> str:
+        import json  # here, so that a command that prints no JSON never loads it
+
         return json.dumps(self.to_json_dict(), indent=2)
 
 

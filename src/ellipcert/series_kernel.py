@@ -31,9 +31,13 @@ The Catalan ratio Cat(m)/Cat(m-1) = 2(2m-1)/(m+1) turns both into
 small-integer recurrences on the scaled integers (see `dyadic_rows`).
 Each row carries every coefficient as an odd numerator and a power-of-two
 exponent.  The module holds no table: `a_coeffs_upto`, `b_coeffs_upto`
-and `delta_coeffs_upto` build Fractions from a fresh stream, the engine
-reads its own stream per call, and `coeff_rows_str` prints them from a
-decimal twin, so no big integer is converted to decimal.
+and `delta_coeffs_upto` build Fractions from a fresh stream, and the
+engine reads its own stream per call.  `coeff_rows_str` prints the table
+from a decimal twin of the odd numerators that finds its own exponents:
+B_n's is 4n - 2 popcount(n), since Cat(n-1) has 2-adic valuation
+popcount(n) - 1; A_(n+1) = t_n - A_n/32 and delta_n = B_n - A_n are
+differences of two odd numerators, odd over the larger exponent when the
+two differ, and stripped of their trailing zero bits when they agree.
 
 Two independent checks stay beside the stream:
 
@@ -47,40 +51,18 @@ floating point appears anywhere in this module.
 
 from __future__ import annotations
 
-from decimal import (
-    MAX_EMAX,
-    MAX_PREC,
-    MIN_EMIN,
-    Context,
-    Decimal,
-    DivisionByZero,
-    Inexact,
-    InvalidOperation,
-    Overflow,
-    Rounded,
-)
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
+                     InvalidOperation, Overflow, Rounded)
 from fractions import Fraction
-from itertools import chain, count, islice, pairwise
+from itertools import count, islice
 from math import comb
 from typing import NamedTuple
 
 __all__ = [
-    "PowerSeries",
-    "ps_mul",
-    "ps_binomial_sqrt",
-    "ps_geom_recip",
-    "b_coeff",
-    "a_series_via_composition",
-    "a_coeff_explicit",
-    "a_term",
-    "delta_coeff",
-    "a_coeffs_upto",
-    "b_coeffs_upto",
-    "delta_coeffs_upto",
-    "DyadicRow",
-    "dyadic_rows",
-    "coeff_rows_str",
-    "rational_str",
+    "PowerSeries", "ps_mul", "ps_binomial_sqrt", "ps_geom_recip", "b_coeff",
+    "a_series_via_composition", "a_coeff_explicit", "a_term", "delta_coeff",
+    "a_coeffs_upto", "b_coeffs_upto", "delta_coeffs_upto", "DyadicRow", "dyadic_rows",
+    "coeff_rows_str", "rational_str",
 ]
 
 
@@ -279,16 +261,12 @@ def dyadic_rows():
         beta = beta * (8 * (2 * n - 1) ** 2) // (n + 1) ** 2
 
 
-def _rows_upto(n_max: int):
-    """row_0, ..., row_n_max of a fresh stream."""
+def _fractions(column: int, n_max: int) -> list[Fraction]:
+    """Column ``column`` of row_0, ..., row_n_max of a fresh stream."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return islice(dyadic_rows(), n_max + 1)
-
-
-def _fractions(column: int, n_max: int) -> list[Fraction]:
     return [Fraction(num, 1 << exp) for num, exp in
-            (row[column] for row in _rows_upto(n_max))]
+            (row[column] for row in islice(dyadic_rows(), n_max + 1))]
 
 
 def a_coeffs_upto(n_max: int) -> list[Fraction]:
@@ -326,58 +304,72 @@ def _times_pow2(x: Decimal, k: int) -> Decimal:
     return _EXACT.multiply(x, 1 << k) if k > 0 else _exact_div(x, 1 << -k)
 
 
-def _difference(x: Decimal, ex: int, y: Decimal, ey: int, exp: int) -> Decimal:
-    """The numerator of x/2**ex - y/2**ey over 2**exp, exactly."""
-    top = max(ex, ey)
-    diff = _EXACT.subtract(_times_pow2(x, top - ex), _times_pow2(y, top - ey))
-    return _times_pow2(diff, exp - top)
+_LOW = 10**18  # 2**18 divides it: x mod 10**18 shows the low zero bits of x, up to 18
+
+
+def _odd_difference(x: Decimal, ex: int, y: Decimal, ey: int) -> tuple[Decimal, int]:
+    """x/2**ex - y/2**ey for odd x and y, as (odd numerator, exponent);
+    (0, 0) when the two are equal."""
+    if ex != ey:  # odd minus even: odd, over the larger exponent
+        top = max(ex, ey)
+        return _EXACT.subtract(_times_pow2(x, top - ex), _times_pow2(y, top - ey)), top
+    diff = _EXACT.subtract(x, y)
+    if not diff:
+        return diff, 0
+    while True:
+        low = int(_EXACT.remainder(diff, _LOW))
+        k = min((low & -low).bit_length() - 1, 18) if low else 18
+        diff, ex = _exact_div(diff, 1 << k), ex - k
+        if k < 18:
+            return diff, ex
 
 
 def coeff_rows_str(n_max: int):
     """Iterator over (n, A_n, B_n, delta_n) for n = 0..n_max, each
     coefficient an exact "numerator/denominator" string.
 
-    The strings come from a decimal twin of the rows, advanced in lockstep
-    on the odd numerators by small-integer steps:
+    The strings come from a decimal twin of the rows, each coefficient an
+    odd numerator with its own exponent, advanced by small-integer steps:
 
         A_(n+1) = t_n - A_n/32,   t_n = Cat(n-1) 3^n / 2^(4n+3),
         t_(n+1) = t_n 3(2n-1) / (8(n+1)),
         B_(n+1) = B_n (2n-1)^2 / (2n+2)^2,
         delta_n = B_n - A_n,
 
-    with A_1 = B_1 = 1/4 and t_1 = 3/2^7.  The first line is the rows'
-    alpha_(n+1) = w_n - alpha_n divided by 2^(5n+2), so t_n = w_n/2^(5n+2).
-    The exponents come from the binary rows, read one row ahead for the
-    next A exponent, and each 2**exp denominator from a running power, so
-    no big integer is converted to decimal, and a wrong exponent makes an
-    exact division fail instead of printing a wrong value.
+    with A_1 = B_1 = 1/4 and t_1 = 3/2^7 (t_n = w_n/2^(5n+2) turns the
+    rows' alpha_(n+1) = w_n - alpha_n into the first line).  With
+    n + 1 = 2^v * odd, the odd part divides the numerator of each product
+    step, whose exponent grows by 3 + v for t and by 2 + 2v for B.  A
+    difference of two odd numerators over unequal exponents is odd and
+    takes the larger one; over equal ones it loses its trailing zero
+    bits, counted from its remainder mod 10^18 (2^18 divides 10^18).
+    Each 2**exp denominator comes from a running power, so no big integer
+    is converted to decimal, and every division traps on a remainder.
     """
-    return _decimal_twin(_rows_upto(n_max))
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    return _decimal_twin(n_max)
 
 
-def _decimal_twin(rows):
-    rows = iter(rows)
-    next(rows, None)  # row 0 prints as constants
+def _decimal_twin(n_max: int):
     yield 0, "1/1", "1/1", "0/1"
-    a, b, t, t_exp = Decimal(1), Decimal(1), Decimal(3), 7
+    a, b, t = (Decimal(1), 2), (Decimal(1), 2), (Decimal(3), 7)  # A_1, B_1, t_1
     dens = [[0, Decimal(1)] for _ in range(3)]  # running [exp, 2**exp] per column
-    for n, (row, ahead) in enumerate(pairwise(chain(rows, [None])), start=1):
-        exps = [exp for _num, exp in row]
-        nums = (a, b, _difference(b, exps[1], a, exps[0], exps[2]))
+    for n in range(1, n_max + 1):
+        if n > 1:  # step from row m = n - 1, with n = 2^v * odd
+            m, v = n - 1, (n & -n).bit_length() - 1
+            odd = n >> v
+            a = _odd_difference(*t, a[0], a[1] + 5)
+            b = _exact_div(_EXACT.multiply(b[0], (2 * m - 1) ** 2), odd * odd), b[1] + 2 + 2 * v
+            t = _exact_div(_EXACT.multiply(t[0], 3 * (2 * m - 1)), odd), t[1] + 3 + v
+        cells = (a, b, _odd_difference(*b, *a))
         texts = {}  # one denominator text per distinct exponent of the row
-        for den, exp in zip(dens, exps):
+        for den, (_num, exp) in zip(dens, cells):
             den[1] = _times_pow2(den[1], exp - den[0])
             den[0] = exp
             if exp not in texts:
                 texts[exp] = str(den[1])
-        yield (n, *(f"{num}/{texts[exp]}" for num, exp in zip(nums, exps)))
-        if ahead is not None:
-            v = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = 2^v * odd
-            odd = (n + 1) >> v
-            a = _difference(t, t_exp, a, exps[0] + 5, ahead.A[1])
-            b = _exact_div(_EXACT.multiply(b, (2 * n - 1) ** 2), odd * odd)
-            t = _exact_div(_EXACT.multiply(t, 3 * (2 * n - 1)), odd)
-            t_exp += 3 + v
+        yield (n, *(f"{num}/{texts[exp]}" for num, exp in cells))
 
 
 def rational_str(q) -> str:

@@ -73,6 +73,24 @@ print([m for m in {HEAVY!r} if m in sys.modules])
     assert _fresh(script).stdout == "[]\n"
 
 
+@pytest.mark.parametrize("argv, loads_json", [
+    (["coeffs", "--n", "5"], False),
+    (["perimeter", "--a", "2", "--b", "1"], False),
+    (["bounds", "--lambda", "0.5"], False),
+    (["ivory-check", "--x", "0.5"], False),
+    (["perimeter", "--a", "2", "--b", "1", "--json"], True),
+], ids=lambda v: "-".join(a.lstrip("-") for a in v) if isinstance(v, list) else None)
+def test_only_a_json_serialization_loads_json(argv, loads_json):
+    script = f"""
+import contextlib, io, sys
+import ellipcert.cli as cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert cli.cli_main({argv!r}) == 0
+print("json" in sys.modules)
+"""
+    assert _fresh(script).stdout == f"{loads_json}\n"
+
+
 def test_every_public_name_resolves_and_is_listed():
     listing = dir(ellipcert)
     for name in ellipcert.__all__:

@@ -30,10 +30,10 @@ from ellipcert import (
     ps_mul,
 )
 from ellipcert.series_kernel import (
-    DyadicRow,
-    _decimal_twin,
     _exact_div,
+    _odd_difference,
     _times_pow2,
+    coeff_rows_str,
     dyadic_rows,
     rational_str,
 )
@@ -276,14 +276,47 @@ def test_decimal_twin_divisions_raise_instead_of_truncating():
         _times_pow2(Decimal(6), -2)
 
 
-def test_decimal_twin_rejects_a_wrong_exponent():
-    rows = list(islice(dyadic_rows(), 41))
-    assert len(list(_decimal_twin(rows))) == 41
-    # one bit too few in A_20's denominator: the twin's exact division fails
-    (num, exp), b, d = rows[20]
-    bad = rows[:20] + [DyadicRow((num, exp - 1), b, d)] + rows[21:]
-    with pytest.raises(ArithmeticError):
-        list(_decimal_twin(bad))
+_BIG = 3**200  # odd, and longer than one 10**18 block of the low-digit loop
+
+
+@pytest.mark.parametrize("x, ex, y, ey", [
+    pytest.param(3, 5, 7, 2, id="unequal-left-larger"),
+    pytest.param(7, 2, 3, 5, id="unequal-right-larger"),
+    pytest.param(_BIG, 40, 5, 9, id="unequal-long"),
+    pytest.param(1 + 3 * 2**7, 12, 1, 12, id="equal-7-bits"),
+    pytest.param(1 + 2**18, 30, 1, 30, id="equal-18-bits"),  # one full turn, then an odd one
+    pytest.param(1 + 3 * 2**25, 30, 1, 30, id="equal-25-bits"),  # two turns
+    pytest.param(1 + 2 * 10**18, 25, 1, 25, id="equal-19-bits-low-block-0"),
+    pytest.param(_BIG + 7 * 2**60, 70, _BIG, 70, id="equal-60-bits-long"),  # four turns
+    pytest.param(1, 30, 1 + 5 * 2**20, 30, id="negative-20-bits"),
+    pytest.param(3, 4, 5, 4, id="negative-1-bit"),
+])
+def test_odd_difference_matches_fraction_arithmetic(x, ex, y, ey):
+    num, exp = _odd_difference(Decimal(x), ex, Decimal(y), ey)
+    assert int(num) % 2 == 1
+    assert F(int(num), 2**exp) == F(x, 2**ex) - F(y, 2**ey)
+
+
+def test_odd_difference_of_equal_values_is_zero_over_one():
+    num, exp = _odd_difference(Decimal(_BIG), 33, Decimal(_BIG), 33)
+    assert (str(num), exp) == ("0", 0)
+    assert [row[3] for row in coeff_rows_str(4)] == ["0/1"] * 5  # delta_0..delta_4 = 0
+
+
+def test_coeff_rows_build_no_binary_row(monkeypatch):
+    def refuse():
+        raise AssertionError("coeff_rows_str built a binary row")
+
+    monkeypatch.setattr(series_kernel, "dyadic_rows", refuse)
+    rows = list(coeff_rows_str(300))
+    assert [row[0] for row in rows] == list(range(301))
+    n, a, b, d = rows[300]
+    assert (F(a), F(b), F(d)) == (a_coeff_explicit(n), b_coeff(n), delta_coeff(n))
+
+
+def test_coeff_rows_str_refuses_a_negative_n_at_the_call():
+    with pytest.raises(ValueError):
+        coeff_rows_str(-1)  # not deferred to the first next()
 
 
 def test_coefficient_rows_stream_in_bounded_memory(traced_peak_mb):
