@@ -21,6 +21,10 @@ with delta(e) = pi * theta / 2^19 confined to
 A frequently quoted form of the upper constant, (14/11)(22/7 - pi), equals
 pi * (4/pi - 14/11) exactly: it bounds pi*theta rather than theta.  Both
 labeled values are exposed here and never silently interchanged.
+
+Every containment verdict compares an outward enclosure of the value with
+outward enclosures of its two bounds (``_verdict_between``).  Both bounds
+are strict, except the upper one at lam = 1 (b = 0), where it is attained.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ _FOUR, _ELEVEN, _FOURTEEN = from_int(4), from_int(11), from_int(14)
 _THETA_LOWER_POINT = Enclosure(Dyadic(THETA_LOWER), Dyadic(THETA_LOWER), EXACT_POINT)
 
 
-@lru_cache(maxsize=64)  # a constant per precision, built once: every report reads it twice
+@lru_cache(maxsize=64)  # a constant per precision: a report and its check read it about four times
 def _theta_upper_enclosure(prec: int = _PREC) -> Enclosure:
     """Outward enclosure of the attained bound 4/pi - 14/11 at ``prec`` bits:
     each end rounded its own way, with pi and 14/11 rounded the other way."""
@@ -246,47 +250,38 @@ def error_report(ellipse: Ellipse, tol: float | None = None) -> ErrorReport:
     )
 
 
-def _ends(bound):
-    """The exact (lo, hi) of a strict bound given as a number, or as the two
-    ends of an outward enclosure of it."""
-    lo, hi = bound if isinstance(bound, tuple) else (bound, bound)
-    return _exact_fraction(lo), _exact_fraction(hi)
+def _strict_lower(lo: Fraction, hi: Fraction, near: Fraction, far: Fraction) -> str:
+    """The verdict on a strict lower bound with outward ends near <= far for
+    a value in [lo, hi]: ``pass`` when the midpoint clears the far end by
+    more than ``_MARGIN`` widths, ``fail`` when the whole of [lo, hi] lies
+    below the near end, else ``inconclusive``."""
+    if hi < near:
+        return "fail"
+    # twice the midpoint's lead, against twice the guard _MARGIN * width
+    return "pass" if lo + hi - 2 * far > 2 * _MARGIN * (hi - lo) else "inconclusive"
 
 
-def _verdict_between(enc: Enclosure, lower, upper):
-    """Strictness-aware containment verdicts for an enclosure.
+def _verdict_between(enc: Enclosure, lower: Enclosure, upper: Enclosure, *, attained: bool):
+    """Containment verdicts for an enclosure against the outward enclosures
+    of its two bounds.
 
-    A strict bound comes as a number or as the (lo, hi) ends of an outward
-    enclosure of it.  Its side passes only when the midpoint clears the
-    bound's far end by more than ``_MARGIN`` widths, and fails only when
-    the whole enclosure lies beyond its near end; anything in between is
-    inconclusive.  An attained upper bound (b = 0, lam = 1) comes as an
-    outward ``Enclosure``: the value equals it, so the upper side passes
-    when the enclosure's lower end is at most the bound's upper end, and
-    fails otherwise.  Every end is read exactly, and every verdict compares
+    The lower bound is strict.  So is the upper one, decided as the lower
+    side with every end negated, unless ``attained`` (b = 0, lam = 1):
+    then the value equals the bound, and the side fails on the same test,
+    the enclosure lying wholly above the bound's enclosure, and passes
+    otherwise.  Every end is read exactly, and every verdict compares
     rationals, so a gap far below the working precision still decides.
     """
-    lo, hi = _exact_fraction(enc.lo), _exact_fraction(enc.hi)
-    # twice the midpoint, and twice the guard _MARGIN * width
-    mid2, guard2 = lo + hi, 2 * _MARGIN * (hi - lo)
-    near, far = _ends(lower)
-    if hi < near:  # enclosure entirely below the lower bound
-        low = "fail"
-    elif mid2 - 2 * far > guard2:
-        low = "pass"
-    else:
-        low = "inconclusive"
-    if isinstance(upper, Enclosure):
-        up = "pass" if lo <= _exact_fraction(upper.hi) else "fail"
-    else:
-        far, near = _ends(upper)
-        if near < lo:  # enclosure entirely above the upper bound
-            up = "fail"
-        elif 2 * far - mid2 > guard2:
-            up = "pass"
-        else:
-            up = "inconclusive"
-    return low, up
+    lo, hi, low_near, low_far, up_far, up_near = map(
+        _exact_fraction, (enc.lo, enc.hi, lower.lo, lower.hi, upper.lo, upper.hi))
+    up = _strict_lower(-hi, -lo, -up_near, -up_far)
+    return _strict_lower(lo, hi, low_near, low_far), "pass" if attained and up != "fail" else up
+
+
+def _theta_bounds(theta: Enclosure) -> tuple[Enclosure, Enclosure]:
+    """Outward enclosures of theta's two bounds: 3/2^17 exactly, and
+    4/pi - 14/11 at the precision that resolves theta's width."""
+    return _THETA_LOWER_POINT, _theta_upper_enclosure(_resolving_prec(theta))
 
 
 def containment_check(report: ErrorReport) -> dict:
@@ -294,12 +289,13 @@ def containment_check(report: ErrorReport) -> dict:
 
     Returns verdict strings ("pass" / "fail" / "inconclusive" /
     "not-applicable") for each side of each quantity, plus an overall
-    ``ok`` that is False only on a definite failure.  Each bound is an
-    outward enclosure, pi (a+b) lam^10 c for epsilon from the report's
-    exact axes and 4/pi - 14/11 for theta, at the precision that resolves
-    its value's width (``_resolving_prec``): the value's width decides, and
-    no rounding of a bound turns a true claim into a ``fail``.  For b = 0
-    the upper bounds are attained (``_verdict_between``).
+    ``ok`` that is False only on a definite failure.  Every bound is an
+    outward enclosure at the precision that resolves its value's width
+    (``_resolving_prec``): pi (a+b) lam^10 c for epsilon, from the report's
+    exact axes, and theta's own two (``_theta_bounds``).  So the value's
+    width decides, and no rounding of a bound turns a true claim into a
+    ``fail``.  The upper bounds are attained only for b = 0
+    (``_verdict_between``).
     """
     keys = ("epsilon_lower", "epsilon_upper", "theta_lower", "theta_upper")
     if report.lam == 0:
@@ -308,12 +304,9 @@ def containment_check(report: ErrorReport) -> dict:
         a, b = _exact_fraction(report.a), _exact_fraction(report.b)
         eps, theta = report.epsilon_enclosure, report.theta
         scale, prec = (a - b) ** 10 / (a + b) ** 9, _resolving_prec(eps)  # (a+b) lam^10
-        eps_lo, eps_up = (_scaled_bound(up, scale, prec) for up in (False, True))
-        theta_up = _theta_upper_enclosure(_resolving_prec(theta))
-        if b != 0:  # strict upper bounds, given by their ends
-            eps_up, theta_up = (eps_up.lo, eps_up.hi), (theta_up.lo, theta_up.hi)
-        eps_v = _verdict_between(eps, (eps_lo.lo, eps_lo.hi), eps_up)
-        theta_v = _verdict_between(theta, THETA_LOWER, theta_up)
+        eps_bounds = (_scaled_bound(up, scale, prec) for up in (False, True))
+        eps_v = _verdict_between(eps, *eps_bounds, attained=b == 0)
+        theta_v = _verdict_between(theta, *_theta_bounds(theta), attained=b == 0)
         verdicts = dict(zip(keys, eps_v + theta_v))
     verdicts["ok"] = all(v != "fail" for v in verdicts.values())
     return verdicts

@@ -20,13 +20,13 @@ from importlib import import_module
 # or replace it -- is left as it is, and is what the command calls.
 _LAYER_NAMES = {
     **dict.fromkeys((
-        "THETA_LOWER", "_delta_e", "_theta_upper_enclosure", "_verdict_between",
+        "THETA_LOWER", "_delta_e", "_theta_bounds", "_verdict_between",
         "containment_check", "delta_e_bounds", "error_report", "scaled_theta_upper",
         "theta_upper",
     ), "bounds"),
     **dict.fromkeys((
         "Ellipse", "Enclosure", "QuadratureBudgetError", "_exact_fraction", "_lambda_enclosure",
-        "_point_str", "_resolving_prec", "eval_B", "ivory_integral", "lambda_from_eccentricity",
+        "_point_str", "eval_B", "ivory_integral", "lambda_from_eccentricity",
         "theta_of_lambda",
     ), "engine"),
     "verify_fundamental_lemma": "lemma",
@@ -168,34 +168,38 @@ def _cmd_perimeter(args) -> int:
         print(f"ramanujan estimate = {_fmt(report.ramanujan_estimate)}")
         print(f"note: {report.bound_form_note}")
         print(f"containment: {verdicts}")
-    if not verdicts["ok"]:
+    return _containment_exit(verdicts.values())
+
+
+def _containment_exit(verdicts) -> int:
+    """The exit code of a containment check: 1 on a ``fail`` verdict, else
+    0, with a warning on stderr for an ``inconclusive`` one."""
+    if "fail" in verdicts:
         print("containment check FAILED", file=sys.stderr)
         return 1
-    if any(v == "inconclusive" for v in verdicts.values() if isinstance(v, str)):
+    if "inconclusive" in verdicts:
         print("warning: containment inconclusive at this tolerance", file=sys.stderr)
     return 0
 
 
-def _theta_at(lam, lam_enc):
-    """theta at lam, or, given an outward enclosure of lam, the hull of
-    theta at its two ends: theta increases on (0, 1]."""
-    if lam_enc is None:
-        return theta_of_lambda(lam)
-    low = theta_of_lambda(lam_enc.lo)
-    high = low if lam_enc.hi == lam_enc.lo else theta_of_lambda(lam_enc.hi)
+def _theta_at(lam):
+    """The hull of theta at the two ends of an outward enclosure of lam:
+    theta increases on (0, 1]."""
+    low = theta_of_lambda(lam.lo)
+    high = low if lam.hi == lam.lo else theta_of_lambda(lam.hi)
     return Enclosure(low.lo, high.hi, high.regime)
 
 
 def _cmd_bounds(args) -> int:
     _load("series_kernel", "engine", "bounds")
-    lam, lam_enc = args.lam, None
-    if lam is None and args.e is not None:
-        lam = lambda_from_eccentricity(args.e)  # the label; theta comes from lam_enc
-        lam_enc = _lambda_enclosure(args.e)
-    if lam is not None:  # everything that can refuse the arguments runs before printing
+    lam = args.lam  # everything that can refuse the arguments runs before printing
+    if args.e is not None:  # lam is the label; theta comes from lam's enclosure
+        lam, lam_enc = lambda_from_eccentricity(args.e), _lambda_enclosure(args.e)
+    elif lam is not None:
         if not 0 <= lam <= 1:
             raise ValueError("lambda must lie in [0, 1]")
-    enc = _theta_at(lam, lam_enc) if lam else None
+        lam_enc = Enclosure(lam, lam)
+    enc = _theta_at(lam_enc) if lam else None
     lo, up = THETA_LOWER, theta_upper()
     pi_up = scaled_theta_upper()
     de_lo, de_up = delta_e_bounds()
@@ -211,21 +215,12 @@ def _cmd_bounds(args) -> int:
     if enc is None:
         print("lambda = 0: theta takes its limit value 3/2^17; nothing to check")
         return 0
-    # the bound's outward enclosure, at the precision that resolves enc's
-    # width: attained at lam = 1, strict elsewhere, where its ends are given
-    bound = _theta_upper_enclosure(_resolving_prec(enc))
-    upper = bound if lam == 1 else (bound.lo, bound.hi)
-    low_v, up_v = _verdict_between(enc, lo, upper)
+    low_v, up_v = _verdict_between(enc, *_theta_bounds(enc), attained=lam == 1)
     delta = _delta_e(enc)
     print(f"theta({_fmt(lam, 8)}) in {_enc_str(enc)}")
     print(f"delta_e value in [{_fmt(delta.lo)}, {_fmt(delta.hi)}]")
     print(f"containment: lower {low_v}, upper {up_v}")
-    if low_v == "fail" or up_v == "fail":
-        print("containment check FAILED", file=sys.stderr)
-        return 1
-    if "inconclusive" in (low_v, up_v):
-        print("warning: containment inconclusive at this tolerance", file=sys.stderr)
-    return 0
+    return _containment_exit((low_v, up_v))
 
 
 def _cmd_ivory_check(args) -> int:

@@ -672,9 +672,11 @@ def _discrepancy_series(x: Fraction, limit, prec: int):
         s_lo = mpf_add(s_lo, mpf_mul(d_lo, xp_lo, prec, _DOWN), prec, _DOWN)
         s_hi = mpf_add(s_hi, mpf_mul(d_hi, xp_hi, prec, _UP), prec, _UP)
         xp_lo, xp_hi = mpf_mul(xp_lo, x_lo, prec, _DOWN), mpf_mul(xp_hi, x_hi, prec, _UP)
+        if n < 6:  # no tail is read before n = 6
+            continue
         next_term = mpf_mul(from_man_exp(b_num, -b_exp, prec, _UP), xp_hi, prec, _UP)
         tail = _tail_bound(n, next_term, one_minus, prec)[0]
-        if n >= 6 and mpf_le(tail, half):
+        if mpf_le(tail, half):
             return s_lo, mpf_add(s_hi, tail, prec, _UP)
 
 

@@ -18,6 +18,7 @@ from ellipcert import (
     theta_bounds,
     theta_upper,
 )
+from ellipcert._dyadic import Dyadic as D
 
 
 def test_theta_bounds_values():
@@ -99,12 +100,68 @@ def test_attained_upper_bound_decided_against_its_enclosure(quantity):
     bound = bounds._theta_upper_enclosure()
     with mp.workdps(80):
         assert bound.contains(4 / mp.pi - mp.mpf(14) / 11)
+    lower = bounds._THETA_LOWER_POINT
     for divisor in (1, 2, 3, 1000):
         enc = getattr(engine, quantity)(1, engine._RATIO_TOL / divisor)
-        verdicts = bounds._verdict_between(enc, bounds.THETA_LOWER, bound)
+        verdicts = bounds._verdict_between(enc, lower, bound, attained=True)
         assert verdicts == ("pass", "pass"), divisor
     above = engine.Enclosure(bound.hi + F(1, 2**200), bound.hi + F(1, 2**199))
-    assert bounds._verdict_between(above, bounds.THETA_LOWER, bound)[1] == "fail"
+    assert bounds._verdict_between(above, lower, bound, attained=True)[1] == "fail"
+
+
+_W = F(1, 2**20)  # the value's width in the cases at the margin of ten widths
+
+
+@pytest.mark.parametrize("value, lower, upper, attained, verdicts", [
+    # the lower side
+    ((0, F(1, 2)), (1, 1), (100, 100), False, ("fail", "pass")),
+    ((F(9, 10), F(19, 20)), (1, F(3, 2)), (100, 100), False, ("fail", "pass")),
+    ((1, 3), (1, 1), (100, 100), False, ("inconclusive", "pass")),
+    ((F(5, 4), F(5, 4)), (1, F(3, 2)), (100, 100), False, ("inconclusive", "pass")),
+    ((1, 1), (1, 1), (100, 100), False, ("inconclusive", "pass")),
+    ((2, 2 + F(1, 100)), (1, 1), (100, 100), False, ("pass", "pass")),
+    ((2.0, 2.5), (1.0, 1.0), (100.0, 100.0), False, ("inconclusive", "pass")),
+    ((2.0, 2.0078125), (1.0, 1.25), (100.0, 100.0), False, ("pass", "pass")),
+    ((D(F(3, 2)), D(F(3, 2))), (D(1), D(1)), (D(2), D(2)), False, ("pass", "pass")),
+    ((F(11, 10), F(11, 10) + F(1, 10**6)), (1, 1 + F(1, 10**4)), (100, 100), False,
+     ("pass", "pass")),
+    ((F(21, 20), F(21, 20) + _W), (1, F(21, 20) - 10 * _W), (100, 100), False,
+     ("pass", "pass")),  # the midpoint 10.5 widths above the far end
+    ((F(21, 20), F(21, 20) + _W), (1, F(21, 20) - F(19, 2) * _W), (100, 100), False,
+     ("inconclusive", "pass")),  # 10 widths
+    ((F(21, 20), F(21, 20) + _W), (1, F(21, 20) - 9 * _W), (100, 100), False,
+     ("inconclusive", "pass")),  # 9.5 widths
+    # the strict upper side
+    ((3, 4), (0, 0), (2, F(5, 2)), False, ("inconclusive", "fail")),
+    ((F(9, 4), F(9, 4)), (0, 0), (2, F(5, 2)), False, ("pass", "inconclusive")),
+    ((F(5, 2), 3), (0, 0), (2, F(5, 2)), False, ("inconclusive", "inconclusive")),
+    ((2, 2), (0, 0), (2, 2), False, ("pass", "inconclusive")),
+    ((F(3, 2), F(3, 2) + F(1, 1000)), (0, 0), (2, F(5, 2)), False, ("pass", "pass")),
+    ((1.5, 1.75), (0.0, 0.0), (2.0, 2.0), False, ("inconclusive", "inconclusive")),
+    ((D(F(1, 2)), D(F(1, 2)) + D(F(1, 2**30))), (D(0), D(0)), (D(1), D(F(3, 2))), False,
+     ("pass", "pass")),
+    ((F(19, 20) - _W, F(19, 20)), (0, 0), (F(19, 20) + 10 * _W, 1), False,
+     ("pass", "pass")),  # the far end 10.5 widths above the midpoint
+    ((F(19, 20) - _W, F(19, 20)), (0, 0), (F(19, 20) + F(19, 2) * _W, 1), False,
+     ("pass", "inconclusive")),  # 10 widths
+    ((F(19, 20) - _W, F(19, 20)), (0, 0), (F(19, 20) + 9 * _W, 1), False,
+     ("pass", "inconclusive")),  # 9.5 widths
+    # the attained upper side
+    ((F(5, 2), 3), (0, 0), (2, F(5, 2)), True, ("inconclusive", "pass")),
+    ((F(9, 4), F(9, 4)), (0, 0), (2, F(5, 2)), True, ("pass", "pass")),
+    ((1, 2), (0, 0), (2, F(5, 2)), True, ("inconclusive", "pass")),
+    ((F(5, 2) + F(1, 2**100), 3), (0, 0), (2, F(5, 2)), True, ("inconclusive", "fail")),
+    ((2, 2), (0, 0), (2, 2), True, ("pass", "pass")),
+    ((2.5, 2.5), (0.0, 0.0), (2.0, 2.0), True, ("pass", "fail")),
+    ((D(2), D(3)), (D(0), D(0)), (D(F(3, 2)), D(F(7, 4))), True, ("inconclusive", "fail")),
+])
+def test_verdict_table(value, lower, upper, attained, verdicts):
+    # every verdict against bounds given as outward enclosures, zero-width
+    # ones among them, with int, float, Fraction and Dyadic ends
+    from ellipcert import bounds
+
+    value, lower, upper = Enclosure(*value), Enclosure(*lower), Enclosure(*upper)
+    assert bounds._verdict_between(value, lower, upper, attained=attained) == verdicts
 
 
 def test_error_report_half_eccentricity():

@@ -201,6 +201,45 @@ def test_ivory_check_failure_exits_one(capsys, monkeypatch):
     assert "residual" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["perimeter", "--a", "1", "--b", "1e-13"],
+    ["bounds", "--lambda", "0.9999999999999999"],
+])
+def test_inconclusive_containment_warns_and_exits_zero(capsys, args):
+    rc, _out, err = run(args, capsys)
+    assert (rc, err) == (0, "warning: containment inconclusive at this tolerance\n")
+
+
+def test_perimeter_failed_containment_exits_one(capsys, monkeypatch):
+    import ellipcert.cli as cli_mod
+
+    real = cli_mod.error_report
+    monkeypatch.setattr(
+        cli_mod, "error_report",
+        lambda *args: real(*args)._replace(theta=ellipcert.Enclosure(1, 2)))
+    rc, out, err = run(["perimeter", "--a", "2", "--b", "1"], capsys)
+    assert (rc, err) == (1, "containment check FAILED\n")
+    assert "'theta_upper': 'fail'" in out
+
+
+def test_bounds_failed_containment_exits_one(capsys, monkeypatch):
+    # theta shifted above 4/pi - 14/11 ~ 5.1e-4; its ends stay Dyadic, as
+    # delta_e reads their raw values
+    import ellipcert.cli as cli_mod
+    from ellipcert._dyadic import Dyadic
+
+    real, shift = cli_mod.theta_of_lambda, F(1, 2**10)
+
+    def shifted(lam, *rest):
+        enc = real(lam, *rest)
+        return ellipcert.Enclosure(Dyadic(enc.lo + shift), Dyadic(enc.hi + shift), enc.regime)
+
+    monkeypatch.setattr(cli_mod, "theta_of_lambda", shifted)
+    rc, out, err = run(["bounds", "--lambda", "0.5"], capsys)
+    assert (rc, err) == (1, "containment check FAILED\n")
+    assert "containment: lower pass, upper fail" in out
+
+
 def test_malformed_flags(capsys):
     assert run(["perimeter", "--a", "1"], capsys)[0] == 2  # missing --b
     assert run(["coeffs", "--n", "abc"], capsys)[0] == 2  # bad int
