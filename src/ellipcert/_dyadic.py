@@ -15,11 +15,10 @@ exact, and ``mpf_shift`` always is.  Add, sub, mul, div and sqrt are
 correctly rounded (add as libmp adds: an operand far below the other's top
 bit counts only as a sticky bit), and ``mpf_lt``/``mpf_le`` are exact.
 
-pi, ln 2 and ln 10 come from integer series (Machin's formula, atanh)
-with an error bound, exact to the floor at the precision asked; ``to_str``
-prints a value as libmp's ``to_str`` (mpmath's ``nstr``) does, with the
-bits of libmp's powers of ten, and ``Dyadic`` is the exact value type the
-package returns.
+pi comes from an integer series (Machin's formula) with an error bound,
+exact to the floor at the precision asked.  ``to_str`` prints a value's
+exact decimal digits, rounded half up, in the layout of mpmath's ``nstr``,
+and ``Dyadic`` is the exact value type the package returns.
 """
 
 from __future__ import annotations
@@ -187,177 +186,96 @@ def mpf_le(s, t) -> bool:
     return mpf_add(t, s, 2, round_floor, 1)[0] == 0
 
 
-# -- constants: floor(c * 2^prec), exactly, from integer series -----------
+# -- pi: floor(pi * 2^prec), exactly, from an integer series ------------------
 
 
-def _arctan_series(x: int, one: int, alternate: bool):
-    """sum_k (+-1)^k one / ((2k+1) x^(2k+1)) in integers, for x >= 3: atan(1/x)
-    or atanh(1/x) times one, within 3 (terms + 1)."""
+def _arctan_series(x: int, one: int):
+    """sum_k (-1)^k one / ((2k+1) x^(2k+1)) in integers, for x >= 3:
+    atan(1/x) times one, within 3 (terms + 1)."""
     x2 = x * x
     power = one // x
     total, k = power, 1
     while power:
         power //= x2
         term = power // (2 * k + 1)
-        total += -term if alternate and k & 1 else term
+        total += -term if k & 1 else term
         k += 1
     return total, 3 * (k + 1)
 
 
-def _pi_series(one: int):
-    a, err_a = _arctan_series(5, one, True)
-    b, err_b = _arctan_series(239, one, True)
-    return 16 * a - 4 * b, 16 * err_a + 4 * err_b
-
-
-def _ln2_series(one: int):
-    a, err = _arctan_series(3, one, False)
-    return 2 * a, 2 * err
-
-
-def _ln10_series(one: int):
-    two, err_two = _ln2_series(one)
-    a, err_a = _arctan_series(9, one, False)  # ln(5/4) = 2 atanh(1/9)
-    return 3 * two + 2 * a, 3 * err_two + 2 * err_a
-
-
-_SERIES = {"pi": _pi_series, "ln2": _ln2_series, "ln10": _ln10_series}
-
-
 @lru_cache(maxsize=64)
-def _floor_at(name: str, prec: int) -> int:
-    """floor(c 2^prec) for the constant ``name``: the series at more bits,
-    with guard bits added until its error bound settles the floor."""
+def _floor_at(prec: int) -> int:
+    """floor(pi 2^prec): Machin's formula at more bits, with guard bits
+    added until its error bound settles the floor."""
     guard = 16 + prec.bit_length()
     while True:
-        value, err = _SERIES[name](1 << (prec + guard))
+        a, err_a = _arctan_series(5, 1 << (prec + guard))
+        b, err_b = _arctan_series(239, 1 << (prec + guard))
+        value, err = 16 * a - 4 * b, 16 * err_a + 4 * err_b
         lo, hi = (value - err) >> guard, (value + err) >> guard
         if lo == hi:
             return lo
         guard += 32
 
 
-def _fixed(name: str, prec: int) -> int:
-    """floor(c 2^prec), from the cached floor at the next multiple of 256 bits."""
-    top = -(-prec // 256) * 256
-    return _floor_at(name, top) >> (top - prec)
-
-
-def _constant(name: str, prec: int, rnd):
-    """The constant rounded to prec bits, as libmp rounds its constants:
-    the floor at prec + 20 bits, plus one towards ceiling."""
+def mpf_pi(prec: int, rnd):
+    """pi rounded to prec bits, as libmp rounds its constants: the floor at
+    wp = prec + 20 bits (from the cached floor at the next multiple of 256
+    bits), plus one towards ceiling."""
     wp = prec + 20
-    v = _fixed(name, wp)
+    top = -(-wp // 256) * 256
+    v = _floor_at(top) >> (top - wp)
     if rnd == round_ceiling:
         v += 1
     return _round(0, v, -wp, v.bit_length(), prec, rnd)
 
 
-def mpf_pi(prec: int, rnd):
-    return _constant("pi", prec, rnd)
-
-
 # -- printing -----------------------------------------------------------------
 
 
-def to_int(s) -> int:
-    """s truncated towards zero."""
-    sign, man, exp, _ = s
-    v = man << exp if exp >= 0 else man >> -exp
-    return -v if sign else v
-
-
-def _pow_ten(n: int, prec: int, rnd):
-    """10^n rounded to prec bits towards floor or ceiling, by libmp's integer
-    power: exact, then rounded, while 3|n| < 1000; beyond that binary
-    powering at prec + 4 bitlength(n) + 4 bits, each step truncated towards
-    rnd; for n < 0, one over 10^-n rounded the other way at prec + 5 bits."""
-    if n < 0:
-        other = round_ceiling if rnd == round_floor else round_floor
-        return mpf_div(fone, _pow_ten(-n, prec + 5, other), prec, rnd)
-    man, exp = 5, 1  # 10 = 5 * 2
-    if 3 * n < 1000:
-        man **= n
-        return _round(0, man, exp * n, man.bit_length(), prec, rnd)
-    wp = prec + 4 * n.bit_length() + 4
-    pm, pe = 1, 0
-    while True:
-        if n & 1:
-            pm *= man
-            pe += exp
-            cut = pm.bit_length() - wp
-            if cut > 0:
-                pm = pm >> cut if rnd == round_floor else -(-pm >> cut)
-                pe += cut
-            n -= 1
-            if not n:
-                break
-        man *= man
-        exp += exp
-        cut = man.bit_length() - wp
-        if cut > 0:
-            man = man >> cut if rnd == round_floor else -(-man >> cut)
-            exp += cut
-        n //= 2
-    return _round(0, pm, pe, pm.bit_length(), prec, rnd)
-
-
-def _to_digits_exp(s, dps: int):
-    """(sign, digits, exponent) of s != 0: its decimal digits, truncated,
-    at least dps of them, with the exponent of the first."""
-    sign, man, exp, bc = s
-    bitprec = int(dps * math.log(10, 2)) + 10
-    exponent = 0
-    if abs(exp + bc) > 3500:  # divide by the power of ten nearest the value first
-        expprec = abs(exp).bit_length() + 5
-        tmp = mpf_mul(from_int(exp), _constant("ln2", expprec, round_floor))
-        towards_zero = round_ceiling if tmp[0] else round_floor
-        b = to_int(mpf_div(tmp, _constant("ln10", expprec, round_floor), expprec, towards_zero))
-        power = _pow_ten(b, bitprec, round_floor)
-        _, man, exp, bc = mpf_div((0, man, exp, bc), power, bitprec, round_floor)
-        exponent = b
-    fixprec = max(bitprec - exp - bc, 0)
-    fixdps = int(fixprec / math.log(10, 2) + 0.5)
-    offset = exp + fixprec
-    fixed = man << offset if offset >= 0 else man >> -offset
-    digits = str(fixed * 10**fixdps >> fixprec)
-    return "-" if sign else "", digits, exponent + len(digits) - fixdps - 1
+def _leading_digits(man: int, exp: int, bc: int, count: int):
+    """(d, e) for v = man 2^exp > 0, man of bc bits: d is v's first count
+    decimal digits rounded half up, exactly, an integer in
+    [10^(count-1), 10^count), and e the decimal exponent of its first."""
+    # 2^(exp+bc-1) <= v, and the float product errs by less than one while
+    # |exp + bc| < 2^50, so e starts at most three below the leading
+    # digit's exponent and never above it
+    e = math.floor((exp + bc - 1) * 0.30102999566398120) - 1
+    k = count - e
+    q = man << max(exp, 0)
+    q = q * 10**k if k >= 0 else q // 10**-k
+    q >>= max(-exp, 0)  # floor(v 10^k), floors in any order being one floor
+    top = 10 ** (count + 1)
+    while q >= top:  # until q holds count + 1 digits: then e is exact
+        q //= 10
+        e += 1
+    q = (q + 5) // 10
+    if q == top // 10:  # 99..95 rounds up to the next power of ten
+        return q // 10, e + 1
+    return q, e
 
 
 def to_str(s, dps: int) -> str:
-    """s with dps significant digits, as mpmath's ``nstr(x, dps)`` prints it:
-    digits truncated at dps + 3, rounded half up on the next digit, fixed
+    """s with dps significant digits: its exact value rounded half up, the
+    digits taken in integers at every magnitude (Steele and White's exact
+    method), laid out as mpmath's ``nstr(x, dps)`` lays them out: fixed
     point while the leading digit's decimal exponent lies strictly between
     min(-(dps // 3), -5) and dps, trailing zeros stripped."""
-    if not s[1]:
+    sign, man, exp, bc = s
+    if not man:
         return "0.0"
-    sign, digits, exponent = _to_digits_exp(s, dps + 3)
-    if len(digits) > dps and digits[dps] in "56789":
-        digits = digits[:dps]
-        i = dps - 1
-        while i >= 0 and digits[i] == "9":
-            i -= 1
-        if i >= 0:
-            digits = digits[:i] + str(int(digits[i]) + 1) + "0" * (dps - i - 1)
-        else:
-            digits = "1" + "0" * (dps - 1)
-            exponent += 1
-    else:
-        digits = digits[:dps]
-    if min(-(dps // 3), -5) < exponent < dps:
+    d, exponent = _leading_digits(man, exp, bc, dps)
+    digits, split = str(d), 1
+    if min(-(dps // 3), -5) < exponent < dps:  # fixed point
         if exponent < 0:
             digits = "0" * -exponent + digits
-            split = 1
         else:
             split = exponent + 1
-            if split > dps:
-                digits += "0" * (split - dps)
         exponent = 0
-    else:
-        split = 1
     digits = (digits[:split] + "." + digits[split:]).rstrip("0")
     if digits[-1] == ".":
         digits += "0"
+    sign = "-" if sign else ""
     if exponent == 0:
         return sign + digits
     return f"{sign}{digits}e{'+' if exponent > 0 else ''}{exponent}"

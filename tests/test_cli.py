@@ -396,6 +396,9 @@ GOLDEN_REPORT_SHA256 = {
         "6f220eb0d592f6409cf18c3e7b4eda5c7177a535d075bec966b556fba6bee4cf",
     "perimeter --a 1e-300 --b 3e-301":
         "74395ec01d60b7c62ca11a4d9e9bc4535e564c0450c2622b2fca966bed6d41a0",
+    # theta's width here is printed from a value below 2^-4300
+    "bounds --lambda 5e-324": "4a2865eeea0251b3ccf90af7fc454410be0897f7ac471e6cc525e95927232d5b",
+    "bounds --e 5e-324": "b863852561498b72bf38f52649a6bcaa5af503a16be9666c48a836ae9755e60d",
 }
 
 

@@ -1,8 +1,10 @@
 """The package's binary arithmetic (``_dyadic``) against ``mpmath.libmp``, bit
 for bit: each operation in each of the three directions the package rounds
-(floor, ceiling, nearest), pi, the printer's powers of ten, the printer,
-and the exact value type against mpf values."""
+(floor, ceiling, nearest) and pi.  The printer against exact digits from
+``Fraction`` and ``//``, and against ``nstr``'s layout; the exact value type
+against mpf values."""
 
+import math
 import pickle
 from fractions import Fraction as F
 
@@ -95,27 +97,67 @@ def test_pi_brackets_itself():
         assert dy.mpf_sub(hi, lo) == (0, 1, 2 - prec, 1)  # one ulp of a value in [2, 4)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(-3000, 3000), PRECS, st.sampled_from(["f", "c"]))
-@example(333, 169, "f")  # the last exact power
-@example(334, 169, "c")  # the first by binary powering
-@example(-334, 169, "f")
-def test_power_of_ten_matches_libmp(n, prec, rnd):
-    assert dy._pow_ten(n, prec, rnd) == libmp.mpf_pow_int(libmp.from_int(10), n, prec, rnd)
+def _exact_digits(s, digits: int):
+    """(d, e) from Fraction and //: |s| rounded half up to ``digits``
+    significant digits is d 10^(e - digits + 1), 10^(digits-1) <= d < 10^digits."""
+    v = abs(F(Dyadic.from_raw(s)))
+    e = math.floor(math.log10(v.numerator) - math.log10(v.denominator))
+    while v >= F(10) ** (e + 1):
+        e += 1
+    while v < F(10) ** e:
+        e -= 1
+    d = (v * F(10) ** (digits - 1 - e) + F(1, 2)) // 1
+    if d == 10**digits:
+        d, e = d // 10, e + 1
+    return d, e
+
+
+PRINTER_EXAMPLES = [
+    (libmp.from_man_exp(-999999, 0), 6),
+    (libmp.from_man_exp(1, -4000), 25),
+    (libmp.from_man_exp(12345, 3600), 20),
+    (libmp.from_man_exp((1 << 3999) + 12345, -200), 20),  # 10^-60
+    (libmp.from_man_exp((1 << 3999) + 12345, 100), 20),  # 10^30
+    (libmp.from_man_exp((1 << 3999) + 12345, 0), 20),  # 10^0
+    (libmp.from_man_exp(-(1 << 3999) - 6789, -200), 25),
+    (libmp.from_man_exp(3, 3400), 20),
+    (libmp.from_man_exp(199999, -1), 5),  # 99999.5 rounds up to the next power of ten
+]
+
+
+def _assert_exact(s, digits: int):
+    text = dy.to_str(s, digits)
+    if not s[1]:
+        assert text == "0.0"
+        return
+    d, e = _exact_digits(s, digits)
+    assert F(text) == (-1) ** s[0] * d * F(10) ** (e - digits + 1)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(raws(), raws(max_mag=20000, max_bits=200)), st.sampled_from([6, 20, 25]))
 @example(libmp.fzero, 20)
-@example(libmp.from_man_exp(-999999, 0), 6)
-@example(libmp.from_man_exp(1, -4000), 25)
-@example(libmp.from_man_exp(12345, 3600), 20)
-@example(libmp.from_man_exp((1 << 3999) + 12345, -200), 20)  # 10^-60: a reciprocal power
-@example(libmp.from_man_exp((1 << 3999) + 12345, 100), 20)  # 10^30: an exact power
-@example(libmp.from_man_exp((1 << 3999) + 12345, 0), 20)  # 10^0
-@example(libmp.from_man_exp(-(1 << 3999) - 6789, -200), 25)
-def test_printer_matches_nstr(s, digits):
+def test_printer_digits_are_exact(s, digits):
+    _assert_exact(s, digits)
+
+
+@pytest.mark.parametrize(("s", "digits"), PRINTER_EXAMPLES)
+def test_printer_examples_are_exact_and_laid_out_as_nstr(s, digits):
+    _assert_exact(s, digits)
     assert dy.to_str(s, digits) == nstr(mp.make_mpf(s), digits)
+
+
+def test_printer_needs_no_long_int_to_str(int_digit_cap):
+    # values out to 2^3500 have over 1000 digits before the point; only
+    # the digits shown may be converted
+    values = [libmp.from_man_exp(3, 3400), libmp.from_man_exp(-(1 << 168) - 1, 3330),
+              libmp.from_man_exp(1, 3499), libmp.from_man_exp(5, -3500)]
+    expected = [dy.to_str(s, 20) for s in values]
+    enclosure = engine.Enclosure(Dyadic.from_raw(values[0]), Dyadic.from_raw(values[2]))
+    text = repr(enclosure)
+    with int_digit_cap():
+        assert [dy.to_str(s, 20) for s in values] == expected
+        assert repr(enclosure) == text
 
 
 @pytest.mark.parametrize("text", ["0.1", "-2.5e-3", "1e-450", "7e401", "3/7", "123.4500"])

@@ -175,6 +175,7 @@ def test_error_report_contains_the_references(a, b):
         assert rep.epsilon_enclosure.lo == rep.epsilon_enclosure.hi == 0
         assert rep.theta.contains(F(3, 2**17))
         return
+    assert rep.ramanujan_estimate < rep.epsilon_enclosure.lo  # below by a factor over pi
     if small == 0:
         with mp.workdps(60):
             theta = 4 / mp.pi - mp.mpf(14) / 11
