@@ -76,6 +76,9 @@ _DELTA_E_SCALE = Fraction(1, 2**DELTA_E_EXPONENT)
 # a strict bound passes when the midpoint clears it by more than this many widths
 _MARGIN = 10
 
+# ErrorReport fields whose JSON key is not their name
+_JSON_KEYS = {"lam": "lambda", "ecc": "eccentricity"}
+
 _BOUND_FORM_NOTE = (
     "epsilon = pi*(a+b)*theta(lam)*lam^10 with theta in (3/2^17, 4/pi - 14/11]; "
     "the alternative headline constant (14/11)*(22/7 - pi) equals "
@@ -146,6 +149,10 @@ class ErrorReport(NamedTuple):
     3 a e^20 / 2^36, a strict underestimate of the defect.  Every point
     value is its exact quantity rounded once to nearest at working
     precision.
+
+    The JSON lists the fields in their declared order, under their names
+    or ``_JSON_KEYS``'s: an Enclosure as its ``lo``, ``hi`` and
+    ``regime``, a str as it is, and any other value to 25 digits.
     """
 
     a: object
@@ -163,27 +170,12 @@ class ErrorReport(NamedTuple):
     bound_form_note: str
 
     def to_json_dict(self) -> dict:
-        def real(v) -> str:
-            return _point_str(v, 25)
+        def value(v):
+            if isinstance(v, Enclosure):
+                return {"lo": value(v.lo), "hi": value(v.hi), "regime": v.regime}
+            return v if isinstance(v, str) else _point_str(v, 25)
 
-        def enc(e: Enclosure) -> dict:
-            return {"lo": real(e.lo), "hi": real(e.hi), "regime": e.regime}
-
-        return {
-            "a": real(self.a),
-            "b": real(self.b),
-            "lambda": real(self.lam),
-            "eccentricity": real(self.ecc),
-            "p_enclosure": enc(self.p_enclosure),
-            "p_R": real(self.p_R),
-            "epsilon_enclosure": enc(self.epsilon_enclosure),
-            "lower_bound": real(self.lower_bound),
-            "upper_bound": real(self.upper_bound),
-            "theta": enc(self.theta),
-            "delta_e": enc(self.delta_e),
-            "ramanujan_estimate": real(self.ramanujan_estimate),
-            "bound_form_note": self.bound_form_note,
-        }
+        return {_JSON_KEYS.get(name, name): value(v) for name, v in zip(self._fields, self)}
 
     def to_json(self) -> str:
         import json  # here, so that a command that prints no JSON never loads it
@@ -217,17 +209,17 @@ def error_report(ellipse: Ellipse, tol: float | None = None) -> ErrorReport:
         zero = Dyadic(0)
         eps = Enclosure(zero, zero, EXACT_POINT)
         theta = _THETA_LOWER_POINT
+        delta_e = _delta_e(theta)
         lower = upper = ram = zero
     else:
         x, scale = ((aq - bq) / (aq + bq)) ** 2, (aq - bq) ** 10 / (aq + bq) ** 9  # (a+b) x^5
         d_enc = discrepancy(x)
         eps = _product(d_enc, aq + bq, times_pi=True)
         theta = _product(d_enc, 1 / x**5)
+        delta_e = _delta_e(theta)
         lower, upper = (_nearest(partial(_scaled_bound, up, scale)) for up in (False, True))
         ram = _value(_raw(3 * aq * (1 - (bq / aq) ** 2) ** 10 / 2**36))
-    delta_e = _delta_e(theta)
 
-    if aq != bq:
         # the eccentricity form a delta_e (2a/(a+b))^19 e^20 with e^2 = (a^2 - b^2)/a^2,
         # whose factor is exactly 2^19 (a-b)^10 / (a+b)^9
         e_form = _product(delta_e, 2**DELTA_E_EXPONENT * scale)

@@ -14,10 +14,10 @@ import sys
 from importlib import import_module
 
 # name -> the layer that defines it.  A command binds the names of the
-# layers it uses just before it runs (`_load`), so `coeffs` never imports
-# the numeric layers; module `__getattr__` resolves any of them
-# from outside.  A name already bound here -- rebound by a caller to wrap
-# or replace it -- is left as it is, and is what the command calls.
+# layers its subparser declares just before it runs (`_load`), so `coeffs`
+# never imports the numeric layers; module `__getattr__` resolves any of
+# them from outside.  A name already bound here -- rebound by a caller to
+# wrap or replace it -- is left as it is, and is what the command calls.
 _LAYER_NAMES = {
     **dict.fromkeys((
         "THETA_LOWER", "_delta_e", "_theta_bounds", "_verdict_between",
@@ -80,31 +80,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("--max-n", type=int, required=True, help="sweep A_n vs B_n up to this n (>= 7)")
     v.add_argument("--json", metavar="PATH", default=None, help="also write the certificate to PATH")
+    v.set_defaults(run=_cmd_verify_lemma, layers=("lemma",))
 
     c = sub.add_parser("coeffs", help="exact table of A_n, B_n, delta_n")
     c.add_argument("--n", type=int, required=True, help="highest index to tabulate")
     c.add_argument("--format", choices=("csv", "json"), default="csv")
+    c.set_defaults(run=_cmd_coeffs, layers=("series_kernel",))
 
     p = sub.add_parser("perimeter", help="perimeter enclosure and error report for one ellipse")
     p.add_argument("--a", type=float, required=True, help="first semi-axis")
     p.add_argument("--b", type=float, required=True, help="second semi-axis")
     p.add_argument("--tol", type=float, default=None, help="perimeter enclosure width target")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
+    p.set_defaults(run=_cmd_perimeter, layers=("engine", "bounds"))
 
     b = sub.add_parser("bounds", help="theta/delta bound constants, optional containment check")
     grp = b.add_mutually_exclusive_group()
     grp.add_argument("--e", type=float, default=None, help="eccentricity in [0, 1]")
     grp.add_argument("--lambda", dest="lam", type=float, default=None, help="shape parameter in [0, 1]")
+    b.set_defaults(run=_cmd_bounds, layers=("series_kernel", "engine", "bounds"))
 
     iv = sub.add_parser("ivory-check", help="quadrature vs series residual at one x")
     iv.add_argument("--x", type=float, required=True, help="series argument in [0, 1]")
     iv.add_argument("--tol", type=float, default=1e-12, help="quadrature tolerance")
+    iv.set_defaults(run=_cmd_ivory_check, layers=("engine",))
 
     return parser
 
 
 def _cmd_verify_lemma(args) -> int:
-    _load("lemma")
     cert = verify_fundamental_lemma(args.max_n)
     text = cert.to_json()
     print(text)
@@ -126,7 +130,6 @@ def _cmd_coeffs(args) -> int:
     n = args.n
     if n < 0:
         raise ValueError("--n must be >= 0")
-    _load("series_kernel")
     rows = coeff_rows_str(n)
     out = sys.stdout  # rows are written as they come; the table is never held
     if args.format == "json":
@@ -146,7 +149,6 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_perimeter(args) -> int:
-    _load("engine", "bounds")
     ell = Ellipse(args.a, args.b)
     report = error_report(ell, args.tol)
     verdicts = containment_check(report)
@@ -191,7 +193,6 @@ def _theta_at(lam):
 
 
 def _cmd_bounds(args) -> int:
-    _load("series_kernel", "engine", "bounds")
     lam = args.lam  # everything that can refuse the arguments runs before printing
     if args.e is not None:  # lam is the label; theta comes from lam's enclosure
         lam, lam_enc = lambda_from_eccentricity(args.e), _lambda_enclosure(args.e)
@@ -224,7 +225,6 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_ivory_check(args) -> int:
-    _load("engine")
     x = args.x
     try:
         quad = ivory_integral(x, args.tol)
@@ -250,18 +250,9 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    _load(*args.layers)
     try:
-        if args.command == "verify-lemma":
-            return _cmd_verify_lemma(args)
-        if args.command == "coeffs":
-            return _cmd_coeffs(args)
-        if args.command == "perimeter":
-            return _cmd_perimeter(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "ivory-check":
-            return _cmd_ivory_check(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(args)
     except ValueError as exc:  # domain errors and refused tolerances
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -151,7 +151,7 @@ def _g_real(x):
 
 
 def _g_prime_real(x):
-    return 2 * (2 * x**2 - 7 * x + 1) / (x * (x + 1) * (2 * x - 1) * (2 * x + 3))
+    return 2 * (2 * x - 1) * (2 * x**2 - 7 * x + 1) / ((2 * x - 3) ** 2 * (x + 1) ** 3)
 
 
 def g_min_analysis() -> tuple[Decimal, Decimal]:
@@ -197,7 +197,13 @@ class LemmaCertificate(NamedTuple):
     Booleans are decided by exact rational comparisons; the g-minimum
     fields are the explicitly numeric part of the analysis.  When a check
     fails, ``first_counterexample`` carries the first failing index and
-    witness values; serialization order is fixed.
+    witness values.
+
+    ``all_ok`` holds when every ``bool`` field holds and
+    ``first_counterexample`` is None.  The JSON lists the fields in their
+    declared order, then ``all_ok``; a Fraction prints as ``rational_str``,
+    a Decimal to 25 digits, a tuple or list as a list, and any other value
+    as it is.
     """
 
     n_max: int
@@ -219,42 +225,21 @@ class LemmaCertificate(NamedTuple):
     first_counterexample: dict | None
 
     def all_ok(self) -> bool:
-        return (
-            self.equalities_ok
-            and self.inequalities_ok
-            and self.claim1_ok
-            and self.claim2_ok
-            and self.dominance_ok
-            and self.chain_equivalence_ok
-            and self.routes_ok
-            and self.first_counterexample is None
-        )
+        return self.first_counterexample is None and all(
+            v for v in self if isinstance(v, bool))
 
     def to_json_dict(self) -> dict:
-        def real(v) -> str:
-            with localcontext(_ANALYSIS):  # rounds to 25 digits half-even
-                return format(v, ".25g")
+        def value(v):
+            if isinstance(v, Fraction):
+                return rational_str(v)
+            if isinstance(v, Decimal):
+                with localcontext(_ANALYSIS):  # rounds to 25 digits half-even
+                    return format(v, ".25g")
+            return list(v) if isinstance(v, (tuple, list)) else v
 
-        return {
-            "n_max": self.n_max,
-            "equalities_ok": self.equalities_ok,
-            "inequalities_ok": self.inequalities_ok,
-            "f7_value": rational_str(self.f7_value),
-            "f_monotone_range": list(self.f_monotone_range),
-            "g_min_location": real(self.g_min_location),
-            "g_min_value": real(self.g_min_value),
-            "claim1_worst_ratio": rational_str(self.claim1_worst_ratio),
-            "claim2_ok": self.claim2_ok,
-            "paper_typos_noted": list(self.paper_typos_noted),
-            "claim1_ok": self.claim1_ok,
-            "dominance_ok": self.dominance_ok,
-            "chain_equivalence_ok": self.chain_equivalence_ok,
-            "route_check_max_n": self.route_check_max_n,
-            "routes_ok": self.routes_ok,
-            "claim_sample_indices": list(self.claim_sample_indices),
-            "first_counterexample": self.first_counterexample,
-            "all_ok": self.all_ok(),
-        }
+        doc = {name: value(v) for name, v in zip(self._fields, self)}
+        doc["all_ok"] = self.all_ok()
+        return doc
 
     def to_json(self) -> str:
         import json  # here, so that a command that prints no JSON never loads it

@@ -1,5 +1,6 @@
 """Bounds API tests: optimal constants, error reports, containment checks."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -267,6 +268,19 @@ def test_report_json_schema():
     ]
     assert set(doc["p_enclosure"].keys()) == {"lo", "hi", "regime"}
     assert isinstance(doc["bound_form_note"], str) and doc["bound_form_note"]
+
+
+# SHA-256 of error_report(E).to_json() where no CLI golden reaches: the
+# circle (zero fields, theta at its limit), axes that are not binary, and
+# a near-circle 2^-400 away
+@pytest.mark.parametrize("a, b, digest", [
+    (2, 2, "6dbafb223542fb79693e6763576e6612747f711f71b2ac9af6cff0d32f0d6e0f"),
+    (F(1, 3), F(1, 7), "20ac69fb7b16b9b5548198e2cea890e1077e6551b9e834c5ec12fac1d250c24b"),
+    (1 + F(1, 2**400), 1, "d3f1dfde257ba102b1b7df3cb68d90f56a98817e5324e3e597188a58c2fccf00"),
+])
+def test_report_json_matches_golden_digest(a, b, digest):
+    text = error_report(Ellipse(a, b)).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ------------------------------------- near-circular, non-binary axes

@@ -68,6 +68,15 @@ def test_g_min_analysis_value():
         assert val > 1
 
 
+@pytest.mark.parametrize("x", ["1.6", "2", "3", "7", "50"])
+def test_g_prime_closed_form_is_the_derivative_of_g(x):
+    # g'(2) = -10/9; the closed form must be g' itself, not a function of its sign
+    with decimal.localcontext(decimal.Context(prec=50)):
+        x, h = decimal.Decimal(x), decimal.Decimal("1e-15")
+        slope = (lemma_mod._g_real(x + h) - lemma_mod._g_real(x - h)) / (2 * h)
+        assert abs(lemma_mod._g_prime_real(x) - slope) <= abs(slope) * decimal.Decimal("1e-20")
+
+
 def test_g_min_is_local_minimum():
     loc, val = g_min_analysis()
     with mp.workdps(50):
@@ -287,6 +296,16 @@ def test_fault_in_dominance_is_witnessed(monkeypatch):
         "a_n": "1700394855403981275/302231454903657293676544",
         "lead": "138785264039493225/151115727451828646838272",
     }
+
+
+def test_failing_certificate_matches_golden_digest(monkeypatch):
+    # the JSON of a certificate whose first_counterexample is not null
+    lead, b20 = series_kernel.a_term(20, 19), b_coeff(20)
+    monkeypatch.setattr(lemma_mod, "dyadic_rows", _rows_with(20, lambda _a20: (lead + b20) / 2))
+    cert = verify_fundamental_lemma(30)
+    assert cert.first_counterexample is not None
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == (
+        "b0821c1c15117649f9848fa5c533e758bb56db9d9c9dd305e99d30a304123e57")
 
 
 def test_fault_in_chain_is_witnessed(monkeypatch):
