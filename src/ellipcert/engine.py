@@ -190,8 +190,8 @@ class Enclosure:
     __slots__ = ("lo", "hi", "regime")
 
     def __init__(self, lo, hi, regime: str = ""):
-        if lo > hi:
-            raise ValueError(f"empty enclosure: [{lo}, {hi}]")
+        if not lo <= hi:  # NaN fails every comparison, so a NaN end is refused too
+            raise ValueError(f"{'empty' if lo > hi else 'NaN end in'} enclosure: [{lo}, {hi}]")
         setattr_ = object.__setattr__
         setattr_(self, "lo", lo)
         setattr_(self, "hi", hi)

@@ -1,6 +1,6 @@
 """Machine verification of the coefficient inequality chain, with certificates.
 
-The claims being checked, all in exact rational arithmetic unless noted:
+The claims being checked, all in exact rational arithmetic:
 
   * A_n = B_n for n = 1..4, and A_n < B_n strictly for 5 <= n <= n_max;
   * the explicit terms of A_n alternate in sign and their consecutive
@@ -11,11 +11,9 @@ The claims being checked, all in exact rational arithmetic unless noted:
   * f is strictly decreasing from n = 7 on, because the quotient
     g(k) = f(k)/f(k+1) = 2k/(6k-9) * ((2k-1)/(k+1))^2 exceeds 1.
 
-The one intentionally non-exact piece is `g_min_analysis`, which locates
-the real minimum of g at (7 + sqrt(41))/4 and corroborates the sign
-pattern of g' numerically, in 50-digit decimal arithmetic; everything
-feeding the certificate booleans is decided in exact integer arithmetic,
-by cross-multiplying numerators and positive denominators.
+Every certificate boolean is decided in exact integer arithmetic, by
+cross-multiplying numerators and positive denominators; the informational
+minimum of g is read from integer square roots (`g_min_analysis`).
 
 `verify_fundamental_lemma` is one pass that builds each quantity once,
 each from its own definition: A_n as the (odd numerator, exponent)
@@ -31,7 +29,7 @@ from __future__ import annotations
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
-from math import comb
+from math import comb, isqrt
 from typing import NamedTuple
 
 # a_series_via_composition: unused here, but bench/tracer.py rebinds it here
@@ -47,9 +45,8 @@ __all__ = [
     "verify_fundamental_lemma",
 ]
 
-# the one numeric part of the module runs in its own 50-digit context,
-# fixed here and entered with localcontext, so the caller's decimal
-# context never reaches it
+# the g-minimum reals are rounded and printed in this fixed 50-digit
+# context, never in the caller's
 _ANALYSIS = Context(prec=50)
 
 # Discrepancies between commonly published coefficient values and exact
@@ -146,56 +143,42 @@ def g_val(k: int) -> Fraction:
     return Fraction(*_g_terms(k, f_val(k).as_integer_ratio(), f_val(k + 1).as_integer_ratio()))
 
 
-def _g_real(x):
-    return (2 * x / (6 * x - 9)) * ((2 * x - 1) / (x + 1)) ** 2
+def _sqrt41_rounded(p: int, q: int, r: int) -> Decimal:
+    """(p + q sqrt(41))/r, for r > 0, correctly rounded in `_ANALYSIS`.
 
-
-def _g_prime_real(x):
-    return 2 * (2 * x - 1) * (2 * x**2 - 7 * x + 1) / ((2 * x - 3) ** 2 * (x + 1) ** 3)
+    With s = isqrt(41 * 100^k), s <= 10^k sqrt(41) < s + 1, so the value lies
+    between the quotients for s and s + 1, each rounded once from exact
+    integers.  Rounding is monotone, so when the two agree the value rounds
+    to them; sqrt(41) is irrational, so some k makes them agree.
+    """
+    k = _ANALYSIS.prec
+    while True:
+        s, scale = isqrt(41 * 100**k), 10**k
+        lo = _ANALYSIS.divide(p * scale + q * s, r * scale)
+        if lo == _ANALYSIS.divide(p * scale + q * (s + 1), r * scale):
+            return lo
+        k += _ANALYSIS.prec
 
 
 def g_min_analysis() -> tuple[Decimal, Decimal]:
-    """Locate and evaluate the minimum of g on (3/2, infinity).
+    """The minimum of g on (3/2, infinity), as ``(location, value)``, each a
+    correctly rounded 50-digit Decimal.  Informational: no certificate
+    boolean reads it.
 
-    Returns ``(location, value)`` as 50-digit Decimals, where location =
-    (7 + sqrt(41))/4, the positive root of 2x^2 - 7x + 1.  The value is
-    computed two ways (the closed form 1 + (37 - sqrt(41))/(399 + 69
-    sqrt(41)) and direct evaluation of g) which must agree to 1e-12, and
-    the sign of g' left and right of the minimum is checked both from its
-    rational closed form and by centered finite differences.
+    g'(x) = 2(2x-1)(2x^2-7x+1) / ((2x-3)^2 (x+1)^3), so on (3/2, infinity)
+    g' changes sign only at the root (7 + sqrt(41))/4 of 2x^2 - 7x + 1, from
+    - to +.  There g = 1 + (37 - sqrt(41))/(399 + 69 sqrt(41)) =
+    (767 + 123 sqrt(41))/1500, which exceeds 1 because
+    123^2 * 41 = 620289 > 733^2 = 537289.
     """
-    with localcontext(_ANALYSIS):
-        s41 = Decimal(41).sqrt()
-        location = (7 + s41) / 4
-        closed = 1 + (37 - s41) / (399 + 69 * s41)
-        direct = _g_real(location)
-        if abs(closed - direct) > Decimal("1e-12"):
-            raise ArithmeticError(
-                f"g minimum value disagrees between forms: {closed} vs {direct}"
-            )
-        h = Decimal("1e-12")
-        for probe, want_sign in ((location - Decimal("0.5"), -1),
-                                 (location + Decimal("0.5"), 1)):
-            formula_sign = 1 if _g_prime_real(probe) > 0 else -1
-            fd = (_g_real(probe + h) - _g_real(probe - h)) / (2 * h)
-            fd_sign = 1 if fd > 0 else -1
-            if formula_sign != want_sign or fd_sign != want_sign:
-                raise ArithmeticError(
-                    f"g' sign check failed at x = {probe}: "
-                    f"formula {formula_sign}, finite difference {fd_sign}"
-                )
-        # stationarity at the located minimum, again by finite differences
-        fd_mid = (_g_real(location + h) - _g_real(location - h)) / (2 * h)
-        if abs(fd_mid) > Decimal("1e-8"):
-            raise ArithmeticError(f"g not stationary at {location}: slope {fd_mid}")
-    return location, closed
+    return _sqrt41_rounded(7, 1, 4), _sqrt41_rounded(767, 123, 1500)
 
 
 class LemmaCertificate(NamedTuple):
     """Structured record of which claims were verified and over what range.
 
     Booleans are decided by exact rational comparisons; the g-minimum
-    fields are the explicitly numeric part of the analysis.  When a check
+    fields are correctly rounded reals for information.  When a check
     fails, ``first_counterexample`` carries the first failing index and
     witness values.
 

@@ -490,8 +490,10 @@ def test_discrepancy_ratio_plans_past_the_float_underflow(x):
 
 
 def test_enclosure_invariant():
-    with pytest.raises(ValueError):
-        Enclosure(mp.mpf(2), mp.mpf(1))
+    nan = float("nan")
+    for lo, hi in [(mp.mpf(2), mp.mpf(1)), (nan, 1.0), (0.0, nan), (mp.mpf("nan"), mp.mpf(1))]:
+        with pytest.raises(ValueError):
+            Enclosure(lo, hi)
 
 
 def _mpf_exact(v) -> F:

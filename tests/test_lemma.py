@@ -68,13 +68,60 @@ def test_g_min_analysis_value():
         assert val > 1
 
 
-@pytest.mark.parametrize("x", ["1.6", "2", "3", "7", "50"])
-def test_g_prime_closed_form_is_the_derivative_of_g(x):
-    # g'(2) = -10/9; the closed form must be g' itself, not a function of its sign
-    with decimal.localcontext(decimal.Context(prec=50)):
-        x, h = decimal.Decimal(x), decimal.Decimal("1e-15")
-        slope = (lemma_mod._g_real(x + h) - lemma_mod._g_real(x - h)) / (2 * h)
-        assert abs(lemma_mod._g_prime_real(x) - slope) <= abs(slope) * decimal.Decimal("1e-20")
+def test_g_min_analysis_is_correctly_rounded():
+    # the original forms at 120 digits, then one half-even rounding to 50
+    with decimal.localcontext(decimal.Context(prec=120)):
+        s41 = decimal.Decimal(41).sqrt()
+        want = ((7 + s41) / 4, 1 + (37 - s41) / (399 + 69 * s41))
+    fifty = decimal.Context(prec=50, rounding=decimal.ROUND_HALF_EVEN)
+    got = g_min_analysis()
+    assert [str(fifty.plus(w)) for w in want] == [str(v) for v in got]
+    assert str(got[0]).endswith("1050331553") and str(got[1]).endswith("0077842083")
+
+
+def test_g_minimum_identities_are_exact():
+    def n_(x):
+        return 2 * x * (2 * x - 1) ** 2
+
+    def d_(x):
+        return 3 * (2 * x - 3) * (x + 1) ** 2
+
+    # g = N/D, so g' = (N'D - ND')/D^2; each side below has degree at most
+    # 10, so agreement at 11 points is the identity of g' with its closed form
+    for x in map(F, range(11)):
+        dn = 2 * (2 * x - 1) ** 2 + 8 * x * (2 * x - 1)
+        dd = 6 * (x + 1) ** 2 + 6 * (2 * x - 3) * (x + 1)
+        left = (dn * d_(x) - n_(x) * dd) * (2 * x - 3) ** 2 * (x + 1) ** 3
+        assert left == 2 * (2 * x - 1) * (2 * x**2 - 7 * x + 1) * d_(x) ** 2
+
+    class Q41(tuple):  # p + q sqrt(41), exactly
+        def __new__(cls, p, q=0):
+            return super().__new__(cls, (F(p), F(q)))
+
+        def __add__(self, o):
+            o = o if isinstance(o, Q41) else Q41(o)
+            return Q41(self[0] + o[0], self[1] + o[1])
+
+        def __mul__(self, o):
+            o = o if isinstance(o, Q41) else Q41(o)
+            return Q41(self[0] * o[0] + 41 * self[1] * o[1], self[0] * o[1] + self[1] * o[0])
+
+        __radd__, __rmul__ = __add__, __mul__
+
+        def __sub__(self, o):
+            return self + o * -1
+
+        def __pow__(self, k):
+            return self if k == 1 else self * self ** (k - 1)
+
+    r = Q41(F(7, 4), F(1, 4))
+    assert 2 * r * r - 7 * r + 1 == Q41(0)
+    assert 1500 * n_(r) == Q41(767, 123) * d_(r)
+    assert 1500 * n_(r) != Q41(767, 122) * d_(r)
+    # 1 + (37 - sqrt 41)/(399 + 69 sqrt 41) = (767 + 123 sqrt 41)/1500
+    assert (Q41(767, 123) - 1500) * Q41(399, 69) == 1500 * Q41(37, -1)
+    # so the minimum exceeds 1: 123 sqrt 41 > 1500 - 767 = 733
+    assert 123**2 * 41 == 620289 > 733**2 == 537289
 
 
 def test_g_min_is_local_minimum():
