@@ -27,8 +27,7 @@ from importlib import import_module
 # public name -> the layer that defines it
 _EXPORTS = {
     **dict.fromkeys((
-        "PowerSeries", "ps_mul", "ps_binomial_sqrt", "ps_geom_recip", "b_coeff",
-        "a_series_via_composition", "a_coeff_explicit", "a_term", "delta_coeff",
+        "b_coeff", "a_coeff_explicit", "a_term", "delta_coeff",
         "a_coeffs_upto", "b_coeffs_upto", "delta_coeffs_upto",
     ), "series_kernel"),
     **dict.fromkeys((

@@ -145,7 +145,10 @@ def _mag(num: int, den: int) -> int:
 
 
 def _check_tol(tol) -> Fraction:
-    """The exact value of ``tol``, refused unless positive and finite."""
+    """The exact value of ``tol``, refused unless positive and finite; a
+    string is read first (``_exact_fraction``), a float keeps its bits."""
+    if isinstance(tol, str):
+        tol = _exact_fraction(tol)
     if not tol > 0:  # NaN fails every comparison, so it is refused here too
         raise ValueError("tol must be positive")
     if tol == math.inf:
@@ -171,6 +174,14 @@ def _unit(v, message: str) -> Fraction:
     except ValueError:
         raise ValueError(message) from None
     if not 0 <= q <= 1:
+        raise ValueError(message)
+    return q
+
+
+def _open_unit(v, message: str) -> Fraction:
+    """``_unit``, with 0 refused too: the exact value of v in (0, 1]."""
+    q = _unit(v, message)
+    if q == 0:
         raise ValueError(message)
     return q
 
@@ -441,7 +452,7 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
         raise ValueError("max_terms must be at least 2")
     q = _unit(x, "x must lie in [0, 1]")
     xf = float(q)
-    if _tail_estimate(xf, max_terms) > 2.0 * tol:
+    if _tail_estimate(xf, max_terms) > 2.0 * tol_q:
         raise ToleranceFloorError(
             f"tol={tol} not certifiable within {max_terms} terms at x={xf} "
             f"(achievable floor here is about {_tail_estimate(xf, max_terms):.3g})"
@@ -504,7 +515,7 @@ def ivory_integral(x, tol: float = 1e-12, max_panels: int = 4096) -> float:
     number eval_B produces from the series.
     """
     xf = float(_unit(x, "x must lie in [0, 1]"))
-    _check_tol(tol)
+    tol = float(_check_tol(tol))
     rx = math.sqrt(xf)
 
     def integrand(phi: float) -> float:
@@ -714,9 +725,7 @@ def discrepancy(x, tol=None) -> Enclosure:
     The default tolerance, delta_5 x^5 / 10^9, keeps about nine significant
     digits of Delta; an explicit ``tol`` is always honored.
     """
-    q = _exact_fraction(x)
-    if not 0 < q <= 1:
-        raise ValueError("x must lie in (0, 1]")
+    q = _open_unit(x, "x must lie in (0, 1]")
     tol = _check_tol(_RATIO_TOL * q**5 if tol is None else tol)
     if q <= SERIES_MAX_X:
         # Delta < 1: a precision that follows tol, not Delta < x^5, keeps
@@ -740,16 +749,12 @@ def discrepancy_ratio(x, tol=None) -> Enclosure:
     its product with 1/x^5, rounded outward at a precision that resolves
     that width (``_product``), adds at most a few hundredths of it.
     """
-    q = _exact_fraction(x)
-    if not 0 < q <= 1:
-        raise ValueError("x must lie in (0, 1]")
+    q = _open_unit(x, "x must lie in (0, 1]")
     inner = None if tol is None else _check_tol(tol) * q**5 / 2
     return _product(discrepancy(q, inner), 1 / q**5)
 
 
 def theta_of_lambda(lam, tol=None) -> Enclosure:
     """Enclosure of theta(lam) = Delta(lam^2) / lam^10 for 0 < lam <= 1, from the exact lam."""
-    q = _exact_fraction(lam)
-    if not 0 < q <= 1:
-        raise ValueError("lam must lie in (0, 1]")
+    q = _open_unit(lam, "lam must lie in (0, 1]")
     return discrepancy_ratio(q * q, tol)

@@ -32,10 +32,9 @@ from itertools import islice
 from math import comb, isqrt
 from typing import NamedTuple
 
-# a_series_via_composition: unused here, but bench/tracer.py rebinds it here
-from .series_kernel import (  # noqa: F401
-    a_coeff_explicit, a_series_via_composition, dyadic_rows, rational_str,
-)
+from .series_kernel import a_coeff_explicit, dyadic_rows, rational_str
+# unused here, but bench/tracer.py rebinds it here
+from .series_kernel import a_coeffs_upto as a_series_via_composition  # noqa: F401
 
 __all__ = [
     "LemmaCertificate",

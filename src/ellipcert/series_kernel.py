@@ -44,9 +44,7 @@ Two independent checks stay beside the stream:
   * `a_coeff_explicit` sums the closed-form term expansion;
   * `b_coeff` evaluates the defining product formula directly.
 
-`PowerSeries` with `ps_mul`, `ps_binomial_sqrt` and `ps_geom_recip` is
-the formal series algebra the tests use as an oracle for the stream.  No
-floating point appears anywhere in this module.
+No floating point appears anywhere in this module.
 """
 
 from __future__ import annotations
@@ -59,86 +57,10 @@ from math import comb
 from typing import NamedTuple
 
 __all__ = [
-    "PowerSeries", "ps_mul", "ps_binomial_sqrt", "ps_geom_recip", "b_coeff",
-    "a_series_via_composition", "a_coeff_explicit", "a_term", "delta_coeff",
+    "b_coeff", "a_coeff_explicit", "a_term", "delta_coeff",
     "a_coeffs_upto", "b_coeffs_upto", "delta_coeffs_upto", "DyadicRow", "dyadic_rows",
     "coeff_rows_str", "rational_str",
 ]
-
-
-class PowerSeries:
-    """Truncated formal power series with exact rational coefficients.
-
-    ``coeffs[n]`` holds the coefficient of x^n; the truncation order is
-    ``len(coeffs) - 1`` (inclusive).  Instances are immutable in spirit:
-    operations return new series and never read past either operand's
-    stated order.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        if not cs:
-            raise ValueError("a power series needs at least its constant term")
-        self.coeffs = cs
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.coeffs[n]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
-    def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in self.coeffs[:8])
-        tail = ", ..." if len(self.coeffs) > 8 else ""
-        return f"PowerSeries([{shown}{tail}], order={self.order})"
-
-
-def ps_mul(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    """Exact Cauchy product, truncated at the smaller operand order."""
-    order = min(f.order, g.order)
-    out = [
-        sum((f.coeffs[j] * g.coeffs[k - j] for j in range(k + 1)), Fraction(0))
-        for k in range(order + 1)
-    ]
-    return PowerSeries(out)
-
-
-def ps_binomial_sqrt(c: Fraction, order: int) -> PowerSeries:
-    """Expansion of (1 - c*x)^(1/2) to the given order, exactly.
-
-    The coefficient of x^j for j >= 1 is -C(2j,j) / ((2j-1) 4^j) * c^j.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    c = Fraction(c)
-    out = [Fraction(1)]
-    for j in range(1, order + 1):
-        out.append(-Fraction(comb(2 * j, j), (2 * j - 1) * 4**j) * c**j)
-    return PowerSeries(out)
-
-
-def ps_geom_recip(c: Fraction, order: int) -> PowerSeries:
-    """Expansion of 1 / (c + x) to the given order, exactly; c must be nonzero."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    c = Fraction(c)
-    if c == 0:
-        raise ValueError("1/(c + x) has no power-series expansion at c = 0")
-    return PowerSeries([Fraction((-1) ** k) / c ** (k + 1) for k in range(order + 1)])
 
 
 def b_coeff(n: int) -> Fraction:
@@ -150,17 +72,6 @@ def b_coeff(n: int) -> Fraction:
     if n < 0:
         raise ValueError("n must be >= 0")
     return Fraction(comb(2 * n, n), 4**n * (2 * n - 1)) ** 2
-
-
-def a_series_via_composition(order: int) -> PowerSeries:
-    """Maclaurin expansion of A(x) = 1 + 3x/(10 + sqrt(4-3x)) to the given order.
-
-    The coefficients are read from the exact stream, which expands the
-    closed form (see `dyadic_rows`).
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return PowerSeries(a_coeffs_upto(order))
 
 
 def a_term(n: int, m: int) -> Fraction:

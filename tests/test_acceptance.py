@@ -21,7 +21,7 @@ from mpmath import mp
 from ellipcert import (
     Ellipse,
     a_coeff_explicit,
-    a_series_via_composition,
+    a_coeffs_upto,
     b_coeff,
     delta_coeff,
     delta_e_bounds,
@@ -43,7 +43,7 @@ from ellipcert.cli import cli_main
 
 def test_criterion_1_exact_coefficient_block():
     start = time.time()
-    comp = a_series_via_composition(6)
+    comp = a_coeffs_upto(6)
     exact = [F(1, 4), F(1, 64), F(1, 256), F(25, 16384)]
     published = [F(1, 4), F(1, 16), F(1, 64), F(25, 4096)]
     for n in range(1, 5):
@@ -62,7 +62,7 @@ def test_criterion_1_exact_coefficient_block():
 
 def test_criterion_2_fundamental_lemma_sweep():
     start = time.time()
-    comp = a_series_via_composition(200)
+    comp = a_coeffs_upto(200)
     for n in range(5, 201):
         assert comp[n] < b_coeff(n), f"A_{n} >= B_{n}"
     for n in range(1, 51):

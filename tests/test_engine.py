@@ -256,6 +256,16 @@ def test_a_value_outside_the_domain_is_refused_alike(func, x):
         func(x)
 
 
+@pytest.mark.parametrize("func, arg", [
+    (discrepancy, "x"), (discrepancy_ratio, "x"), (theta_of_lambda, "lam"),
+])
+@pytest.mark.parametrize("x", [math.nan, math.inf, "0.5x", 0, 10**400])
+def test_a_value_outside_the_open_domain_is_refused_alike(func, arg, x):
+    # an unreadable value gets the domain's message, not Fraction's own
+    with pytest.raises(ValueError, match=rf"^{arg} must lie in \(0, 1\]$"):
+        func(x)
+
+
 # -------------------------------------------------------------- perimeter
 
 
@@ -625,4 +635,26 @@ def test_infinite_tolerance_is_rejected(tol):
     ]
     for call in calls:
         with pytest.raises(ValueError, match="tol must be finite"):
+            call()
+
+
+def test_a_decimal_string_tolerance_is_honoured():
+    # a tol enters through the exact reader, as x does
+    for enc, tol in [
+        (eval_B(0.25, "1e-10"), "1e-10"),
+        (perimeter(Ellipse(2, 1), "1e-10"), "1e-10"),
+        (discrepancy(0.5, "1e-20"), "1e-20"),
+    ]:
+        assert enc.width <= F(tol)
+    value = ivory_integral(0.5, "1e-10")
+    assert value == ivory_integral(0.5, 1e-10)
+    assert abs(value - oracle_trig_integral(0.5)) < 1e-10 + QUAD_ERR
+    calls = [
+        lambda: eval_B(0.25, "abc"),
+        lambda: ivory_integral(0.5, "abc"),
+        lambda: perimeter(Ellipse(2, 1), "abc"),
+        lambda: discrepancy(0.5, "abc"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
             call()

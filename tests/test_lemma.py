@@ -216,18 +216,6 @@ def test_large_witness_is_recorded_under_the_int_digit_limit(monkeypatch, int_di
     assert json.loads(text)["first_counterexample"] == cert.first_counterexample
 
 
-def test_lemma_never_calls_the_cauchy_product(monkeypatch):
-    reference = verify_fundamental_lemma(60).to_json()
-
-    def refuse(*args):
-        raise AssertionError("ps_mul called")
-
-    monkeypatch.setattr(series_kernel, "ps_mul", refuse)
-    cert = verify_fundamental_lemma(60)
-    assert cert.all_ok()
-    assert cert.to_json() == reference
-
-
 def test_certificate_independent_of_ambient_precision():
     # every boolean is decided by rational comparisons, so a hostile global
     # precision must not change anything, including the serialized reals

@@ -16,18 +16,13 @@ import pytest
 
 import ellipcert.series_kernel as series_kernel
 from ellipcert import (
-    PowerSeries,
     a_coeff_explicit,
     a_coeffs_upto,
-    a_series_via_composition,
     a_term,
     b_coeff,
     b_coeffs_upto,
     delta_coeff,
     delta_coeffs_upto,
-    ps_binomial_sqrt,
-    ps_geom_recip,
-    ps_mul,
 )
 from ellipcert.series_kernel import (
     _exact_div,
@@ -69,52 +64,8 @@ def test_b_coeff_rejects_negative():
         b_coeff(-1)
 
 
-def test_ps_mul_trivial():
-    one_plus = PowerSeries([1, 1, 0])
-    one_minus = PowerSeries([1, -1, 0])
-    assert ps_mul(one_plus, one_minus).coeffs == [F(1), F(0), F(-1)]
-
-
-def test_ps_mul_truncates_to_min_order():
-    f = PowerSeries([1, 2, 3, 4])
-    g = PowerSeries([5, 6])
-    prod = ps_mul(f, g)
-    assert prod.order == 1
-    assert prod.coeffs == [F(5), F(16)]
-
-
-def test_ps_binomial_sqrt_first_order():
-    s = ps_binomial_sqrt(F(3, 4), 1)
-    assert s.coeffs == [F(1), F(-3, 8)]
-
-
-def test_ps_binomial_sqrt_squares_back():
-    # (1 - cx)^(1/2) squared must reproduce 1 - cx through the full order
-    c = F(3, 4)
-    s = ps_binomial_sqrt(c, 12)
-    sq = ps_mul(s, s)
-    assert sq.coeffs == [F(1), -c] + [F(0)] * 11
-
-
-def test_ps_geom_recip_frozen():
-    r = ps_geom_recip(F(32), 2)
-    assert r.coeffs == [F(1, 32), F(-1, 1024), F(1, 32768)]
-
-
-def test_ps_geom_recip_inverts():
-    r = ps_geom_recip(F(7), 9)
-    lin = PowerSeries([F(7), F(1)] + [F(0)] * 8)
-    assert ps_mul(lin, r).coeffs == [F(1)] + [F(0)] * 9
-
-
-def test_ps_geom_recip_rejects_zero():
-    with pytest.raises(ValueError):
-        ps_geom_recip(F(0), 3)
-
-
 def test_composition_frozen_low_orders():
-    s = a_series_via_composition(6)
-    assert s.coeffs == [
+    assert a_coeffs_upto(6) == [
         F(1),
         F(1, 4),
         F(1, 64),
@@ -126,11 +77,11 @@ def test_composition_frozen_low_orders():
 
 
 def test_composition_order_zero():
-    assert a_series_via_composition(0).coeffs == [F(1)]
+    assert a_coeffs_upto(0) == [F(1)]
 
 
 def test_route_equivalence_through_50():
-    comp = a_series_via_composition(50)
+    comp = a_coeffs_upto(50)
     for n in range(1, 51):
         assert a_coeff_explicit(n) == comp[n]
 
@@ -196,7 +147,7 @@ def test_delta_rejects_negative():
 
 
 def test_equality_block_then_strict_inequality():
-    comp = a_series_via_composition(120)
+    comp = a_coeffs_upto(120)
     for n in range(1, 5):
         assert comp[n] == b_coeff(n)
     for n in range(5, 121):
@@ -218,17 +169,42 @@ def test_claim_ratios_and_signs(n):
 
 
 def test_dominance_of_leading_term():
-    comp = a_series_via_composition(60)
+    comp = a_coeffs_upto(60)
     for n in range(7, 61):
         assert 0 < comp[n] < a_term(n, n - 1)
 
 
+def _cauchy(f, g):
+    """Cauchy product of two coefficient lists, truncated at the shorter."""
+    return [sum(f[j] * g[k - j] for j in range(k + 1)) for k in range(min(len(f), len(g)))]
+
+
+def _root_list(order):
+    """(1 - 3x/4)^(1/2) to x^order: -C(2j,j)/((2j-1) 4^j) (3/4)^j, which is 1 at j = 0."""
+    return [-F(comb(2 * j, j), (2 * j - 1) * 4**j) * F(3, 4) ** j for j in range(order + 1)]
+
+
+def _recip_list(order):
+    """1/(32 + x) to x^order."""
+    return [F((-1) ** k, 32 ** (k + 1)) for k in range(order + 1)]
+
+
 def _composition_by_series_algebra(order):
-    """A(x) = 1 + x (10 - 2 (1 - 3x/4)^(1/2)) / (32 + x), expanded with
-    the O(n^2) Cauchy product: the series-algebra oracle for the table."""
-    root = ps_binomial_sqrt(F(3, 4), order - 1)
-    numer = PowerSeries([F(10) - 2 * root[0]] + [-2 * c for c in root.coeffs[1:]])
-    return [F(1)] + ps_mul(numer, ps_geom_recip(F(32), order - 1)).coeffs
+    """A(x) = 1 + x (10 - 2 (1 - 3x/4)^(1/2)) / (32 + x), expanded on
+    plain coefficient lists: the series-algebra oracle for the stream."""
+    numer = [-2 * c for c in _root_list(order - 1)]
+    numer[0] += 10
+    return [F(1)] + _cauchy(numer, _recip_list(order - 1))
+
+
+def test_series_algebra_oracle_inverts_its_parts():
+    # the oracle's two factors checked on their own, so a fault in them
+    # cannot cancel a fault in the stream
+    order = 60
+    root = _root_list(order)
+    assert _cauchy(root, root) == [F(1), F(-3, 4)] + [F(0)] * (order - 1)
+    linear = [F(32), F(1)] + [F(0)] * (order - 1)
+    assert _cauchy(linear, _recip_list(order)) == [F(1)] + [F(0)] * order
 
 
 def test_caches_match_definitional_routes():
@@ -244,8 +220,8 @@ def test_caches_match_definitional_routes():
 
 
 def test_determinism():
-    first = a_series_via_composition(30)
-    second = a_series_via_composition(30)
+    first = a_coeffs_upto(30)
+    second = a_coeffs_upto(30)
     assert first == second
     assert a_coeffs_upto(40) == a_coeffs_upto(40)
 
