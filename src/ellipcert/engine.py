@@ -146,9 +146,19 @@ def _mag(num: int, den: int) -> int:
 
 def _check_tol(tol) -> Fraction:
     """The exact value of ``tol``, refused unless positive and finite; a
-    string is read first (``_exact_fraction``), a float keeps its bits."""
+    string is read first (``_exact_fraction``), a float keeps its bits; a
+    NaN or infinity spelling is refused as its float is."""
     if isinstance(tol, str):
-        tol = _exact_fraction(tol)
+        text = tol
+        try:
+            tol = _exact_fraction(text)
+        except ValueError:
+            try:
+                tol = float(text)
+            except ValueError:
+                tol = 0.0
+            if math.isfinite(tol):  # neither an exact number nor NaN nor infinity
+                raise ValueError(f"tol must be a number, not {text!r}") from None
     if not tol > 0:  # NaN fails every comparison, so it is refused here too
         raise ValueError("tol must be positive")
     if tol == math.inf:

@@ -15,13 +15,14 @@ Every certificate boolean is decided in exact integer arithmetic, by
 cross-multiplying numerators and positive denominators; the informational
 minimum of g is read from integer square roots (`g_min_analysis`).
 
-`verify_fundamental_lemma` is one pass that builds each quantity once,
-each from its own definition: A_n as the (odd numerator, exponent)
-integers of the exact O(n) stream (`dyadic_rows`), which expands the
-closed form; C(2m, m) once per m by `math.comb`, and from it B_n by its
-product formula, the explicit terms a_m of `a_term` and f(n).  The
-streamed A_n is also cross-checked against the explicit term sum for
-n <= 50.  No two sides of a comparison share a recurrence.
+`verify_fundamental_lemma` is one walk over the rows that decides each
+check of row n as the row is made, so its memory does not grow with
+n_max.  It builds each quantity once, from its own definition: A_n from
+the exact O(n) stream (`dyadic_rows`), which expands the closed form;
+C(2n, n) once per n by `math.comb`, and from it B_n, the term magnitudes
+of `a_term` and f(n) by their product formulas.  The streamed A_n is also
+cross-checked against the explicit term sum for n <= 50.  No two sides
+of a comparison share a recurrence.
 """
 
 from __future__ import annotations
@@ -96,6 +97,13 @@ def _b_terms(n: int, central: int) -> tuple[int, int, int]:
     """B_n = [C(2n,n) / (4^n (2n-1))]^2 as a scaled value, given
     central = C(2n, n)."""
     return central * central, (2 * n - 1) ** 2, 4 * n
+
+
+def _w_terms(m: int, central: int) -> tuple[int, int]:
+    """The term magnitude w_m = |a_m| 2^(5n-3), which does not depend on n,
+    as (numerator, denominator), given central = C(2m, m): w_0 = 1 and
+    w_m = C(2m,m) 6^m / (4(2m-1)) for m >= 1."""
+    return (1, 1) if m == 0 else (central * 6**m, 4 * (2 * m - 1))
 
 
 def _f_terms(n: int, central: int) -> tuple[int, int]:
@@ -230,63 +238,60 @@ class LemmaCertificate(NamedTuple):
 
 
 def _claim_samples(n_max: int) -> list[int]:
-    # small n densely, then geometric spacing; deterministic for a given n_max
-    base = set(range(5, min(n_max, 16) + 1))
-    n = 16
-    while n < n_max:
-        n *= 2
-        if n <= n_max:
-            base.add(n)
-    base.add(n_max)
-    return sorted(base)
+    # n = 5..16 densely, then the powers of two from 32 up, and n_max itself
+    return sorted({*range(5, min(n_max, 16) + 1),
+                   *(1 << i for i in range(5, n_max.bit_length())), n_max})
 
 
 def verify_fundamental_lemma(n_max: int) -> LemmaCertificate:
     """Run the full exact verification up to n_max (n_max >= 7).
 
-    Checks, in order: A_n = B_n for n = 1..4; A_n < B_n for 5 <= n <= n_max;
-    term-ratio and sign-alternation claims on a deterministic sample of n;
-    0 < A_n < a_(n-1) and a_(n-1) < B_n for 7 <= n <= n_max; the exact
-    equivalence (f(n) < 1) <=> (a_(n-1) < B_n) together with the identity
-    f(n) = a_(n-1)/B_n; strict decrease of f via g(k) > 1; and agreement of
-    the streamed A_n with the explicit term sum for n <= min(50, n_max).
+    One walk over the rows n = 0, ..., n_max decides at row n each check
+    that the row closes, in this order:
 
-    One pass builds each quantity once, from its own definition:
+      * A_n = B_n for n = 1..4, and A_n < B_n strictly from n = 5;
+      * at each sample index n (`claim_sample_indices`), claim 1, that
+        |a_(m-1)/a_m| = w_(m-1)/w_m = m/(12(2m-3)) <= 1/6 for 2 <= m < n
+        and |a_0/a_1| = 1/3, and claim 2, that w_0, ..., w_(n-1) > 0, so
+        the terms alternate in sign from a positive lead term;
+      * from n = 7, 0 < A_n < a_(n-1) (dominance), and
+        (f(n) < 1) <=> (a_(n-1) < B_n) with f(n) = a_(n-1)/B_n (chain);
+      * from n = 8, g(n-1) > 1, so f decreases strictly (in the chain);
+      * for n <= min(50, n_max), the streamed A_n equals the explicit sum.
 
-      * A_n as (odd numerator, exponent), value num / 2**exp, from the
-        exact O(n) stream (`dyadic_rows`), which expands the closed form;
-      * C(2m, m) once per m <= n_max, by `math.comb`;
-      * B_n from the shared C(2n, n) by its product formula (`_b_terms`),
-        unreduced, without a gcd;
-      * the term magnitudes w_m = |a_m| 2^(5n-3) = C(2m,m) 6^m / (4(2m-1))
-        (w_0 = 1) of `a_term`, which do not depend on n, so each ratio
-        verdict is decided once per m and every sample n reads it;
-      * the lead term a_(n-1) = w_(n-1) / 2^(5n-3);
-      * f(n) for 7 <= n <= n_max from its product formula.
+    Row n builds each quantity once, from its own definition: A_n as (odd
+    numerator, exponent) from the exact O(n) stream (`dyadic_rows`), which
+    expands the closed form; C(2n, n) by `math.comb`, and from it B_n
+    (`_b_terms`, unreduced), the term magnitude w_n (`_w_terms`) and f(n)
+    (`_f_terms`) by their product formulas; the lead term a_(n-1) is
+    w_(n-1) / 2^(5n-3).  Between rows the walk keeps w_(n-1), f(n-1), f(7)
+    and the first claim faults, each noted at the first sample index above
+    its m, so its memory does not grow with n_max.  No claim is checked on
+    values grown by the recurrence it asserts, and A_n and B_n share no
+    recurrence.  Every comparison is an integer shift or cross-
+    multiplication; a Fraction is built only for a witness or a printed
+    field.
 
-    No claim is checked on values grown by the recurrence it asserts, and
-    A_n and B_n share no recurrence.  Every comparison is an integer shift
-    or cross-multiplication of numerators and positive denominators; a
-    Fraction is built only for a recorded witness or a printed field.
-
-    Failures are recorded in the certificate, never raised; only a g(k)
-    that differs from its closed form raises ArithmeticError, as in `g_val`.
+    Failures are recorded, never raised: each ``*_ok`` field states its
+    claim over its whole range, and ``first_counterexample`` is the first
+    failure along the walk, at the smallest index and, at one index, in
+    the order above; with one fault, or faults whose indices follow that
+    order, that is the first failure of the first failing check.  Only a
+    g(k) that differs from its closed form raises ArithmeticError, as in
+    `g_val`.
     """
     if n_max < 7:
         raise ValueError("verification needs n_max >= 7")
+    samples = _claim_samples(n_max)
+    route_max = min(50, n_max)
 
-    # A_n, B_n and a_(n-1) as scaled values (`_sides`)
-    a = [(num, 1, exp) for (num, exp), _b, _d in islice(dyadic_rows(), n_max + 1)]
-    central = [comb(2 * m, m) for m in range(n_max + 1)]
-    b = [_b_terms(n, central[n]) for n in range(n_max + 1)]
-    # (numerator, denominator) pairs; every denominator is positive
-    w = [(1, 1)] + [(central[m] * 6**m, 4 * (2 * m - 1)) for m in range(1, n_max)]
-    f = {n: _f_terms(n, central[n]) for n in range(7, n_max + 1)}
-
+    ok = dict.fromkeys(("equalities_ok", "inequalities_ok", "claim1_ok", "claim2_ok",
+                        "dominance_ok", "chain_equivalence_ok", "routes_ok"), True)
     first: dict | None = None
 
-    def note(check: str, index: int, **witness) -> None:
+    def fail(field: str, check: str, index: int, **witness) -> None:
         nonlocal first
+        ok[field] = False
         if first is None:
             first = {"check": check, "index": index}
             first.update({
@@ -294,110 +299,88 @@ def verify_fundamental_lemma(n_max: int) -> LemmaCertificate:
                 for k, v in witness.items()
             })
 
-    equalities_ok = True
-    for n in range(1, 5):
-        left, right = _sides(a[n], b[n])
-        if left != right:
-            equalities_ok = False
-            note("equality A_n = B_n", n, a_n=_fraction(a[n]), b_n=_fraction(b[n]))
-            break
+    worst = (0, 1)  # the largest ratio w_(m-1)/w_m over 2 <= m < n_max
+    ratio_fault = None  # (m, num, den) of the smallest m >= 2 whose ratio fails
+    ratio01_fault = None  # w_0/w_1 as (num, den), unless it is 1/3
+    sign_fault = False  # some w_m <= 0
+    w_prev = f_prev = f7 = None
+    for n, ((a_num, a_exp), _b, _d) in enumerate(islice(dyadic_rows(), n_max + 1)):
+        central = comb(2 * n, n)
+        # A_n, B_n and a_(n-1) are scaled values (`_sides`); w_n and f(n)
+        # are (numerator, denominator) pairs with positive denominators
+        a, b, w = (a_num, 1, a_exp), _b_terms(n, central), _w_terms(n, central)
 
-    inequalities_ok = True
-    for n in range(5, n_max + 1):
-        left, right = _sides(a[n], b[n])
-        if not left < right:
-            inequalities_ok = False
-            note("strict inequality A_n < B_n", n, a_n=_fraction(a[n]), b_n=_fraction(b[n]))
-            break
+        left, right = _sides(a, b)
+        if 1 <= n <= 4 and left != right:
+            fail("equalities_ok", "equality A_n = B_n", n,
+                 a_n=_fraction(a), b_n=_fraction(b))
+        if n >= 5 and not left < right:
+            fail("inequalities_ok", "strict inequality A_n < B_n", n,
+                 a_n=_fraction(a), b_n=_fraction(b))
 
-    # claim 1, once per m: |a_(m-1)/a_m| = w_(m-1)/w_m = m/(12(2m-3)) <= 1/6;
-    # sample n reads the verdicts of m <= n-1, so the worst ratio over the
-    # samples is the worst over 2 <= m <= n_max - 1
-    bad_ratio = None  # (m, num, den) of the smallest failing m
-    worst = (0, 1)
-    for m in range(2, n_max):
-        num, den = w[m - 1][0] * w[m][1], w[m - 1][1] * w[m][0]
-        if bad_ratio is None and (num * 12 * (2 * m - 3) != den * m or 6 * num > den):
-            bad_ratio = (m, num, den)
-        if num * worst[1] > worst[0] * den:
-            worst = (num, den)
-    ratio01 = (w[0][0] * w[1][1], w[0][1] * w[1][0])
-    # claim 2: a_m = (-1)^(n-1-m) w_m / 2^(5n-3), so a_(n-1) > 0 and the
-    # signs alternate exactly when w_0, ..., w_(n-1) are all positive
-    first_nonpositive = next((m for m, (num, _den) in enumerate(w) if num <= 0), n_max)
+        if n in samples:
+            if ratio_fault is not None:
+                m, num, den = ratio_fault
+                fail("claim1_ok", "claim 1 ratio", n, m=m, ratio=Fraction(num, den))
+            if ratio01_fault is not None:
+                fail("claim1_ok", "claim 1 ratio a_0/a_1", n, ratio=Fraction(*ratio01_fault))
+            if sign_fault:
+                fail("claim2_ok", "claim 2 sign alternation", n)
 
-    samples = _claim_samples(n_max)
-    claim1_ok = True
-    claim2_ok = True
-    for n in samples:
-        if bad_ratio is not None and bad_ratio[0] < n:
-            claim1_ok = False
-            m, num, den = bad_ratio
-            note("claim 1 ratio", n, m=m, ratio=Fraction(num, den))
-        if 3 * ratio01[0] != ratio01[1]:
-            claim1_ok = False
-            note("claim 1 ratio a_0/a_1", n, ratio=Fraction(*ratio01))
-        if first_nonpositive < n:
-            claim2_ok = False
-            note("claim 2 sign alternation", n)
+        if n >= 7:
+            lead = (*w_prev, 5 * n - 3)
+            left, right = _sides(a, lead)
+            if not (0 < a_num and left < right):
+                fail("dominance_ok", "dominance 0 < A_n < a_(n-1)", n,
+                     a_n=_fraction(a), lead=_fraction(lead))
+            f_num, f_den = f = _f_terms(n, central)
+            f_below_one = f_num < f_den
+            lead_b = _sides(lead, b)
+            fb_lead = _sides((f_num * b[0], f_den * b[1], b[2]), lead)  # f(n) B_n vs a_(n-1)
+            if (f_below_one != (lead_b[0] < lead_b[1])
+                    or fb_lead[0] != fb_lead[1]  # f(n) = a_(n-1)/B_n
+                    or not f_below_one):
+                fail("chain_equivalence_ok", "chain f(n) < 1 <=> a_(n-1) < B_n", n,
+                     f_n=Fraction(f_num, f_den))
+            if n == 7:
+                f7 = f
+            else:
+                g_num, g_den = _g_terms(n - 1, f_prev, f)  # raises unless it is the closed form
+                # g(n-1) > 1 and f(n-1) > f(n) cross-multiply to the same integers
+                if not g_num > g_den:
+                    fail("chain_equivalence_ok", "f strictly decreasing", n,
+                         f_prev=Fraction(*f_prev), f_cur=Fraction(*f))
+            f_prev = f
 
-    dominance_ok = True
-    chain_ok = True
-    for n in range(7, n_max + 1):
-        lead = (*w[n - 1], 5 * n - 3)
-        left, right = _sides(a[n], lead)
-        if not (0 < a[n][0] and left < right):
-            dominance_ok = False
-            note("dominance 0 < A_n < a_(n-1)", n, a_n=_fraction(a[n]), lead=_fraction(lead))
-            break
-        (f_num, f_den), (b_num, b_den, b_exp) = f[n], b[n]
-        f_below_one = f_num < f_den
-        lead_b = _sides(lead, b[n])
-        fb_lead = _sides((f_num * b_num, f_den * b_den, b_exp), lead)  # f(n) B_n vs a_(n-1)
-        if (f_below_one != (lead_b[0] < lead_b[1])
-                or fb_lead[0] != fb_lead[1]  # f(n) = a_(n-1)/B_n
-                or not f_below_one):
-            chain_ok = False
-            note("chain f(n) < 1 <=> a_(n-1) < B_n", n, f_n=Fraction(f_num, f_den))
-            break
+        if 1 <= n <= route_max and a_coeff_explicit(n).as_integer_ratio() != (a_num, 1 << a_exp):
+            fail("routes_ok", "route equivalence explicit = composition", n)
 
-    f_monotone_ok = True
-    for k in range(7, n_max):
-        g_num, g_den = _g_terms(k, f[k], f[k + 1])  # raises unless it is the closed form
-        # g(k) > 1 and f(k) > f(k+1) cross-multiply to the same integers
-        if not g_num > g_den:
-            f_monotone_ok = False
-            note("f strictly decreasing", k + 1, f_prev=Fraction(*f[k]), f_cur=Fraction(*f[k + 1]))
-            break
-    chain_ok = chain_ok and f_monotone_ok
-
-    route_max = min(50, n_max)
-    routes_ok = True
-    for n in range(1, route_max + 1):
-        num, _one, exp = a[n]
-        if a_coeff_explicit(n).as_integer_ratio() != (num, 1 << exp):
-            routes_ok = False
-            note("route equivalence explicit = composition", n)
-            break
+        # the claims read w_m for m < n_max, and a fault at m waits for the
+        # next sample index, so w_n is judged after row n's notes
+        if 1 <= n < n_max:
+            num, den = w_prev[0] * w[1], w_prev[1] * w[0]  # w_(n-1)/w_n
+            if n == 1:
+                ratio01_fault = (num, den) if 3 * num != den else None
+            else:
+                if ratio_fault is None and (num * 12 * (2 * n - 3) != den * n or 6 * num > den):
+                    ratio_fault = n, num, den
+                if num * worst[1] > worst[0] * den:
+                    worst = num, den
+        sign_fault = sign_fault or (n < n_max and w[0] <= 0)
+        w_prev = w
 
     g_loc, g_min = g_min_analysis()
 
     return LemmaCertificate(
         n_max=n_max,
-        equalities_ok=equalities_ok,
-        inequalities_ok=inequalities_ok,
-        f7_value=Fraction(*f[7]),
+        f7_value=Fraction(*f7),
         f_monotone_range=(7, n_max),
         g_min_location=g_loc,
         g_min_value=g_min,
         claim1_worst_ratio=Fraction(*worst),
-        claim2_ok=claim2_ok,
         paper_typos_noted=list(_PUBLISHED_VALUE_NOTES),
-        claim1_ok=claim1_ok,
-        dominance_ok=dominance_ok,
-        chain_equivalence_ok=chain_ok,
         route_check_max_n=route_max,
-        routes_ok=routes_ok,
         claim_sample_indices=samples,
         first_counterexample=first,
+        **ok,
     )

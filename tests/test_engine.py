@@ -638,6 +638,21 @@ def test_infinite_tolerance_is_rejected(tol):
             call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda tol: eval_B(0.25, tol),
+    lambda tol: perimeter(Ellipse(2, 1), tol),
+    lambda tol: discrepancy(0.5, tol),
+    lambda tol: ivory_integral(0.5, tol),
+], ids=["eval_B", "perimeter", "discrepancy", "ivory_integral"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "abc"])
+def test_an_unreadable_string_tolerance_is_refused_as_a_tolerance(call, tol):
+    # "nan" and "inf" are refused as their floats are; any other string
+    # that is no decimal number is refused as a tol, not as a Fraction literal
+    want = {"nan": "^tol must be positive", "inf": "^tol must be finite"}.get(tol, "^tol must be")
+    with pytest.raises(ValueError, match=want):
+        call(tol)
+
+
 def test_a_decimal_string_tolerance_is_honoured():
     # a tol enters through the exact reader, as x does
     for enc, tol in [

@@ -383,3 +383,76 @@ def test_sweep_builds_each_binomial_once(monkeypatch, n):
     monkeypatch.setattr(series_kernel, "comb", counting)
     assert verify_fundamental_lemma(n).all_ok()
     assert calls <= n + 1 + 1225
+
+
+def _w_with(index, change):
+    """lemma's term magnitudes with w_index replaced by change(num, den)."""
+    original = lemma_mod._w_terms
+
+    def patched(m, central):
+        terms = original(m, central)
+        return change(*terms) if m == index else terms
+
+    return patched
+
+
+def test_fault_in_claim1_ratio_is_witnessed(monkeypatch):
+    # w_10 doubled: both ratios beside it are wrong, and a claim-1 failure
+    # at m is noted at the first sample index above m
+    monkeypatch.setattr(lemma_mod, "_w_terms", _w_with(10, lambda num, den: (2 * num, den)))
+    cert = verify_fundamental_lemma(30)
+    assert not cert.claim1_ok and cert.claim2_ok
+    assert cert.first_counterexample == {
+        "check": "claim 1 ratio", "index": 11, "m": "10", "ratio": "5/204",
+    }
+
+
+def test_fault_in_claim1_first_ratio_is_witnessed(monkeypatch):
+    # w_0 halved: |a_0/a_1| is 1/6, not 1/3; nothing else reads w_0
+    monkeypatch.setattr(lemma_mod, "_w_terms", _w_with(0, lambda num, den: (num, 2 * den)))
+    cert = verify_fundamental_lemma(30)
+    assert not cert.claim1_ok
+    assert cert.claim2_ok and cert.dominance_ok and cert.chain_equivalence_ok
+    assert cert.first_counterexample == {
+        "check": "claim 1 ratio a_0/a_1", "index": 5, "ratio": "1/6",
+    }
+
+
+def test_fault_in_claim2_sign_is_witnessed(monkeypatch):
+    # a negative w_10 breaks the sign alternation, the ratios beside it and
+    # the dominance of the lead term at n = 11; claim 1 is noted first
+    monkeypatch.setattr(lemma_mod, "_w_terms", _w_with(10, lambda num, den: (-num, den)))
+    cert = verify_fundamental_lemma(30)
+    assert not cert.claim2_ok and not cert.claim1_ok and not cert.dominance_ok
+    assert cert.first_counterexample == {
+        "check": "claim 1 ratio", "index": 11, "m": "10", "ratio": "-5/102",
+    }
+
+
+def test_fault_in_f_monotone_is_witnessed(monkeypatch):
+    # g(20) reported as its reciprocal: f(20) > f(21) is no longer shown
+    original = lemma_mod._g_terms
+
+    def patched(k, fk, fk1):
+        num, den = original(k, fk, fk1)
+        return (den, num) if k == 20 else (num, den)
+
+    monkeypatch.setattr(lemma_mod, "_g_terms", patched)
+    cert = verify_fundamental_lemma(30)
+    assert not cert.chain_equivalence_ok
+    assert cert.dominance_ok and cert.claim1_ok and cert.claim2_ok and cert.inequalities_ok
+    assert cert.first_counterexample == {
+        "check": "f strictly decreasing",
+        "index": 21,
+        "f_prev": "387420489/4359249202",
+        "f_cur": "8135830269/113778087280",
+    }
+
+
+def test_verifier_memory_does_not_grow_with_n_max(traced_peak_mb):
+    # one walk keeps only row n - 1: five held tables of n_max + 1 big
+    # integers peaked near 2.2 MB at n_max = 1200
+    peak = traced_peak_mb("import ellipcert.lemma as lemma\n"
+                          "tracemalloc.reset_peak()\n"
+                          "lemma.verify_fundamental_lemma(1200)")
+    assert peak < 0.1, peak
