@@ -12,8 +12,10 @@ three directions the package uses: ``round_floor`` and ``round_ceiling``
 for the outward enclosures, ``round_nearest`` (ties to even) for the point
 values.  Without a precision, ``mpf_add``, ``mpf_sub`` and ``mpf_mul`` are
 exact, and ``mpf_shift`` always is.  Add, sub, mul, div and sqrt are
-correctly rounded (add as libmp adds: an operand far below the other's top
-bit counts only as a sticky bit), and ``mpf_lt``/``mpf_le`` are exact.
+correctly rounded, each by one path: it forms its result exactly (div and
+sqrt to a few bits past ``prec``, with a sticky bit for what lies below)
+and rounds once.  ``mpf_lt`` and ``mpf_le`` read the sign of the exact
+difference.
 
 pi comes from an integer series (Machin's formula) with an error bound,
 exact to the floor at the precision asked.  ``to_str`` prints a value's
@@ -101,12 +103,8 @@ def mpf_add(s, t, prec: int = 0, rnd=round_floor, _sub: int = 0):
     if not tman:
         return mpf_pos(s, prec or sbc, rnd)
     if sexp < texp:  # s is the one with the larger exponent from here on
-        ssign, sman, sexp, sbc, tsign, tman, texp, tbc = tsign, tman, texp, tbc, ssign, sman, sexp, sbc
+        ssign, sman, sexp, tsign, tman, texp = tsign, tman, texp, ssign, sman, sexp
     offset = sexp - texp
-    if offset > 100 and prec and sbc + sexp - tbc - texp > prec + 4:
-        # t lies wholly below the rounding position: it counts as a sticky bit
-        man = (sman << (prec + 4)) + (1 if tsign == ssign else -1)
-        return _round(ssign, man, sexp - prec - 4, man.bit_length(), prec, rnd)
     if ssign == tsign:
         man, sign = tman + (sman << offset), ssign
     else:
@@ -143,8 +141,6 @@ def mpf_div(s, t, prec: int, rnd):
     if not sman:
         return fzero
     sign = ssign ^ tsign
-    if tman == 1:
-        return _round(sign, sman, sexp - texp, sbc, prec, rnd)
     extra = max(prec - sbc + tbc + 5, 5)
     quot, rem = divmod(sman << extra, tman)
     if rem:
@@ -164,8 +160,6 @@ def mpf_sqrt(s, prec: int, rnd):
         exp -= 1
         man <<= 1
         bc += 1
-    elif man == 1:
-        return _round(sign, man, exp // 2, bc, prec, rnd)
     shift = max(4, 2 * prec - bc + 4)
     shift += shift & 1
     root = math.isqrt(man << shift)
@@ -176,14 +170,13 @@ def mpf_sqrt(s, prec: int, rnd):
 
 
 def mpf_lt(s, t) -> bool:
-    """s < t, exactly: the sign of s - t (``mpf_sub``, one call fewer),
-    which no rounding changes."""
-    return mpf_add(s, t, 2, round_floor, 1)[0] == 1
+    """s < t: the exact s - t is negative."""
+    return mpf_sub(s, t)[0] == 1
 
 
 def mpf_le(s, t) -> bool:
-    """s <= t, exactly: t - s is not negative."""
-    return mpf_add(t, s, 2, round_floor, 1)[0] == 0
+    """s <= t: the exact t - s is not negative."""
+    return mpf_sub(t, s)[0] == 0
 
 
 # -- pi: floor(pi * 2^prec), exactly, from an integer series ------------------

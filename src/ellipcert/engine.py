@@ -461,12 +461,15 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
     if max_terms < 2:
         raise ValueError("max_terms must be at least 2")
     q = _unit(x, "x must lie in [0, 1]")
-    xf = float(q)
-    if _tail_estimate(xf, max_terms) > 2.0 * tol_q:
-        raise ToleranceFloorError(
-            f"tol={tol} not certifiable within {max_terms} terms at x={xf} "
-            f"(achievable floor here is about {_tail_estimate(xf, max_terms):.3g})"
-        )
+
+    def refusal(floor) -> ToleranceFloorError:  # floor: a raw value
+        return ToleranceFloorError(
+            f"tol={tol} not certifiable within {max_terms} terms at x={to_str(_raw(q), 10)} "
+            f"(achievable floor here is about {to_str(floor, 5)})")
+
+    estimate = _tail_estimate(float(q), max_terms)
+    if estimate > 2.0 * tol_q:
+        raise refusal(_raw(estimate))
     prec = max(53, 54 - _mag(*tol_q.as_integer_ratio()))
     limit = _bounds(tol_q, 53)[0]  # no larger than tol
     (x_lo, x_hi), one_minus = _bounds(q, prec), _bounds(1 - q, prec)[0]
@@ -486,11 +489,7 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
                 if mpf_le(mpf_sub(top, s_lo), limit):  # mpf_sub without a precision is exact
                     return _enclosure(s_lo, top, regime)
         n += 1
-    floor, _ = _tail_bound(max_terms, hi, one_minus, prec)
-    raise ToleranceFloorError(
-        f"tol={tol} not certifiable within {max_terms} terms at x={to_str(_raw(q), 10)} "
-        f"(achievable floor here is about {to_str(floor, 5)})"
-    )
+    raise refusal(_tail_bound(max_terms, hi, one_minus, prec)[0])
 
 
 # fixed-order 15-point Gauss-Legendre rule used on every adaptive panel:

@@ -106,6 +106,12 @@ def _w_terms(m: int, central: int) -> tuple[int, int]:
     return (1, 1) if m == 0 else (central * 6**m, 4 * (2 * m - 1))
 
 
+def _ratio(num: int, den: int):
+    """The witness of a term ratio num/den: a Fraction, or "1/0" or "-1/0"
+    when a zero term w_m makes it infinite."""
+    return Fraction(num, den) if den else f"{-1 if num < 0 else 1}/0"
+
+
 def _f_terms(n: int, central: int) -> tuple[int, int]:
     """f(n) as (numerator, denominator), given central = C(2n, n)."""
     return n * (2 * n - 1) * 3 ** (n - 1), 2 * (2 * n - 3) * central
@@ -259,26 +265,28 @@ def verify_fundamental_lemma(n_max: int) -> LemmaCertificate:
       * from n = 8, g(n-1) > 1, so f decreases strictly (in the chain);
       * for n <= min(50, n_max), the streamed A_n equals the explicit sum.
 
-    Row n builds each quantity once, from its own definition: A_n as (odd
-    numerator, exponent) from the exact O(n) stream (`dyadic_rows`), which
-    expands the closed form; C(2n, n) by `math.comb`, and from it B_n
-    (`_b_terms`, unreduced), the term magnitude w_n (`_w_terms`) and f(n)
-    (`_f_terms`) by their product formulas; the lead term a_(n-1) is
-    w_(n-1) / 2^(5n-3).  Between rows the walk keeps w_(n-1), f(n-1), f(7)
-    and the first claim faults, each noted at the first sample index above
-    its m, so its memory does not grow with n_max.  No claim is checked on
-    values grown by the recurrence it asserts, and A_n and B_n share no
-    recurrence.  Every comparison is an integer shift or cross-
-    multiplication; a Fraction is built only for a witness or a printed
-    field.
+    Row n builds each quantity once, from its own definition: A_n as
+    (numerator, exponent), unreduced, from the exact O(n) stream
+    (`dyadic_rows`), which expands the closed form; C(2n, n) by
+    `math.comb`, and from it B_n (`_b_terms`, unreduced), the term
+    magnitude w_n (`_w_terms`) and f(n) (`_f_terms`) by their product
+    formulas; the lead term a_(n-1) is w_(n-1) / 2^(5n-3).  Between rows
+    the walk keeps w_(n-1), f(n-1), f(7) and the first claim faults, each
+    noted at the first sample index above its m, so its memory does not
+    grow with n_max.  No claim is checked on values grown by the
+    recurrence it asserts, and A_n and B_n share no recurrence.  Every
+    comparison is an integer shift or cross-multiplication; a Fraction is
+    built only for a witness or a printed field.
 
     Failures are recorded, never raised: each ``*_ok`` field states its
     claim over its whole range, and ``first_counterexample`` is the first
     failure along the walk, at the smallest index and, at one index, in
     the order above; with one fault, or faults whose indices follow that
-    order, that is the first failure of the first failing check.  Only a
-    g(k) that differs from its closed form raises ArithmeticError, as in
-    `g_val`.
+    order, that is the first failure of the first failing check.  A
+    w_m <= 0 fails claim 2 and the ratios beside it (a zero one makes its
+    ratio "1/0"), and ``claim1_worst_ratio`` reads only ratios of two
+    positive terms.  Only a g(k) that differs from its closed form raises
+    ArithmeticError, as in `g_val`.
     """
     if n_max < 7:
         raise ValueError("verification needs n_max >= 7")
@@ -299,7 +307,7 @@ def verify_fundamental_lemma(n_max: int) -> LemmaCertificate:
                 for k, v in witness.items()
             })
 
-    worst = (0, 1)  # the largest ratio w_(m-1)/w_m over 2 <= m < n_max
+    worst = (0, 1)  # the largest ratio w_(m-1)/w_m > 0 over 2 <= m < n_max
     ratio_fault = None  # (m, num, den) of the smallest m >= 2 whose ratio fails
     ratio01_fault = None  # w_0/w_1 as (num, den), unless it is 1/3
     sign_fault = False  # some w_m <= 0
@@ -321,9 +329,9 @@ def verify_fundamental_lemma(n_max: int) -> LemmaCertificate:
         if n in samples:
             if ratio_fault is not None:
                 m, num, den = ratio_fault
-                fail("claim1_ok", "claim 1 ratio", n, m=m, ratio=Fraction(num, den))
+                fail("claim1_ok", "claim 1 ratio", n, m=m, ratio=_ratio(num, den))
             if ratio01_fault is not None:
-                fail("claim1_ok", "claim 1 ratio a_0/a_1", n, ratio=Fraction(*ratio01_fault))
+                fail("claim1_ok", "claim 1 ratio a_0/a_1", n, ratio=_ratio(*ratio01_fault))
             if sign_fault:
                 fail("claim2_ok", "claim 2 sign alternation", n)
 
@@ -352,7 +360,7 @@ def verify_fundamental_lemma(n_max: int) -> LemmaCertificate:
                          f_prev=Fraction(*f_prev), f_cur=Fraction(*f))
             f_prev = f
 
-        if 1 <= n <= route_max and a_coeff_explicit(n).as_integer_ratio() != (a_num, 1 << a_exp):
+        if 1 <= n <= route_max and a_coeff_explicit(n) != _fraction(a):
             fail("routes_ok", "route equivalence explicit = composition", n)
 
         # the claims read w_m for m < n_max, and a fault at m waits for the
@@ -364,7 +372,7 @@ def verify_fundamental_lemma(n_max: int) -> LemmaCertificate:
             else:
                 if ratio_fault is None and (num * 12 * (2 * n - 3) != den * n or 6 * num > den):
                     ratio_fault = n, num, den
-                if num * worst[1] > worst[0] * den:
+                if w_prev[0] > 0 < w[0] and num * worst[1] > worst[0] * den:
                     worst = num, den
         sign_fault = sign_fault or (n < n_max and w[0] <= 0)
         w_prev = w

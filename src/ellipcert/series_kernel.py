@@ -29,11 +29,12 @@ denominator, 2^(5n-3), and on that common scale every term is an integer:
 
 The Catalan ratio Cat(m)/Cat(m-1) = 2(2m-1)/(m+1) turns both into
 small-integer recurrences on the scaled integers (see `dyadic_rows`).
-Each row carries every coefficient as an odd numerator and a power-of-two
-exponent.  The module holds no table: `a_coeffs_upto`, `b_coeffs_upto`
-and `delta_coeffs_upto` build Fractions from a fresh stream, and the
-engine reads its own stream per call.  `coeff_rows_str` prints the table
-from a decimal twin of the odd numerators that finds its own exponents:
+Row n carries these integers as they are, over the common exponent
+5n - 3: every reader reduces, rounds or cross-multiplies them anyway.
+The module holds no table: `a_coeffs_upto`, `b_coeffs_upto` and
+`delta_coeffs_upto` build Fractions from a fresh stream, and the engine
+reads its own stream per call.  `coeff_rows_str` prints the table from a
+decimal twin of the rows that keeps odd numerators and finds their exponents:
 B_n's is 4n - 2 popcount(n), since Cat(n-1) has 2-adic valuation
 popcount(n) - 1; A_(n+1) = t_n - A_n/32 and delta_n = B_n - A_n are
 differences of two odd numerators, odd over the larger exponent when the
@@ -129,20 +130,12 @@ def delta_coeff(n: int) -> Fraction:
 
 
 class DyadicRow(NamedTuple):
-    """A_n, B_n and delta_n, each as (num, exp) with value num / 2**exp;
-    num is odd, or 0 with exp = 0."""
+    """A_n, B_n and delta_n, each as (num, exp) with value num / 2**exp,
+    unreduced: exp is 5n - 3 for n >= 1."""
 
     A: tuple[int, int]
     B: tuple[int, int]
     delta: tuple[int, int]
-
-
-def _reduced(scaled: int, exp: int) -> tuple[int, int]:
-    """scaled / 2**exp as (odd numerator, exponent): strip trailing zero bits."""
-    if scaled == 0:
-        return 0, 0
-    k = (scaled & -scaled).bit_length() - 1
-    return scaled >> k, exp - k
 
 
 def dyadic_rows():
@@ -157,16 +150,17 @@ def dyadic_rows():
 
     from alpha_1 = w_0 = 1, w_1 = 3 and beta_1 = 1; delta_n's scaled value
     is beta_n - alpha_n.  Every step is an exact small-integer multiply or
-    divide (the quotients are integers by the Catalan identities), and
-    reduction only strips trailing zero bits, so no gcd is ever taken.
-    Each stream keeps only the three integers of its next row, so nothing
-    outlives its consumer; take a prefix with `itertools.islice`.
+    divide (the quotients are integers by the Catalan identities), and a
+    row yields the three integers unreduced, over 2^(5n-3), so no gcd is
+    ever taken.  Each stream keeps only the three integers of its next
+    row, so nothing outlives its consumer; take a prefix with
+    `itertools.islice`.
     """
     yield DyadicRow((1, 0), (1, 0), (0, 0))
     alpha, w, beta = 1, 3, 1  # alpha_n, w_n, beta_n of row n
     for n in count(1):
         exp = 5 * n - 3
-        yield DyadicRow(_reduced(alpha, exp), _reduced(beta, exp), _reduced(beta - alpha, exp))
+        yield DyadicRow((alpha, exp), (beta, exp), (beta - alpha, exp))
         alpha = w - alpha
         w = w * (12 * (2 * n - 1)) // (n + 1)
         beta = beta * (8 * (2 * n - 1) ** 2) // (n + 1) ** 2

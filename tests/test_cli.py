@@ -177,6 +177,19 @@ def test_ivory_check_at_one(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("args, code, out_end, err", [
+    (["bounds", "--lambda", "0"], 0,
+     "lambda = 0: theta takes its limit value 3/2^17; nothing to check\n", ""),
+    (["coeffs", "--n", "-1"], 2, "", "error: --n must be >= 0\n"),
+    (["ivory-check", "--x", "0.9", "--tol", "1e-300"], 1, "",
+     "error: did not reach tol=1e-300 within 4096 panels at x=0.9\n"),
+])
+def test_edge_arguments_exit_as_documented(capsys, args, code, out_end, err):
+    rc, out, got_err = run(args, capsys)
+    assert rc == code and out.endswith(out_end) and got_err == err
+    assert bool(out) == (code == 0)
+
+
 def test_verify_lemma_failure_exits_one(capsys, monkeypatch):
     from ellipcert.lemma import _b_terms
 

@@ -1,6 +1,9 @@
 """The package's binary arithmetic (``_dyadic``) against ``mpmath.libmp``, bit
 for bit: each operation in each of the three directions the package rounds
-(floor, ceiling, nearest) and pi.  The printer against exact digits from
+(floor, ceiling, nearest) and pi.  A rounded sum is held to libmp's exact sum
+rounded once, since libmp's own rounded add lets an operand far below the
+other's top bit count only as a sticky bit, which misrounds when the other's
+mantissa reaches down to it.  The printer against exact digits from
 ``Fraction`` and ``//``, and against ``nstr``'s layout; the exact value type
 against mpf values."""
 
@@ -45,19 +48,40 @@ def close_pairs(draw):
 
 PAIRS = st.one_of(st.tuples(raws(), raws()), close_pairs())
 
+# operands whose top bits lie more than prec + 4 apart, in both orders, with
+# a long upper mantissa that reaches below the lower operand's top bit: the
+# floor of the first difference at 2 bits is 3/8, where libmp's rounded
+# sub, taking 2^-8 + 2^-1200 as a sticky bit, gives 1/2
+_HALF_PLUS = libmp.from_man_exp((1 << 999) + 1, -1000)  # 1/2 + 2^-1000
+_FAR_BELOW = libmp.from_man_exp((1 << 1192) + 1, -1200)  # 2^-8 + 2^-1200
+_FAR_PAIRS = [(_HALF_PLUS, _FAR_BELOW), (_FAR_BELOW, libmp.mpf_neg(_HALF_PLUS)),
+              (libmp.from_int(3), libmp.from_man_exp(-5, -6000))]
+# dividends over the divisors +-2^k
+_POWER_PAIRS = [(libmp.from_man_exp(-12345, -7), libmp.from_man_exp(1, 40)),
+                (libmp.from_man_exp((1 << 3000) - 1, -3000), libmp.from_man_exp(-1, -900))]
+
 
 @settings(max_examples=400, deadline=None)
 @given(PAIRS, PRECS, MODES)
+@example(_FAR_PAIRS[0], 2, "f")
+@example(_FAR_PAIRS[1], 2, "c")
+@example(_FAR_PAIRS[2], 53, "n")
+@example(_POWER_PAIRS[0], 10, "f")
+@example(_POWER_PAIRS[1], 200, "c")
 def test_add_sub_mul_div_match_libmp(pair, prec, rnd):
     s, t = pair
-    for op in ("mpf_add", "mpf_sub", "mpf_mul"):
-        assert getattr(dy, op)(s, t, prec, rnd) == getattr(libmp, op)(s, t, prec, rnd), op
+    assert dy.mpf_add(s, t, prec, rnd) == libmp.mpf_pos(libmp.mpf_add(s, t), prec, rnd)
+    assert dy.mpf_sub(s, t, prec, rnd) == libmp.mpf_pos(libmp.mpf_sub(s, t), prec, rnd)
+    assert dy.mpf_mul(s, t, prec, rnd) == libmp.mpf_mul(s, t, prec, rnd)
     if t[1]:
         assert dy.mpf_div(s, t, prec, rnd) == libmp.mpf_div(s, t, prec, rnd)
 
 
 @settings(max_examples=300, deadline=None)
 @given(raws(), PRECS, MODES)
+@example(libmp.from_man_exp(1, 64), 53, "f")  # radicands 2^k
+@example(libmp.from_man_exp(1, -3000), 2, "c")
+@example(libmp.from_man_exp(1, 0), 169, "n")
 def test_sqrt_rounding_and_conversions_match_libmp(s, prec, rnd):
     s = libmp.mpf_abs(s)
     assert dy.mpf_sqrt(s, prec, rnd) == libmp.mpf_sqrt(s, prec, rnd)
@@ -71,6 +95,9 @@ def test_sqrt_rounding_and_conversions_match_libmp(s, prec, rnd):
 
 @settings(max_examples=300, deadline=None)
 @given(PAIRS, st.integers(-5000, 5000))
+@example(_FAR_PAIRS[0], 0)
+@example(_FAR_PAIRS[1], 0)
+@example(_FAR_PAIRS[2][::-1], 0)
 def test_exact_operations_and_comparison_match_libmp(pair, n):
     s, t = pair
     assert dy.mpf_add(s, t) == libmp.mpf_add(s, t)

@@ -7,6 +7,7 @@ package's own series and adaptive-Gauss routes are checked against it.
 
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -202,11 +203,18 @@ def test_term_budget_below_two_is_a_plain_value_error(max_terms):
 
 
 def test_eval_B_floor_message_names_the_floor_at_x():
-    # the geometric bound at x = 1/2 reaches far below the x = 1 floor
-    with pytest.raises(ToleranceFloorError) as info:
-        eval_B(0.5, 1e-300, max_terms=100)
-    floor = float(str(info.value).rsplit("about ", 1)[1].rstrip(")"))
-    assert 0 < floor < 1e-36
+    # the geometric bound at x = 1/2 reaches far below the x = 1 floor; at
+    # x = 1, a tol just under the planned floor passes the early refusal
+    # and is refused after the loop, in the same words
+    floors = []
+    for x, tol, max_terms in ((0.5, 1e-300, 100), (1.0, 2.5e-8, 1000)):
+        with pytest.raises(ToleranceFloorError) as info:
+            eval_B(x, tol, max_terms=max_terms)
+        head, floor = str(info.value).rsplit(" (achievable floor here is about ", 1)
+        assert head == f"tol={tol} not certifiable within {max_terms} terms at x={x}"
+        floors.append(float(floor.rstrip(")")))
+    assert 0 < floors[0] < 1e-36
+    assert 2.5e-8 < floors[1] < 4e-8
     assert eval_B(0.5, 1e-36, max_terms=100).width <= 1e-36
 
 
@@ -504,6 +512,21 @@ def test_enclosure_invariant():
     for lo, hi in [(mp.mpf(2), mp.mpf(1)), (nan, 1.0), (0.0, nan), (mp.mpf("nan"), mp.mpf(1))]:
         with pytest.raises(ValueError):
             Enclosure(lo, hi)
+
+
+def test_enclosure_is_an_immutable_value():
+    enc = Enclosure(F(1, 3), F(1, 2), "geometric")
+    same = Enclosure(F(1, 3), F(1, 2), "geometric")
+    assert enc == same and hash(enc) == hash(same)
+    assert enc != Enclosure(F(1, 3), F(1, 2), "slow")
+    assert enc != (F(1, 3), F(1, 2), "geometric")
+    for name in ("lo", "hi", "regime"):
+        with pytest.raises(AttributeError):
+            setattr(enc, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(enc, name)
+    assert (enc.lo, enc.hi, enc.regime) == (F(1, 3), F(1, 2), "geometric")
+    assert pickle.loads(pickle.dumps(enc)) == enc
 
 
 def _mpf_exact(v) -> F:

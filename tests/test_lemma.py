@@ -427,6 +427,16 @@ def test_fault_in_claim2_sign_is_witnessed(monkeypatch):
     assert cert.first_counterexample == {
         "check": "claim 1 ratio", "index": 11, "m": "10", "ratio": "-5/102",
     }
+    assert cert.claim1_worst_ratio == F(1, 6)
+    # a zero w_10 is recorded as well, and nothing is raised: its ratio
+    # w_9/w_10 is infinite, and the worst ratio reads only positive terms
+    monkeypatch.setattr(lemma_mod, "_w_terms", _w_with(10, lambda num, den: (0, den)))
+    cert = verify_fundamental_lemma(30)
+    assert not cert.claim2_ok and not cert.claim1_ok and not cert.dominance_ok
+    assert cert.first_counterexample == {
+        "check": "claim 1 ratio", "index": 11, "m": "10", "ratio": "1/0",
+    }
+    assert cert.claim1_worst_ratio == F(1, 6)
 
 
 def test_fault_in_f_monotone_is_witnessed(monkeypatch):

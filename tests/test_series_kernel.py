@@ -234,11 +234,13 @@ def test_rational_str_ignores_the_int_digit_limit(int_digit_cap):
         assert rational_str(big) == "-1" + "0" * 699 + "1/7"
 
 
-def test_dyadic_rows_are_reduced():
+def test_dyadic_rows_hold_the_exact_coefficients():
+    # each column is num / 2**exp, unreduced, against its definitional route
     for n, row in enumerate(islice(dyadic_rows(), 301)):
-        for num, exp in row:
-            assert num % 2 == 1 or (num, exp) == (0, 0), (n, num, exp)
-        assert F(row.B[0], 2 ** row.B[1]) == b_coeff(n)
+        a, b, d = (F(num, 2**exp) for num, exp in row)
+        assert a == (a_coeff_explicit(n) if n else 1), n
+        assert b == b_coeff(n), n
+        assert d == delta_coeff(n), n
 
 
 def test_decimal_twin_divisions_raise_instead_of_truncating():
