@@ -73,9 +73,6 @@ THETA_LOWER = Fraction(3, 2**17)
 DELTA_E_EXPONENT = 19
 _DELTA_E_SCALE = Fraction(1, 2**DELTA_E_EXPONENT)
 
-# a strict bound passes when the midpoint clears it by more than this many widths
-_MARGIN = 10
-
 # ErrorReport fields whose JSON key is not their name
 _JSON_KEYS = {"lam": "lambda", "ecc": "eccentricity"}
 
@@ -242,32 +239,23 @@ def error_report(ellipse: Ellipse, tol: float | None = None) -> ErrorReport:
     )
 
 
-def _strict_lower(lo: Fraction, hi: Fraction, near: Fraction, far: Fraction) -> str:
-    """The verdict on a strict lower bound with outward ends near <= far for
-    a value in [lo, hi]: ``pass`` when the midpoint clears the far end by
-    more than ``_MARGIN`` widths, ``fail`` when the whole of [lo, hi] lies
-    below the near end, else ``inconclusive``."""
-    if hi < near:
-        return "fail"
-    # twice the midpoint's lead, against twice the guard _MARGIN * width
-    return "pass" if lo + hi - 2 * far > 2 * _MARGIN * (hi - lo) else "inconclusive"
-
-
 def _verdict_between(enc: Enclosure, lower: Enclosure, upper: Enclosure, *, attained: bool):
-    """Containment verdicts for an enclosure against the outward enclosures
-    of its two bounds.
+    """Containment verdicts for an enclosure [lo, hi] of a value against the
+    outward enclosures of its two bounds, as (lower side, upper side).
 
-    The lower bound is strict.  So is the upper one, decided as the lower
-    side with every end negated, unless ``attained`` (b = 0, lam = 1):
-    then the value equals the bound, and the side fails on the same test,
-    the enclosure lying wholly above the bound's enclosure, and passes
+    The lower bound is strict: the side passes when lo > lower.hi, fails
+    when hi < lower.lo, and is ``inconclusive`` otherwise.  The upper bound
+    is strict too, passing when hi < upper.lo and failing when
+    lo > upper.hi, unless ``attained`` (b = 0, lam = 1): then the value
+    equals the bound, and the side fails when lo > upper.hi and passes
     otherwise.  Every end is read exactly, and every verdict compares
     rationals, so a gap far below the working precision still decides.
     """
-    lo, hi, low_near, low_far, up_far, up_near = map(
+    lo, hi, low_lo, low_hi, up_lo, up_hi = map(
         _exact_fraction, (enc.lo, enc.hi, lower.lo, lower.hi, upper.lo, upper.hi))
-    up = _strict_lower(-hi, -lo, -up_near, -up_far)
-    return _strict_lower(lo, hi, low_near, low_far), "pass" if attained and up != "fail" else up
+    low = "pass" if lo > low_hi else "fail" if hi < low_lo else "inconclusive"
+    up = "fail" if lo > up_hi else "pass" if attained or hi < up_lo else "inconclusive"
+    return low, up
 
 
 def _theta_bounds(theta: Enclosure) -> tuple[Enclosure, Enclosure]:
@@ -284,9 +272,11 @@ def containment_check(report: ErrorReport) -> dict:
     ``ok`` that is False only on a definite failure.  Every bound is an
     outward enclosure at the precision that resolves its value's width
     (``_resolving_prec``): pi (a+b) lam^10 c for epsilon, from the report's
-    exact axes, and theta's own two (``_theta_bounds``).  So the value's
-    width decides, and no rounding of a bound turns a true claim into a
-    ``fail``.  The upper bounds are attained only for b = 0
+    exact axes, and theta's own two (``_theta_bounds``).  A strict side
+    passes only when the value's enclosure and the bound's are disjoint,
+    the value's on the side the bound claims, and fails only when they are
+    disjoint the other way; so no rounding of a bound turns a true claim
+    into a ``fail``.  The upper bounds are attained only for b = 0
     (``_verdict_between``).
     """
     keys = ("epsilon_lower", "epsilon_upper", "theta_lower", "theta_upper")

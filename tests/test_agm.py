@@ -8,13 +8,14 @@ modulus 1 - (b/a)^2 cancels that many digits.
 """
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import from_float, mpf_le
+from mpmath.libmp import from_float, from_man_exp, mpf_le
 
 from ellipcert import (
     Ellipse,
@@ -25,7 +26,9 @@ from ellipcert import (
     perimeter,
     theta_of_lambda,
 )
+from ellipcert._dyadic import Dyadic
 from ellipcert.cli import cli_main
+from ellipcert.series_kernel import dyadic_rows
 
 
 def reference_perimeter(a, b, dps: int):
@@ -153,6 +156,60 @@ def test_series_and_agm_discrepancy_overlap_near_the_switch(x):
     series = engine._discrepancy_series(xq, from_float(1e-40), prec)
     agm = engine._discrepancy_agm(xq, prec)
     assert mpf_le(series[0], agm[1]) and mpf_le(agm[0], series[1])
+
+
+# At 8 to 38 bits one misdirected rounding moves an end by a visible share of
+# its width.  Each x is an exact rational, and the series' tail limit 2^-400
+# lies far below one ulp, so the routines' own roundings decide their ends
+
+
+def test_series_discrepancy_brackets_the_exact_sum_at_low_precision():
+    # the exact sum of delta_n x^n until a term is below 2^-100 of the sum
+    # lies below Delta and, as the terms are positive, above the lower end
+    rng = random.Random(2024)
+    for i in range(60):
+        # x in (0, 0.01]: every other x is binary and exact at 8 bits, so
+        # that no outward rounding of x hides a misdirected rounding of the sum
+        x = F(rng.randrange(1, 2**8), 2**15) if i % 2 else F(rng.randrange(1, 10**6 + 1), 10**8)
+        prec = rng.randrange(8, 39)
+        lo, hi = engine._discrepancy_series(x, from_man_exp(1, -400), prec)
+        total = F(0)
+        for n, row in enumerate(dyadic_rows()):
+            num, exp = row.delta
+            term = F(num, 2**exp) * x**n
+            total += term
+            if n > 5 and term < total / 2**100:
+                break
+        assert F(Dyadic.from_raw(lo)) <= total <= F(Dyadic.from_raw(hi)), (x, prec)
+
+
+def test_agm_discrepancy_brackets_the_hypergeometric_value_at_low_precision():
+    # B(x) = 2F1(-1/2, -1/2; 1; x), an independent route, from mpmath at
+    # four times the bits
+    rng = random.Random(2025)
+    for _ in range(40):
+        x, prec = F(rng.randrange(10**6 + 1, 10**8), 10**8), rng.randrange(8, 39)  # x in (0.01, 1)
+        lo, hi = engine._discrepancy_agm(x, prec)
+        with mp.workprec(4 * prec):
+            xm = mp.mpf(x.numerator) / x.denominator
+            delta = mp.hyp2f1(-0.5, -0.5, 1, xm) - (1 + 3 * xm / (10 + mp.sqrt(4 - 3 * xm)))
+            assert mp.make_mpf(lo) <= delta <= mp.make_mpf(hi), (x, prec)
+
+
+def test_agm_discrepancy_subtracts_the_kernel_outward(monkeypatch):
+    # the AGM's roundings leave each end several ulps of slack, which hides a
+    # misdirected rounding of A; with B = S/M = 1 exactly and x binary, only
+    # A(x) and the subtraction round, and the ends must bracket 1 - A(x)
+    one = from_man_exp(1, 0)
+    monkeypatch.setattr(engine, "_agm_sum", lambda *_args: ((one, one), (one, one)))
+    rng = random.Random(2026)
+    for _ in range(100):
+        x, prec = F(rng.randrange(2, 128), 128), rng.randrange(8, 39)  # x exact at prec
+        lo, hi = engine._discrepancy_agm(x, prec)
+        with mp.workprec(4 * prec):
+            xm = mp.mpf(x.numerator) / x.denominator
+            gap = -3 * xm / (10 + mp.sqrt(4 - 3 * xm))
+            assert mp.make_mpf(lo) <= gap <= mp.make_mpf(hi), (x, prec)
 
 
 def test_discrepancy_switches_route_above_series_max_x():

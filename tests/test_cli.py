@@ -215,12 +215,22 @@ def test_ivory_check_failure_exits_one(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("args", [
-    ["perimeter", "--a", "1", "--b", "1e-13"],
+    ["perimeter", "--a", "1", "--b", "1e-60"],
     ["bounds", "--lambda", "0.9999999999999999"],
 ])
 def test_inconclusive_containment_warns_and_exits_zero(capsys, args):
     rc, _out, err = run(args, capsys)
     assert (rc, err) == (0, "warning: containment inconclusive at this tolerance\n")
+
+
+def test_near_degenerate_containment_is_decided(capsys):
+    # theta's enclosure ends about 1e-15 below 4/pi - 14/11 here, so each
+    # side is decided and nothing is printed to stderr
+    rc, out, err = run(["perimeter", "--a", "1", "--b", "1e-13", "--json"], capsys)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["containment"] == {
+        "epsilon_lower": "pass", "epsilon_upper": "pass",
+        "theta_lower": "pass", "theta_upper": "pass", "ok": True}
 
 
 def test_perimeter_failed_containment_exits_one(capsys, monkeypatch):

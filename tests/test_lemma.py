@@ -319,6 +319,44 @@ def test_fault_in_equality_is_witnessed(monkeypatch):
     }
 
 
+@pytest.mark.parametrize("n, a_n, b_n", [(1, "1/4", "1/2"), (4, "25/16384", "25/8192")])
+def test_fault_at_either_end_of_the_equalities_is_witnessed(monkeypatch, n, a_n, b_n):
+    # B_n doubled at the first and the last index of A_n = B_n
+    monkeypatch.setattr(lemma_mod, "_b_terms", _b_with(n, 2 * b_coeff(n)))
+    cert = verify_fundamental_lemma(30)
+    assert not cert.equalities_ok and cert.inequalities_ok
+    assert cert.first_counterexample == {
+        "check": "equality A_n = B_n", "index": n, "a_n": a_n, "b_n": b_n,
+    }
+
+
+@pytest.mark.parametrize("n, scale, a_n, b_n", [
+    (5, F(1, 2), "95/131072", "95/262144"),
+    (9, 1, "669395/8589934592", "669395/8589934592"),
+])
+def test_fault_in_the_strict_inequality_is_witnessed(monkeypatch, n, scale, a_n, b_n):
+    # B_n = scale * A_n: below A_n at n = 5, the first index of A_n < B_n,
+    # and equal to A_n at n = 9, which the strict inequality fails
+    a = series_kernel.a_coeffs_upto(n)[n]
+    monkeypatch.setattr(lemma_mod, "_b_terms", _b_with(n, scale * a))
+    cert = verify_fundamental_lemma(30)
+    assert not cert.inequalities_ok and cert.equalities_ok
+    assert cert.first_counterexample == {
+        "check": "strict inequality A_n < B_n", "index": n, "a_n": a_n, "b_n": b_n,
+    }
+
+
+def test_zero_coefficient_fails_dominance(monkeypatch):
+    # A_7 = 0 lies below a_6 and B_7, but dominance claims 0 < A_n
+    monkeypatch.setattr(lemma_mod, "dyadic_rows", _rows_with(7, lambda _a7: F(0)))
+    cert = verify_fundamental_lemma(30)
+    assert not cert.dominance_ok and cert.inequalities_ok
+    assert cert.first_counterexample == {
+        "check": "dominance 0 < A_n < a_(n-1)", "index": 7, "a_n": "0/1",
+        "lead": "15309/67108864",
+    }
+
+
 def test_fault_in_dominance_is_witnessed(monkeypatch):
     # A_20 halfway between a_19 and B_20: still below B_20, above the lead term
     lead, b20 = series_kernel.a_term(20, 19), b_coeff(20)
@@ -439,15 +477,20 @@ def test_fault_in_claim2_sign_is_witnessed(monkeypatch):
     assert cert.claim1_worst_ratio == F(1, 6)
 
 
-def test_fault_in_f_monotone_is_witnessed(monkeypatch):
-    # g(20) reported as its reciprocal: f(20) > f(21) is no longer shown
+def _g_with(index, change):
+    """lemma's g(k) with g(index) replaced by change(num, den)."""
     original = lemma_mod._g_terms
 
     def patched(k, fk, fk1):
-        num, den = original(k, fk, fk1)
-        return (den, num) if k == 20 else (num, den)
+        terms = original(k, fk, fk1)
+        return change(*terms) if k == index else terms
 
-    monkeypatch.setattr(lemma_mod, "_g_terms", patched)
+    return patched
+
+
+def test_fault_in_f_monotone_is_witnessed(monkeypatch):
+    # g(20) reported as its reciprocal: f(20) > f(21) is no longer shown
+    monkeypatch.setattr(lemma_mod, "_g_terms", _g_with(20, lambda num, den: (den, num)))
     cert = verify_fundamental_lemma(30)
     assert not cert.chain_equivalence_ok
     assert cert.dominance_ok and cert.claim1_ok and cert.claim2_ok and cert.inequalities_ok
@@ -456,6 +499,17 @@ def test_fault_in_f_monotone_is_witnessed(monkeypatch):
         "index": 21,
         "f_prev": "387420489/4359249202",
         "f_cur": "8135830269/113778087280",
+    }
+
+
+def test_g_equal_to_one_is_witnessed(monkeypatch):
+    # g(7) = 1 exactly: f(7) = f(8) is not a strict decrease
+    monkeypatch.setattr(lemma_mod, "_g_terms", _g_with(7, lambda _num, den: (den, den)))
+    cert = verify_fundamental_lemma(30)
+    assert not cert.chain_equivalence_ok and cert.dominance_ok and cert.inequalities_ok
+    assert cert.first_counterexample == {
+        "check": "f strictly decreasing", "index": 8,
+        "f_prev": "1701/1936", "f_cur": "1458/1859",
     }
 
 
