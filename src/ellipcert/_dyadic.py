@@ -18,9 +18,10 @@ and rounds once.  ``mpf_lt`` and ``mpf_le`` read the sign of the exact
 difference.
 
 pi comes from an integer series (Machin's formula) with an error bound,
-exact to the floor at the precision asked.  ``to_str`` prints a value's
-exact decimal digits, rounded half up, in the layout of mpmath's ``nstr``,
-and ``Dyadic`` is the exact value type the package returns.
+exact to the floor at the precision asked.  ``to_str``, the one operation
+that takes no raw tuple, prints an exact rational (a Fraction, as every
+``Dyadic`` is) rounded half up once, in the layout of mpmath's ``nstr``.
+``Dyadic`` is the exact value type the package returns.
 """
 
 from __future__ import annotations
@@ -226,18 +227,16 @@ def mpf_pi(prec: int, rnd):
 # -- printing -----------------------------------------------------------------
 
 
-def _leading_digits(man: int, exp: int, bc: int, count: int):
-    """(d, e) for v = man 2^exp > 0, man of bc bits: d is v's first count
-    decimal digits rounded half up, exactly, an integer in
-    [10^(count-1), 10^count), and e the decimal exponent of its first."""
-    # 2^(exp+bc-1) <= v, and the float product errs by less than one while
-    # |exp + bc| < 2^50, so e starts at most three below the leading
-    # digit's exponent and never above it
-    e = math.floor((exp + bc - 1) * 0.30102999566398120) - 1
+def _leading_digits(num: int, den: int, count: int):
+    """(d, e) for v = num/den > 0: d is v's first count decimal digits
+    rounded half up, exactly, an integer in [10^(count-1), 10^count), and e
+    the decimal exponent of its first."""
+    # v > 2^(m-1) for m the difference of the bit lengths, and the float
+    # product errs by less than one while |m| < 2^50, so e starts at most
+    # three below the leading digit's exponent and never above it
+    e = math.floor((num.bit_length() - den.bit_length() - 1) * 0.30102999566398120) - 1
     k = count - e
-    q = man << max(exp, 0)
-    q = q * 10**k if k >= 0 else q // 10**-k
-    q >>= max(-exp, 0)  # floor(v 10^k), floors in any order being one floor
+    q = num * 10**k // den if k >= 0 else num // (den * 10**-k)  # floor(v 10^k)
     top = 10 ** (count + 1)
     while q >= top:  # until q holds count + 1 digits: then e is exact
         q //= 10
@@ -248,16 +247,16 @@ def _leading_digits(man: int, exp: int, bc: int, count: int):
     return q, e
 
 
-def to_str(s, dps: int) -> str:
-    """s with dps significant digits: its exact value rounded half up, the
-    digits taken in integers at every magnitude (Steele and White's exact
-    method), laid out as mpmath's ``nstr(x, dps)`` lays them out: fixed
+def to_str(v: Fraction, dps: int) -> str:
+    """The exact rational v with dps significant digits, rounded half up
+    once, the digits taken in integers at every magnitude (Steele and
+    White's exact method), laid out as mpmath's ``nstr(x, dps)``: fixed
     point while the leading digit's decimal exponent lies strictly between
     min(-(dps // 3), -5) and dps, trailing zeros stripped."""
-    sign, man, exp, bc = s
-    if not man:
+    num, den = v.numerator, v.denominator
+    if not num:
         return "0.0"
-    d, exponent = _leading_digits(man, exp, bc, dps)
+    d, exponent = _leading_digits(abs(num), den, dps)
     digits, split = str(d), 1
     if min(-(dps // 3), -5) < exponent < dps:  # fixed point
         if exponent < 0:
@@ -268,7 +267,7 @@ def to_str(s, dps: int) -> str:
     digits = (digits[:split] + "." + digits[split:]).rstrip("0")
     if digits[-1] == ".":
         digits += "0"
-    sign = "-" if sign else ""
+    sign = "-" if num < 0 else ""
     if exponent == 0:
         return sign + digits
     return f"{sign}{digits}e{'+' if exponent > 0 else ''}{exponent}"

@@ -59,7 +59,7 @@ __all__ = ["cli_main", "main"]
 
 
 def _fmt(v, digits: int = 20) -> str:
-    return _point_str(v, digits)  # rounded to working precision first
+    return _point_str(v, digits)  # from the exact value, rounded half up once
 
 
 def _enc_str(enc) -> str:

@@ -197,9 +197,9 @@ def _open_unit(v, message: str) -> Fraction:
 
 
 def _point_str(v, digits: int) -> str:
-    """v with ``digits`` significant digits, its exact value first rounded
-    once to nearest at working precision (``_raw``)."""
-    return to_str(_raw(v), digits)
+    """v with ``digits`` significant digits, printed from its exact value
+    (``_exact_fraction``), rounded half up once; every printer comes here."""
+    return to_str(_exact_fraction(v), digits)
 
 
 class Enclosure:
@@ -251,7 +251,7 @@ class Enclosure:
         return _exact_fraction(self.lo) <= v <= _exact_fraction(self.hi)
 
     def __repr__(self) -> str:
-        lo, hi = to_str(_raw(self.lo), 20), to_str(_raw(self.hi), 20)
+        lo, hi = _point_str(self.lo, 20), _point_str(self.hi, 20)
         return f"Enclosure([{lo}, {hi}], regime={self.regime!r})"
 
 
@@ -360,7 +360,7 @@ class Ellipse:
         return cls(a, _root(aq * aq * (1 - eq * eq)))
 
     def __repr__(self) -> str:
-        return f"Ellipse(a={to_str(self.a._mpf_, 12)}, b={to_str(self.b._mpf_, 12)})"
+        return "Ellipse(a={}, b={})".format(*(_point_str(v, 12) for v in self.axes))
 
 
 def _lambda_at(e, rnd, opp, prec: int):
@@ -462,14 +462,14 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
         raise ValueError("max_terms must be at least 2")
     q = _unit(x, "x must lie in [0, 1]")
 
-    def refusal(floor) -> ToleranceFloorError:  # floor: a raw value
+    def refusal(floor) -> ToleranceFloorError:
         return ToleranceFloorError(
-            f"tol={tol} not certifiable within {max_terms} terms at x={to_str(_raw(q), 10)} "
-            f"(achievable floor here is about {to_str(floor, 5)})")
+            f"tol={tol} not certifiable within {max_terms} terms at x={_point_str(q, 10)} "
+            f"(achievable floor here is about {_point_str(floor, 5)})")
 
     estimate = _tail_estimate(float(q), max_terms)
     if estimate > 2.0 * tol_q:
-        raise refusal(_raw(estimate))
+        raise refusal(estimate)
     prec = max(53, 54 - _mag(*tol_q.as_integer_ratio()))
     limit = _bounds(tol_q, 53)[0]  # no larger than tol
     (x_lo, x_hi), one_minus = _bounds(q, prec), _bounds(1 - q, prec)[0]
@@ -489,7 +489,7 @@ def eval_B(x, tol: float = 1e-12, max_terms: int = 250_000) -> Enclosure:
                 if mpf_le(mpf_sub(top, s_lo), limit):  # mpf_sub without a precision is exact
                     return _enclosure(s_lo, top, regime)
         n += 1
-    raise refusal(_tail_bound(max_terms, hi, one_minus, prec)[0])
+    raise refusal(_value(_tail_bound(max_terms, hi, one_minus, prec)[0]))
 
 
 # fixed-order 15-point Gauss-Legendre rule used on every adaptive panel:
@@ -567,7 +567,7 @@ def _within(mag: int, tol: Fraction, enclose):
         if mpf_le(mpf_sub(hi, lo), limit):  # mpf_sub without a precision is exact
             return lo, hi
     raise ArithmeticError(
-        f"enclosure still wider than tol={to_str(_raw(tol), 5)} at {prec} bits")
+        f"enclosure still wider than tol={_point_str(tol, 5)} at {prec} bits")
 
 
 def _agm_sum(a, b, t, s, prec: int):

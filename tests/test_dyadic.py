@@ -3,9 +3,10 @@ for bit: each operation in each of the three directions the package rounds
 (floor, ceiling, nearest) and pi.  A rounded sum is held to libmp's exact sum
 rounded once, since libmp's own rounded add lets an operand far below the
 other's top bit count only as a sticky bit, which misrounds when the other's
-mantissa reaches down to it.  The printer against exact digits from
-``Fraction`` and ``//``, and against ``nstr``'s layout; the exact value type
-against mpf values."""
+mantissa reaches down to it.  The printer, which reads an exact rational
+and rounds it half up once, against exact digits from ``Fraction`` and
+``//``, and against ``nstr``'s layout; the exact value type against mpf
+values."""
 
 import math
 import pickle
@@ -125,9 +126,12 @@ def test_pi_brackets_itself():
 
 
 def _exact_digits(s, digits: int):
-    """(d, e) from Fraction and //: |s| rounded half up to ``digits``
+    return _fraction_digits(abs(F(Dyadic.from_raw(s))), digits)
+
+
+def _fraction_digits(v: F, digits: int):
+    """(d, e) from Fraction and //: v > 0 rounded half up to ``digits``
     significant digits is d 10^(e - digits + 1), 10^(digits-1) <= d < 10^digits."""
-    v = abs(F(Dyadic.from_raw(s)))
     e = math.floor(math.log10(v.numerator) - math.log10(v.denominator))
     while v >= F(10) ** (e + 1):
         e += 1
@@ -153,7 +157,7 @@ PRINTER_EXAMPLES = [
 
 
 def _assert_exact(s, digits: int):
-    text = dy.to_str(s, digits)
+    text = dy.to_str(Dyadic.from_raw(s), digits)
     if not s[1]:
         assert text == "0.0"
         return
@@ -171,7 +175,7 @@ def test_printer_digits_are_exact(s, digits):
 @pytest.mark.parametrize(("s", "digits"), PRINTER_EXAMPLES)
 def test_printer_examples_are_exact_and_laid_out_as_nstr(s, digits):
     _assert_exact(s, digits)
-    assert dy.to_str(s, digits) == nstr(mp.make_mpf(s), digits)
+    assert dy.to_str(Dyadic.from_raw(s), digits) == nstr(mp.make_mpf(s), digits)
 
 
 def test_printer_needs_no_long_int_to_str(int_digit_cap):
@@ -179,12 +183,56 @@ def test_printer_needs_no_long_int_to_str(int_digit_cap):
     # the digits shown may be converted
     values = [libmp.from_man_exp(3, 3400), libmp.from_man_exp(-(1 << 168) - 1, 3330),
               libmp.from_man_exp(1, 3499), libmp.from_man_exp(5, -3500)]
-    expected = [dy.to_str(s, 20) for s in values]
+    expected = [dy.to_str(Dyadic.from_raw(s), 20) for s in values]
     enclosure = engine.Enclosure(Dyadic.from_raw(values[0]), Dyadic.from_raw(values[2]))
     text = repr(enclosure)
     with int_digit_cap():
-        assert [dy.to_str(s, 20) for s in values] == expected
+        assert [dy.to_str(Dyadic.from_raw(s), 20) for s in values] == expected
         assert repr(enclosure) == text
+
+
+# T = 1048577/2^20 = 1.00000095367431640625 lies on a tie of 20 digits
+_TIE = F(1048577, 2**20)
+
+
+@st.composite
+def exact_values(draw):
+    """A signed exact rational of up to 4000 bits over up to 4000 bits: a
+    Dyadic, or a Fraction whose denominator has an odd factor."""
+    num = draw(st.integers(1, (1 << draw(st.integers(1, 4000))) - 1))
+    if draw(st.booleans()):
+        den = 1 << draw(st.integers(0, 4000))
+    else:
+        odd = draw(st.integers(1, (1 << draw(st.integers(1, 4000))) - 1)) | 1
+        den = max(odd, 3) << draw(st.integers(0, 40))
+    v = F(-num if draw(st.booleans()) else num, den)
+    return Dyadic(v) if den & (den - 1) == 0 else v
+
+
+def _half_up_nstr(v: F, digits: int) -> str:
+    """v rounded half up to ``digits`` digits by the Fraction oracle, laid out
+    by nstr: read into a 300-bit mpf, the rounded decimal stays far from
+    every tie, so nstr keeps its digits and only lays them out."""
+    d, e = _fraction_digits(abs(v), digits)
+    with mp.workprec(300):
+        return nstr(mpf(f"{'-' if v < 0 else ''}{d}e{e - digits + 1}"), digits)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(exact_values(), st.sampled_from([5, 6, 8, 12, 20, 25]))
+@example(_TIE - F(1, 2**400), 20)
+@example(Dyadic(_TIE), 20)
+@example(F(-1, 3), 5)
+@example(F(999995, 10**6), 5)
+def test_printer_rounds_the_exact_value_once_half_up(v, digits):
+    assert dy.to_str(v, digits) == _half_up_nstr(F(v), digits)
+
+
+def test_a_value_near_a_tie_prints_from_its_exact_value():
+    # rounded to 169 bits first, both would land on T and print ...063
+    assert engine._point_str(_TIE - F(1, 2**400), 20) == "1.0000009536743164062"
+    assert engine._point_str(_TIE + F(1, 2**400), 20) == "1.0000009536743164063"
+    assert engine._point_str(_TIE, 20) == "1.0000009536743164063"  # half up
 
 
 @pytest.mark.parametrize("text", ["0.1", "-2.5e-3", "1e-450", "7e401", "3/7", "123.4500"])

@@ -43,6 +43,7 @@ from ellipcert import (
     perimeter_ramanujan,
     theta_of_lambda,
 )
+from ellipcert._dyadic import Dyadic
 from ellipcert.series_kernel import dyadic_rows
 
 QUAD_ERR = 5e-12  # allowance for the oracle's own error
@@ -103,6 +104,12 @@ def test_ellipse_from_eccentricity():
     with mp.workdps(50):
         assert abs(e.b - mp.sqrt(mp.mpf(3)) / 2) < mp.mpf("1e-45")
         assert abs(e.ecc - mp.mpf("0.5")) < mp.mpf("1e-45")
+
+
+def test_ellipse_repr_prints_the_exact_axes():
+    # a = 1.000000000035 lies on a tie of 12 digits, and its point value
+    # Ellipse.a, rounded to 169 bits, lies below it and would print ...03
+    assert repr(Ellipse(F("1.000000000035"), 1)) == "Ellipse(a=1.00000000004, b=1.0)"
 
 
 def test_ellipse_invalid_inputs():
@@ -551,6 +558,14 @@ def test_enclosure_width_and_mid_are_exact_for_every_kind_of_end(lo, hi, width, 
     for value in (enc.width, enc.mid):
         binary = value.denominator & (value.denominator - 1) == 0
         assert hasattr(value, "_mpf_") == binary
+
+
+def test_enclosure_repr_prints_each_end_from_its_exact_value():
+    # T = 1048577/2^20 lies on a tie of 20 digits; rounded to 169 bits
+    # first, both ends would land on T and print ...063
+    tie, tiny = F(1048577, 2**20), F(1, 2**400)
+    enc = Enclosure(Dyadic(tie - tiny), Dyadic(tie + tiny))
+    assert repr(enc) == "Enclosure([1.0000009536743164062, 1.0000009536743164063], regime='')"
 
 
 def test_enclosure_contains_is_exact():
