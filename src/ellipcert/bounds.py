@@ -10,7 +10,8 @@ satisfies the optimal bounds
     3/2^17 < theta(lam) <= 4/pi - 14/11,
 
 both endpoints being best possible (the lower one is the lam -> 0 limit,
-the upper one is attained at lam = 1).  In terms of the eccentricity,
+the upper one is attained at lam = 1, so its enclosure is the engine's
+enclosure of theta(1) = Delta(1)).  In terms of the eccentricity,
 
     epsilon(e) = a * delta(e) * (2/(1 + sqrt(1-e^2)))^19 * e^20,
 
@@ -33,12 +34,13 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from ._dyadic import Dyadic, _exact, from_int, mpf_div, mpf_pi, mpf_sub, round_ceiling, round_floor
+from ._dyadic import Dyadic, _exact, mpf_sub
 from .engine import (
     _PREC,
     Ellipse,
     Enclosure,
     EXACT_POINT,
+    _discrepancy_agm,
     _enclosure,
     _exact_fraction,
     _nearest,
@@ -85,18 +87,14 @@ _BOUND_FORM_NOTE = (
 )
 
 
-_FOUR, _ELEVEN, _FOURTEEN = from_int(4), from_int(11), from_int(14)
 _THETA_LOWER_POINT = Enclosure(Dyadic(THETA_LOWER), Dyadic(THETA_LOWER), EXACT_POINT)
 
 
 @lru_cache(maxsize=64)  # a constant per precision: a report and its check read it about four times
 def _theta_upper_enclosure(prec: int = _PREC) -> Enclosure:
     """Outward enclosure of the attained bound 4/pi - 14/11 at ``prec`` bits:
-    each end rounded its own way, with pi and 14/11 rounded the other way."""
-    return _enclosure(*(
-        mpf_sub(mpf_div(_FOUR, mpf_pi(prec, opp), prec, rnd),
-                mpf_div(_FOURTEEN, _ELEVEN, prec, opp), prec, rnd)
-        for rnd, opp in ((round_floor, round_ceiling), (round_ceiling, round_floor))))
+    theta(1) = Delta(1) itself, from the engine's x = 1 route."""
+    return _enclosure(*_discrepancy_agm(Fraction(1), prec))
 
 
 def _scaled_bound(upper: bool, factor: Fraction, prec: int) -> Enclosure:

@@ -98,7 +98,9 @@ class QuadratureBudgetError(RuntimeError):
 
 def _exact_fraction(v) -> Fraction:
     """Exact rational value of an int/float/Fraction/mpf/decimal string (no
-    rounding), as a plain Fraction, whose arithmetic builds no exact type."""
+    rounding), as a plain Fraction, whose arithmetic builds no exact type.
+    A value that carries a finite raw tuple (``_mpf_``) is read through
+    ``Dyadic.from_raw``; an infinite or NaN one is refused."""
     if isinstance(v, Fraction):
         return v if type(v) is Fraction else Fraction(v)
     raw = getattr(v, "_mpf_", None)
@@ -107,27 +109,19 @@ def _exact_fraction(v) -> Fraction:
             return Fraction(v)
         except OverflowError:  # an infinite float
             raise ValueError(f"cannot take exact value of {v!r}") from None
-    sign, man, exp, _bc = raw
+    _sign, man, exp, _bc = raw
     if man == 0 and exp != 0:  # inf or nan
         raise ValueError(f"cannot take exact value of {v!r}")
-    fr = Fraction(man) * Fraction(2) ** exp
-    return -fr if sign else fr
+    return Fraction(Dyadic.from_raw(raw))
 
 
 def _rounded(q: Fraction, prec: int, rnd):
-    """The raw value of q: q itself when it is binary, else q rounded once
-    to ``prec`` bits towards ``rnd``.  The integer quotient below has more
-    than ``prec`` bits and, q not being binary, a remainder; a sticky bit
-    below it stands for that remainder, so the quotient rounds as q does,
-    towards floor, ceiling or nearest alike."""
+    """The raw value of q: q itself when it is binary, else q's numerator
+    over its denominator, rounded once to ``prec`` bits towards ``rnd``."""
     num, den = q.numerator, q.denominator
     if den & (den - 1) == 0:
         return from_man_exp(num, 1 - den.bit_length())
-    shift = prec + den.bit_length() - num.bit_length() + 1
-    mag = abs(num)
-    quo = (mag << shift) // den if shift >= 0 else mag // (den << -shift)
-    man = 2 * quo + 1
-    return from_man_exp(-man if num < 0 else man, -shift - 1, prec, rnd)
+    return mpf_div(from_int(num), from_int(den), prec, rnd)
 
 
 def _bounds(q: Fraction, prec: int):
@@ -708,7 +702,8 @@ def _discrepancy_agm(x: Fraction, prec: int):
     c_1^2 = x and (a_0^2 + b_0^2)/2 = 1 + x: x and 1 - x, each rounded
     outward, enter only there.  A increases with x, so A(x) rounded down
     takes x rounded down, and up, up.  At x = 1 the ellipse is degenerate,
-    p = 4a, so B(1) = 4/pi (and A(1) = 14/11).
+    p = 4a, so B(1) = 4/pi (and A(1) = 14/11).  Delta(1) = 4/pi - 14/11 is
+    also theta's attained upper bound, which ``bounds`` reads from here.
     """
     x_lo, x_hi = _bounds(x, prec)
     if x == 1:

@@ -95,6 +95,30 @@ def test_one_rounding_is_libmps_correct_rounding(num, den, prec, rnd):
                                        engine._rounded(q, prec, "c"))
 
 
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_an_infinite_or_nan_mpf_is_refused(bad):
+    # an mpf is read from its raw tuple, where inf and nan have no exact value
+    value = mp.mpf(bad)
+    for a, b in ((value, 1), (1, value)):
+        with pytest.raises(ValueError, match="^semi-axes must be finite$"):
+            Ellipse(a, b)
+    if bad == "nan":
+        with pytest.raises(ValueError, match=r"^x must lie in \(0, 1\]$"):
+            discrepancy(value)
+
+
+@pytest.mark.parametrize("value, exact", [
+    (-3 * mp.mpf(2) ** -1074, F(-3, 2**1074)),
+    (mp.mpf(2) ** 5000, F(2**5000)),
+    (mp.ldexp(-5, -70000), F(-5, 2**70000)),
+    (mp.mpf(-12), F(-12)),
+    (mp.mpf(0), F(0)),
+])
+def test_an_mpf_is_read_as_its_exact_fraction(value, exact):
+    q = engine._exact_fraction(value)
+    assert type(q) is F and q == exact
+
+
 def test_a_non_binary_axis_rounds_to_nearest():
     # 1/10 used to round towards zero, one ulp below its nearest value
     assert Ellipse(F(1, 10), 1).b._mpf_ == libmp.from_rational(1, 10, 169, "n")

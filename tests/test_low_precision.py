@@ -163,3 +163,38 @@ def test_theta_upper_constant_is_enclosed_at_every_low_precision():
         with mp.workprec(4 * prec):
             assert _brackets(enc.lo, enc.hi, 4 / mp.pi - mp.mpf(14) / 11), prec
 
+
+def test_agm_sum_encloses_its_sum_and_mean_at_low_precision():
+    # exact step-one values of a real ellipse: binary a_1 >= b_1 > 0,
+    # t_1 = a_1^2 - b_1^2 and s_1 = 2 a_1^2 - b_1^2, so S > 0 and the tail
+    # argument holds.  Each kind of draw leaves other roundings without
+    # slack.  S is held against the same recurrence, c_(n+1) = (a_n - b_n)/2,
+    # and M against mpmath's agm, both at four times the bits plus 64
+    rng = random.Random(3007)
+    for i in range(600):
+        prec = rng.randrange(8, 41)
+        kind = i % 4
+        a1 = F(1) if kind == 2 else F(rng.randrange(2**7, 2**8), 2**7)
+        if kind == 0:  # b_1/a_1 down to 2^-30, where many t_n count
+            b1 = a1 * F(rng.randrange(1, 2**8 + 1), 2**8) / 2**rng.randrange(0, 31)
+        elif kind == 1:
+            b1 = a1 * F(rng.randrange(2**7, 2**8 + 1), 2**8)
+        elif kind == 2:  # the first steps nearly exact
+            b1 = F(1, 2**rng.randrange(0, 31))
+        else:  # one step ends the loop with an exact sum, so only the tail moves S_lo
+            b1 = a1 * (1 - F(1, 2**rng.randrange(prec, 2 * prec)))
+        t1, s1 = a1 * a1 - b1 * b1, 2 * a1 * a1 - b1 * b1
+        (s_lo, s_hi), (m_lo, m_hi) = engine._agm_sum(
+            *((Dyadic(v)._mpf_,) * 2 for v in (a1, b1, t1, s1)), prec)
+        with mp.workprec(4 * prec + 64):
+            a, b, s, n = _mpf(a1), _mpf(b1), _mpf(s1 - t1), 2
+            while True:
+                a, b, c = (a + b) / 2, mp.sqrt(a * b), (a - b) / 2  # c_n
+                term = 2 ** (n - 1) * c * c
+                s -= term
+                n += 1
+                if term <= s * mp.ldexp(1, -mp.prec):
+                    break
+            assert mp.make_mpf(s_lo) <= s <= mp.make_mpf(s_hi), (a1, b1, prec)
+            assert mp.make_mpf(m_lo) <= mp.agm(_mpf(a1), _mpf(b1)) <= mp.make_mpf(m_hi), (
+                a1, b1, prec)
